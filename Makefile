@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-gate repro repro-quick sweep-quick sweep-trace examples fuzz fuzz-short conformance serve-smoke jobs-smoke rooms-smoke cluster-smoke traces-smoke check-docs check clean
+.PHONY: all build test race bench bench-json bench-gate repro repro-quick sweep-quick sweep-trace examples fuzz fuzz-short conformance serve-smoke jobs-smoke rooms-smoke cluster-smoke traces-smoke check-docs check clean loc
 
 all: build test
 
@@ -139,6 +139,11 @@ cluster-smoke:
 # shrinks the big upload for quick local runs).
 traces-smoke:
 	sh scripts/traces-smoke.sh
+
+# Non-test Go line count of the serving stack (internal/serve,
+# cmd/imtd, cmd/imtgw): a tracked number (see ROADMAP.md).
+loc:
+	@find internal/serve cmd/imtd cmd/imtgw -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # Documentation drift gate: fails if docs reference flags no binary
 # prints, point at paths outside the repo, or miss required sections

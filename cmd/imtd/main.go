@@ -110,16 +110,23 @@ func main() {
 	)
 	flag.Parse()
 
+	// The signal context exists before the socket is bound, so a signal
+	// arriving the moment the port is reachable still drains cleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	srv, err := serve.New(serve.Options{
-		Workers:        *workers,
-		Queue:          *queue,
-		CacheDir:       *cacheDir,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTO,
-		JobsDir:        *jobsDir,
-		JobTTL:         *jobTTL,
-		JobWorkers:     *jobWorkers,
-		Debug:          *debug,
+		FrontendOptions: serve.FrontendOptions{
+			DefaultTimeout: *timeout,
+			MaxTimeout:     *maxTO,
+			Debug:          *debug,
+		},
+		Workers:    *workers,
+		Queue:      *queue,
+		CacheDir:   *cacheDir,
+		JobsDir:    *jobsDir,
+		JobTTL:     *jobTTL,
+		JobWorkers: *jobWorkers,
 
 		TraceDir:        *traceDir,
 		TraceQuotaBytes: *traceQuota,
@@ -133,7 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	d, err := srv.Listen(*addr)
+	d, err := serve.Listen(*addr, srv)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,20 +155,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "imtd: listening on http://%s (workers=%d queue=%d cache=%q jobs=%q)\n",
 		d.Addr(), *workers, *queue, *cacheDir, *jobsDir)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "imtd: draining (finishing in-flight requests)")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-		defer cancel()
-		if err := d.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintln(os.Stderr, "imtd: drain:", err)
+	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "imtd: draining (finishing in-flight requests)") })
+	if err := d.Run(ctx, *drainGrace); err != nil {
+		if ctx.Err() == nil {
+			fatal(err)
 		}
-	}()
-
-	if err := d.Serve(); err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "imtd: drain:", err)
 	}
 
 	// Drained cleanly: flush observability outputs.

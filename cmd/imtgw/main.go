@@ -34,14 +34,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/cluster"
 )
 
@@ -53,12 +52,12 @@ func main() {
 		shardCSV = flag.String("shards", "", "comma-separated imtd base URLs (e.g. http://127.0.0.1:8866,http://127.0.0.1:8867)")
 		replicas = flag.Int("replicas", 0, "virtual nodes per shard on the hash ring (0 = 128)")
 
-		probeIvl  = flag.Duration("probe-interval", time.Second, "background shard health-probe period")
-		probeTO   = flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
-		timeout   = flag.Duration("timeout", 30*time.Second, "default /v1/sim deadline")
-		maxTO     = flag.Duration("max-timeout", 5*time.Minute, "deadline clamp; also bounds whole sweeps")
-		maxCells  = flag.Int("max-sweep-cells", 0, "sweep grid size cap (0 = 4096)")
-		debug     = flag.Bool("debug", false, "mount /debug/pprof, /debug/vars and /metrics on the API port")
+		probeIvl = flag.Duration("probe-interval", time.Second, "background shard health-probe period")
+		probeTO  = flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
+		timeout  = flag.Duration("timeout", 30*time.Second, "default /v1/sim deadline")
+		maxTO    = flag.Duration("max-timeout", 5*time.Minute, "deadline clamp; also bounds whole sweeps")
+		maxCells = flag.Int("max-sweep-cells", 0, "sweep grid size cap (0 = 4096)")
+		debug    = flag.Bool("debug", false, "mount /debug/pprof, /debug/vars and /metrics on the API port")
 
 		metricsOut  = flag.String("metrics-out", "", "write the metrics registry here on drain (.json → JSON, else Prometheus text)")
 		manifestOut = flag.String("manifest-out", "", "write the gateway-run manifest (JSON) here on drain")
@@ -70,6 +69,11 @@ func main() {
 	})
 	flag.Parse()
 
+	// The signal context exists before the socket is bound, so a signal
+	// arriving the moment /v1/healthz answers still drains cleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	for _, s := range strings.Split(*shardCSV, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			shards = append(shards, s)
@@ -80,64 +84,40 @@ func main() {
 	}
 
 	gw, err := cluster.New(cluster.Options{
-		Shards:         shards,
-		Replicas:       *replicas,
-		ProbeInterval:  *probeIvl,
-		ProbeTimeout:   *probeTO,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTO,
-		MaxSweepCells:  *maxCells,
-		Debug:          *debug,
+		FrontendOptions: serve.FrontendOptions{
+			DefaultTimeout: *timeout,
+			MaxTimeout:     *maxTO,
+			MaxSweepCells:  *maxCells,
+			Debug:          *debug,
+		},
+		Shards:        shards,
+		Replicas:      *replicas,
+		ProbeInterval: *probeIvl,
+		ProbeTimeout:  *probeTO,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	defer gw.Close()
 
-	ln, err := net.Listen("tcp", *addr)
+	d, err := serve.Listen(*addr, gw)
 	if err != nil {
 		fatal(err)
 	}
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(*addrFile, []byte(d.Addr()+"\n"), 0o644); err != nil {
 			fatal(err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "imtgw: listening on http://%s (shards=%d replicas=%d)\n",
-		ln.Addr(), len(gw.Ring().Shards()), ringReplicas(*replicas))
+		d.Addr(), len(gw.Ring().Shards()), ringReplicas(*replicas))
 
-	httpSrv := &http.Server{
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	served := make(chan error, 1)
-	go func() {
-		err := httpSrv.Serve(ln)
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		served <- err
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-served:
-		if err != nil {
+	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "imtgw: draining (finishing in-flight streams)") })
+	if err := d.Run(ctx, *drainGrace); err != nil {
+		if ctx.Err() == nil {
 			fatal(err)
 		}
-		return
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(os.Stderr, "imtgw: draining (finishing in-flight streams)")
-	gw.SetDraining(true)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "imtgw: drain:", err)
-		_ = httpSrv.Close()
 	}
-	<-served
 
 	// Drained cleanly: flush observability outputs.
 	snap := gw.Stats(context.Background())

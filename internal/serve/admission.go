@@ -104,8 +104,8 @@ func (a *admission) gaugeQueue() {
 	}
 }
 
-// retryAfterSeconds is the backpressure hint sent with 429 and 503
+// RetryAfterSeconds is the backpressure hint sent with 429 and 503
 // responses. One second is deliberately coarse: cells run milliseconds
 // to tens of seconds, and the client library layers jittered
 // exponential backoff on top of this floor.
-const retryAfterSeconds = 1
+const RetryAfterSeconds = 1

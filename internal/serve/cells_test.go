@@ -10,14 +10,14 @@ import (
 	"repro/internal/serve/apitypes"
 )
 
-func sweepCells(t *testing.T, h http.Handler, body string) ([]CellResult, SweepSummary) {
+func sweepCells(t *testing.T, h http.Handler, body string) ([]apitypes.CellResult, apitypes.SweepSummary) {
 	t.Helper()
 	rec := post(t, h, "/v1/sweep", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sweep = %d: %s", rec.Code, rec.Body.String())
 	}
-	var cells []CellResult
-	var summary SweepSummary
+	var cells []apitypes.CellResult
+	var summary apitypes.SweepSummary
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -33,7 +33,7 @@ func sweepCells(t *testing.T, h http.Handler, body string) ([]CellResult, SweepS
 			}
 			continue
 		}
-		var cell CellResult
+		var cell apitypes.CellResult
 		if err := json.Unmarshal(line, &cell); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestSweepExplicitCells(t *testing.T) {
 		t.Fatalf("got %d cells, summary %+v; want 2 clean cells", len(cells), summary)
 	}
 	want := map[apitypes.CellRef]bool{
-		{Workload: "stream-copy-16MB", Mode: "imt"}:    true,
+		{Workload: "stream-copy-16MB", Mode: "imt"}:   true,
 		{Workload: "stream-scale-16MB", Mode: "none"}: true,
 	}
 	for _, c := range cells {
@@ -70,14 +70,19 @@ func TestSweepExplicitCells(t *testing.T) {
 	}
 }
 
-// TestSweepCellsDeduplicatedAgainstProduct: explicit cells already in
-// the workloads × modes product must not run twice.
+// TestSweepCellsDeduplicatedAgainstProduct: a cell named twice —
+// explicitly and in the workloads × modes product, or by a repeated
+// mode — runs once.
 func TestSweepCellsDeduplicatedAgainstProduct(t *testing.T) {
 	s := mustNew(t, Options{Workers: 2, CacheDir: t.TempDir()})
-	cells, summary := sweepCells(t, s.Handler(),
-		`{"workloads":["stream-copy-16MB"],"modes":["imt"],"cells":[{"workload":"stream-copy-16MB","mode":"imt"},{"workload":"stream-copy-16MB","mode":"none"}]}`)
-	if len(cells) != 2 || summary.Cells != 2 {
-		t.Fatalf("got %d cells, summary.Cells %d; want 2 after dedup", len(cells), summary.Cells)
+	for body, want := range map[string]int{
+		`{"workloads":["stream-copy-16MB"],"modes":["imt"],"cells":[{"workload":"stream-copy-16MB","mode":"imt"},{"workload":"stream-copy-16MB","mode":"none"}]}`: 2,
+		`{"workloads":["stream-copy-16MB"],"modes":["imt","imt"]}`: 1,
+	} {
+		cells, summary := sweepCells(t, s.Handler(), body)
+		if len(cells) != want || summary.Cells != want {
+			t.Errorf("%s: got %d cells, summary.Cells %d; want %d after dedup", body, len(cells), summary.Cells, want)
+		}
 	}
 }
 
@@ -87,8 +92,8 @@ func TestSweepCellsBadRequests(t *testing.T) {
 	s := mustNew(t, Options{Workers: 1})
 	h := s.Handler()
 	for name, body := range map[string]string{
-		"unknown cell workload": `{"cells":[{"workload":"nope","mode":"imt"}]}`,
-		"unknown cell mode":     `{"cells":[{"workload":"stream-copy-16MB","mode":"quantum"}]}`,
+		"unknown cell workload":      `{"cells":[{"workload":"nope","mode":"imt"}]}`,
+		"unknown cell mode":          `{"cells":[{"workload":"stream-copy-16MB","mode":"quantum"}]}`,
 		"cells with no mode product": `{"workloads":["stream-copy-16MB"],"cells":[{"workload":"stream-copy-16MB","mode":"imt"}]}`,
 	} {
 		t.Run(name, func(t *testing.T) {

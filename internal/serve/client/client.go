@@ -200,8 +200,13 @@ func (c *Client) retry(ctx context.Context, attempt func() error) error {
 		if err == nil {
 			return nil
 		}
-		if try >= maxRetries || !retryable(err) || ctx.Err() != nil {
+		if try >= maxRetries || !retryable(err) {
 			return err
+		}
+		if ctx.Err() != nil {
+			// The caller ended the retry loop, possibly while this
+			// attempt's backpressure answer was in flight.
+			return ctx.Err()
 		}
 		sleep := c.jitter(backoff)
 		var apiErr *APIError

@@ -64,8 +64,9 @@ var (
 // server's backoff hint when it sent one.
 type APIError struct {
 	StatusCode int
-	// Code is the envelope code ("backpressure", "not_found", …). For a
-	// legacy or non-JSON error body it is derived from the status.
+	// Code is the envelope code ("backpressure", "not_found", …); empty
+	// for a body that is not the envelope (Unwrap then classifies by
+	// status).
 	Code    string
 	Message string
 	// RetryAfter is the server's backoff hint (0 when absent), from the
@@ -109,8 +110,8 @@ func (e *APIError) Unwrap() error {
 	case apitypes.CodeTraceInUse:
 		return ErrTraceInUse
 	}
-	// No (or unknown) code: a proxy or a pre-envelope server. Classify
-	// by status so Retryable and errors.Is still behave.
+	// No (or unknown) code: a proxy's error page. Classify by status so
+	// Retryable and errors.Is still behave.
 	switch e.StatusCode {
 	case http.StatusTooManyRequests:
 		return ErrBackpressure
@@ -141,26 +142,20 @@ func (e *APIError) Retryable() bool {
 
 // apiError turns a non-2xx response into an *APIError. It parses the
 // uniform envelope {"error":{"code","message","retry_after_ms"}},
-// falls back to the legacy {"error":"message"} shape and then to the
-// raw body, and honors the Retry-After header (seconds form) as well
-// as the envelope's retry_after_ms.
+// falls back to the raw body (a proxy's error page; the status then
+// classifies it), and honors the Retry-After header (seconds form) as
+// well as the envelope's retry_after_ms.
 func apiError(resp *http.Response) error {
 	e := &APIError{StatusCode: resp.StatusCode}
 	if blob, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10)); err == nil {
 		var envelope apitypes.ErrorResponse
-		var legacy struct {
-			Error string `json:"error"`
-		}
-		switch {
-		case json.Unmarshal(blob, &envelope) == nil && envelope.Error.Code != "":
+		if json.Unmarshal(blob, &envelope) == nil && envelope.Error.Code != "" {
 			e.Code = envelope.Error.Code
 			e.Message = envelope.Error.Message
 			if envelope.Error.RetryAfterMs > 0 {
 				e.RetryAfter = time.Duration(envelope.Error.RetryAfterMs) * time.Millisecond
 			}
-		case json.Unmarshal(blob, &legacy) == nil && legacy.Error != "":
-			e.Message = legacy.Error
-		default:
+		} else {
 			e.Message = strings.TrimSpace(string(blob))
 		}
 	}

@@ -27,8 +27,8 @@ func frame(seq int, workload string, resumed bool) apitypes.JobFrame {
 }
 
 // TestTypedErrors: every envelope code maps to its sentinel via
-// errors.Is, and the legacy {"error":"msg"} shape still classifies by
-// status.
+// errors.Is, and a body that is not the envelope (such as a bare
+// {"error":"msg"}) falls back to the raw body and classifies by status.
 func TestTypedErrors(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -2,6 +2,16 @@
 // stateless imtgw gateway that shards work across a fleet of imtd
 // servers.
 //
+// Gateway is the ring executor behind the same serve.Frontend that
+// fronts a single imtd: request decoding, validation, sweep expansion,
+// deadlines, the error envelope, NDJSON streaming and /v1/workloads are
+// that one shared front end, so imtgw answers exactly as an imtd would.
+// This package adds only what differs — ring assignment, per-shard
+// scatter, the exactly-once merge, reroute and trace push-on-miss —
+// plus its own routes (the trace proxy, aggregated statsz and a
+// shards_up healthz). cmd/imtgw runs it through serve.Daemon like
+// cmd/imtd.
+//
 // # Routing
 //
 // Every cell has a content-addressed cache key (runner.CacheKeyFor):
@@ -18,8 +28,9 @@
 //
 // # Scatter and merge
 //
-// A sweep is expanded to its cell grid locally (the gateway embeds the
-// same workload catalog as the shards), grouped by owning shard, and
+// A sweep is expanded to its cell grid by the shared front end (the
+// gateway embeds the same workload catalog as the shards), grouped by
+// owning shard, and
 // scattered as one POST /v1/sweep per shard carrying an explicit cell
 // list (SweepRequest.Cells — a shard's subset of a grid is never a
 // clean workloads × modes product). The per-shard NDJSON streams are

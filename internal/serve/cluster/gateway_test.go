@@ -234,7 +234,7 @@ func TestGatewaySweepExactlyOnceAcrossShardKill(t *testing.T) {
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := gw.expandSweep(req)
+	cells, err := gw.ExpandSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,13 +398,13 @@ func TestGatewaySimReroute(t *testing.T) {
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := gw.expandSweep(req)
+	cells, err := gw.ExpandSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if gw.ring.Owner(c.key) == urls[0] {
-			victimCell, found = c.ref, true
+		if gw.ring.Owner(c.Key) == urls[0] {
+			victimCell, found = c.Ref, true
 			break
 		}
 	}
@@ -506,51 +506,111 @@ func TestGatewayStatszAggregation(t *testing.T) {
 	}
 }
 
-// TestGatewayRejections pins the gateway's own 4xx/503 surface: bad
-// bodies, shard-scoped routes, watch requests, and drain mode.
+// TestGatewayRejections is the one rejection table of the API both
+// front ends share: every case runs against an imtd handler and an
+// imtgw handler, and both must answer the same status, envelope code
+// and message. Client mistakes must never count as server errors.
 func TestGatewayRejections(t *testing.T) {
-	gw, _, _ := newFleet(t, 1)
-	h := gw.Handler()
+	front := serve.FrontendOptions{MaxSweepCells: 3}
+	shard, err := serve.New(serve.Options{Workers: 1, FrontendOptions: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(shard.Handler())
+	t.Cleanup(ts.Close)
+	gw, err := New(Options{FrontendOptions: front, Shards: []string{ts.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	targets := []struct {
+		name string
+		h    http.Handler
+		fe   *serve.Frontend
+	}{{"imtd", shard.Handler(), shard.Frontend}, {"imtgw", gw.Handler(), gw.Frontend}}
 
+	const sim = `{"workload":"stream-copy-16MB","mode":"imt"}`
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
-		wantCode                 string
+		wantCode, wantInErr      string
+		gatewayOnly, draining    bool
 	}{
-		{"sim unknown workload", "POST", "/v1/sim", `{"workload":"nope","mode":"imt"}`, 400, "bad_request"},
-		{"sim unknown mode", "POST", "/v1/sim", `{"workload":"stream-copy-16MB","mode":"quantum"}`, 400, "bad_request"},
-		{"sim watch", "POST", "/v1/sim", `{"workload":"stream-copy-16MB","mode":"imt","watch":true}`, 400, "bad_request"},
-		{"sweep watch", "POST", "/v1/sweep", `{"suite":"STREAM","modes":["imt"],"watch":true}`, 400, "bad_request"},
-		{"sweep empty", "POST", "/v1/sweep", `{}`, 400, "bad_request"},
-		{"sweep unknown field", "POST", "/v1/sweep", `{"suit":"STREAM"}`, 400, "bad_request"},
-		{"jobs are shard-scoped", "POST", "/v1/jobs", `{"suite":"STREAM","modes":["imt"]}`, 404, "not_found"},
-		{"watch rooms are shard-scoped", "GET", "/v1/watch/abc", "", 404, "not_found"},
+		{name: "empty body", path: "/v1/sim", body: "", wantInErr: "decoding request"},
+		{name: "not json", path: "/v1/sim", body: "these are not the cells you are looking for", wantInErr: "decoding request"},
+		{name: "truncated json", path: "/v1/sim", body: `{"workload":"stream-copy-16MB"`, wantInErr: "decoding request"},
+		{name: "wrong type", path: "/v1/sim", body: `{"workload":42,"mode":"imt"}`, wantInErr: "decoding request"},
+		{name: "unknown field", path: "/v1/sim", body: `{"workload":"stream-copy-16MB","mode":"imt","wrokload":"typo"}`, wantInErr: "unknown field"},
+		{name: "trailing garbage", path: "/v1/sim", body: sim + ` {"again":true}`, wantInErr: "trailing data"},
+		{name: "sim unknown workload", path: "/v1/sim", body: `{"workload":"nope","mode":"imt"}`, wantInErr: "unknown workload"},
+		{name: "sim unknown mode", path: "/v1/sim", body: `{"workload":"stream-copy-16MB","mode":"quantum"}`, wantInErr: "unknown tagging mode"},
+		{name: "malformed trace digest", path: "/v1/sim", body: `{"workload":"trace:abc123","mode":"imt"}`, wantInErr: "malformed trace workload"},
+		{name: "sweep empty", path: "/v1/sweep", body: `{}`, wantInErr: "needs workloads"},
+		{name: "sweep unknown field", path: "/v1/sweep", body: `{"suit":"STREAM"}`, wantInErr: "unknown field"},
+		{name: "sweep over cap", path: "/v1/sweep", body: `{"workloads":["stream-copy-16MB","stream-add-16MB"],"modes":["none","imt"]}`, wantInErr: "server cap"},
+		{name: "sim watch", path: "/v1/sim", body: `{"workload":"stream-copy-16MB","mode":"imt","watch":true}`, wantInErr: "shard-scoped", gatewayOnly: true},
+		{name: "sweep watch", path: "/v1/sweep", body: `{"suite":"STREAM","modes":["imt"],"watch":true}`, wantInErr: "shard-scoped", gatewayOnly: true},
+		{name: "jobs are shard-scoped", path: "/v1/jobs", body: `{"suite":"STREAM","modes":["imt"]}`, wantStatus: 404, wantCode: "not_found"},
+		{name: "job poll is shard-scoped", method: "GET", path: "/v1/jobs/j-1", wantStatus: 404, wantCode: "not_found"},
+		{name: "watch rooms are shard-scoped", method: "GET", path: "/v1/watch/abc", wantStatus: 404, wantCode: "not_found"},
+		{name: "draining", path: "/v1/sim", body: sim, wantStatus: 503, wantCode: "draining", wantInErr: "draining", draining: true},
 	}
 	for _, tc := range cases {
+		if tc.method == "" {
+			tc.method = "POST"
+		}
+		if tc.wantStatus == 0 {
+			tc.wantStatus, tc.wantCode = 400, "bad_request"
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != tc.wantStatus {
-				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.wantStatus, rec.Body.String())
-			}
-			var e apitypes.ErrorResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-				t.Fatalf("non-envelope error body %q: %v", rec.Body.String(), err)
-			}
-			if e.Error.Code != tc.wantCode {
-				t.Errorf("code = %q, want %q", e.Error.Code, tc.wantCode)
+			for _, tg := range targets {
+				if tc.gatewayOnly && tg.name != "imtgw" {
+					continue
+				}
+				tg.fe.SetDraining(tc.draining)
+				req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+				rec := httptest.NewRecorder()
+				tg.h.ServeHTTP(rec, req)
+				tg.fe.SetDraining(false)
+				if rec.Code != tc.wantStatus {
+					t.Fatalf("%s: status = %d, want %d (body %s)", tg.name, rec.Code, tc.wantStatus, rec.Body.String())
+				}
+				var e apitypes.ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+					t.Fatalf("%s: non-envelope error body %q: %v", tg.name, rec.Body.String(), err)
+				}
+				if e.Error.Code != tc.wantCode {
+					t.Errorf("%s: code = %q, want %q", tg.name, e.Error.Code, tc.wantCode)
+				}
+				if !strings.Contains(e.Error.Message, tc.wantInErr) {
+					t.Errorf("%s: error %q does not mention %q", tg.name, e.Error.Message, tc.wantInErr)
+				}
+				if tc.wantStatus == 503 && rec.Header().Get("Retry-After") == "" {
+					t.Errorf("%s: 503 without Retry-After", tg.name)
+				}
 			}
 		})
 	}
-
-	gw.SetDraining(true)
-	rec := gwPost(t, h, "/v1/sim", `{"workload":"stream-copy-16MB","mode":"imt"}`)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining sim = %d, want 503", rec.Code)
+	if st := shard.Stats(); st.Errors != 0 {
+		t.Errorf("client mistakes counted as server errors: %+v", st)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra == "" {
-		t.Error("draining 503 missing Retry-After")
+}
+
+// TestWorkloadsIdenticalAcrossFrontEnds: imtgw serves the same API as
+// a single imtd, down to the bytes of the catalog listing.
+func TestWorkloadsIdenticalAcrossFrontEnds(t *testing.T) {
+	single, err := serve.New(serve.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, _, _ := newFleet(t, 1)
+	want := gwGet(t, single.Handler(), "/v1/workloads")
+	got := gwGet(t, gw.Handler(), "/v1/workloads")
+	if want.Code != http.StatusOK || got.Code != http.StatusOK {
+		t.Fatalf("workloads status: imtd %d, imtgw %d", want.Code, got.Code)
+	}
+	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("imtgw /v1/workloads differs from imtd's:\n  imtgw: %.200s\n  imtd:  %.200s", got.Body, want.Body)
 	}
 }
 

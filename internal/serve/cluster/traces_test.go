@@ -39,6 +39,16 @@ func newTraceFleet(t *testing.T, n int) (*Gateway, []string) {
 	return gw, urls
 }
 
+// traceKey is the ring key of the trace:<digest>/imt cell.
+func traceKey(t *testing.T, gw *Gateway, digest string) string {
+	t.Helper()
+	cells, err := gw.ExpandSweep(apitypes.SweepRequest{Cells: []apitypes.CellRef{{Workload: "trace:" + digest, Mode: "imt"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells[0].Key
+}
+
 func gwTraceBlob(t *testing.T, seed int) ([]byte, string) {
 	t.Helper()
 	traces := make([]gpusim.Trace, 2)
@@ -122,11 +132,7 @@ func TestGatewayTracePushOnMiss(t *testing.T) {
 	h := gw.Handler()
 	blob, digest := gwTraceBlob(t, 2)
 
-	cell, err := gw.resolveCell("trace:"+digest, "imt", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preferred := gw.ring.Order(cell.key)[0]
+	preferred := gw.ring.Order(traceKey(t, gw, digest))[0]
 	var source string
 	for _, url := range urls {
 		if url != preferred {
@@ -189,11 +195,7 @@ func TestGatewayTraceSweepPushOnMiss(t *testing.T) {
 	h := gw.Handler()
 	blob, digest := gwTraceBlob(t, 3)
 
-	cell, err := gw.resolveCell("trace:"+digest, "imt", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preferred := gw.ring.Order(cell.key)[0]
+	preferred := gw.ring.Order(traceKey(t, gw, digest))[0]
 	var source string
 	for _, url := range urls {
 		if url != preferred {

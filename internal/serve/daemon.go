@@ -4,98 +4,79 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Daemon is a Server bound to a socket with a graceful-drain shutdown
-// path: stop accepting, let in-flight requests finish, then return so
-// the caller can flush metrics and the run manifest. cmd/imtd is a thin
-// flag wrapper around it; tests drive it directly.
+// Service is what a Daemon serves: a Frontend with its executor's
+// routes mounted (serve.Server for imtd, cluster.Gateway for imtgw).
+type Service interface {
+	Handler() http.Handler
+	SetDraining(bool)
+	// Drain stops the service's background work once the HTTP side is
+	// quiet, bounded by ctx.
+	Drain(ctx context.Context) error
+}
+
+// Daemon is a Service bound to a socket with a graceful-drain shutdown
+// path. cmd/imtd and cmd/imtgw are thin flag wrappers around it; tests
+// drive it directly.
 type Daemon struct {
-	server  *Server
-	http    *http.Server
-	ln      net.Listener
-	served  chan error
-	serving atomic.Bool
-	once    sync.Once
+	svc  Service
+	http *http.Server
+	ln   net.Listener
 }
 
 // Listen binds addr (":0" picks a free port) and returns the daemon
 // without serving yet; Addr is valid immediately, so callers can
-// advertise the bound port before Serve starts.
-func (s *Server) Listen(addr string) (*Daemon, error) {
+// advertise the bound port before Run starts.
+func Listen(addr string, svc Service) (*Daemon, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	return &Daemon{
-		server: s,
+		svc: svc,
 		http: &http.Server{
-			Handler:           s.Handler(),
+			Handler:           svc.Handler(),
 			ReadHeaderTimeout: 10 * time.Second,
 		},
-		ln:     ln,
-		served: make(chan error, 1),
+		ln: ln,
 	}, nil
 }
 
 // Addr returns the bound address (host:port).
 func (d *Daemon) Addr() string { return d.ln.Addr().String() }
 
-// Server returns the daemon's Server.
-func (d *Daemon) Server() *Server { return d.server }
-
-// Serve blocks handling requests until Shutdown (returns nil) or a
-// listener error.
-func (d *Daemon) Serve() error {
-	d.serving.Store(true)
-	err := d.http.Serve(d.ln)
-	if err == http.ErrServerClosed {
-		err = nil
+// Run serves until ctx is done — the caller's signal context, created
+// before Listen so that a signal arriving any time after the port is
+// reachable drains — then drains within grace: the service flips to
+// draining (new requests get 503 + Retry-After until the listener
+// closes), the listener stops accepting, in-flight requests (streaming
+// sweeps included) run to completion, and the service's Drain stops
+// its background work. Run returns once all of that is done, so the
+// caller can flush metrics and the run manifest. If grace expires
+// first, remaining connections are severed and the deadline error is
+// returned; a listener failure before ctx is done returns at once.
+func (d *Daemon) Run(ctx context.Context, grace time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- d.http.Serve(d.ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	d.served <- err
-	return err
-}
-
-// Shutdown drains the daemon: the server flips to draining (new
-// requests get 503 + Retry-After until the listener closes), the
-// listener stops accepting, and in-flight requests — including
-// streaming sweeps — run to completion before Shutdown returns. If ctx
-// expires first, remaining connections are severed and ctx's error is
-// returned. Idempotent; later calls return nil.
-func (d *Daemon) Shutdown(ctx context.Context) error {
-	var err error
-	d.once.Do(func() {
-		d.server.SetDraining(true)
-		err = d.http.Shutdown(ctx)
-		if err != nil {
-			_ = d.http.Close()
-		}
-		// Wait for Serve to actually return so the caller can rebind the
-		// port and trust that no handler goroutine is still writing.
-		// A daemon that was bound but never served has nothing to wait
-		// for (http.Shutdown already closed the listener).
-		if d.serving.Load() {
-			select {
-			case serr := <-d.served:
-				if err == nil {
-					err = serr
-				}
-			case <-ctx.Done():
-				if err == nil {
-					err = ctx.Err()
-				}
-			}
-		}
-		// With the HTTP side quiet, stop the job scheduler and close the
-		// WAL. Queued and running jobs stay durable and resume on the next
-		// daemon start; draining job streams already told their clients
-		// where to re-attach.
-		if jerr := d.server.DrainJobs(ctx); err == nil {
-			err = jerr
-		}
-	})
+	d.svc.SetDraining(true)
+	drainCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	err := d.http.Shutdown(drainCtx)
+	if err != nil {
+		_ = d.http.Close()
+	}
+	if serr := <-served; err == nil && serr != http.ErrServerClosed {
+		err = serr
+	}
+	if derr := d.svc.Drain(drainCtx); err == nil {
+		err = derr
+	}
 	return err
 }

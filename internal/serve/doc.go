@@ -5,8 +5,19 @@
 // evaluation — a repeatable function of (workload, tag mode, carve
 // geometry) — rather than a one-shot batch run.
 //
-// On top of internal/runner it adds the production-shape layers the
-// batch CLIs never needed:
+// The package has two layers. Frontend is the HTTP front end imtd and
+// imtgw share: one request decoder with one hostile-input policy
+// (capped read, unknown fields and trailing data rejected), drain
+// refusal, cell resolution (catalog workload or trace digest, tag mode,
+// carve, runner.CacheKeyFor computed once), (workload, mode)-
+// deduplicated sweep expansion, deadline clamping, the error envelope
+// and failure table, NDJSON streaming, GET /v1/workloads and latency
+// metrics. Behind it sits an Executor; Server is the local one and
+// cluster.Gateway the ring one. Daemon gives both binaries the same
+// Listen/Run lifecycle.
+//
+// Server adds, on top of internal/runner, the production-shape layers
+// the batch CLIs never needed:
 //
 //   - admission control: a bounded wait queue in front of a fixed
 //     worker pool; when the queue is full, interactive requests are
@@ -22,8 +33,10 @@
 //     gpusim.RunContext; an exceeded deadline maps to 504.
 //   - streaming: sweep grids are expanded server-side and results
 //     stream back as NDJSON lines the moment each cell completes.
-//   - graceful drain: Daemon.Shutdown stops accepting, finishes
-//     in-flight requests, and flushes metrics and the run manifest.
+//   - graceful drain: Daemon.Run stops accepting on its context's
+//     cancellation, finishes in-flight requests, stops the job
+//     scheduler, and returns so the caller can flush metrics and the
+//     run manifest.
 //   - durable jobs: POST /v1/jobs runs a sweep grid as a background job
 //     under a write-ahead log (serve/jobs), so work survives a daemon
 //     crash and resumes on restart without recomputing finished cells;
@@ -34,8 +47,8 @@
 // optional pprof/expvar debug mux, and an obs.Manifest per server run.
 //
 // The versioned wire types and the uniform JSON error envelope live in
-// serve/apitypes (api.go re-exports aliases and documents the HTTP
-// failure-mapping table); the durable job store and scheduler are the
+// serve/apitypes (statusFor in frontend.go is the HTTP failure-mapping
+// table); the durable job store and scheduler are the
 // serve/jobs subpackage; the client library (typed errors, retry with
 // jittered backoff honoring Retry-After, job following across
 // restarts) is the serve/client subpackage; cmd/imtd is the daemon and

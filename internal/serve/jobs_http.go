@@ -25,31 +25,29 @@ const drainPollInterval = 250 * time.Millisecond
 // durably recorded and picked up by the scheduler, so the 202 response
 // is the JobInfo still in state queued.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "jobs")
-	if s.rejectDraining(w) {
+	t0 := s.CountRequest()
+	defer s.ObserveLatency(t0, "jobs")
+	if s.RejectDraining(w) {
 		return
 	}
 	req, err := DecodeJobRequest(r.Body)
+	if err == nil {
+		// The forced sample interval is persisted with the job, so cells
+		// resumed after a restart sample at the same interval.
+		err = s.prepareWatch(req.Watch, &req.SampleInterval)
+	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
+		s.writeInvalid(w, err)
 		return
 	}
-	if req.Watch && req.SampleInterval == 0 {
-		// Persisted with the job, so cells resumed after a restart
-		// sample at the same interval.
-		req.SampleInterval = s.opts.WatchSampleInterval
-	}
-	cells, err := s.expandSweep(req.SweepRequest)
+	cells, err := s.ExpandSweep(req.SweepRequest)
 	if err != nil {
-		status, code := resolveStatus(err)
-		s.writeError(w, status, code, err)
+		s.writeInvalid(w, err)
 		return
 	}
 	refs := make([]apitypes.CellRef, len(cells))
 	for i, c := range cells {
-		refs[i] = apitypes.CellRef{Workload: c.name, Mode: c.modeName}
+		refs[i] = c.Ref
 	}
 	tenant := req.Tenant
 	if tenant == "" {
@@ -57,51 +55,51 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.jobs.Submit(tenant, req.SweepRequest, refs)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
+		s.WriteError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
 		return
 	}
 	if req.Watch {
 		info.WatchRoom = s.roomForJob(info.ID).Code()
 	}
-	writeJSON(w, http.StatusAccepted, info)
+	WriteJSON(w, http.StatusAccepted, info)
 }
 
 // handleJobList: GET /v1/jobs[?tenant=], submission order.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
+	s.CountRequest()
 	list := s.jobStore.List(r.URL.Query().Get("tenant"))
 	for i := range list {
 		s.watchRoomForJob(&list[i])
 	}
-	writeJSON(w, http.StatusOK, apitypes.JobListResponse{Jobs: list})
+	WriteJSON(w, http.StatusOK, apitypes.JobListResponse{Jobs: list})
 }
 
 // handleJobGet: GET /v1/jobs/{id} — the polling half of submit/poll.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
+	s.CountRequest()
 	info, ok := s.jobStore.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
+		s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
 		return
 	}
 	s.watchRoomForJob(&info)
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleJobCancel: DELETE /v1/jobs/{id}. Canceling a finished job is a
 // no-op that returns its terminal snapshot.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
+	s.CountRequest()
 	info, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, jobs.ErrNotFound) {
-			s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
+			s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
 			return
 		}
-		s.writeError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
+		s.WriteError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleJobStream: GET /v1/jobs/{id}/stream?from=N — NDJSON JobFrames
@@ -110,22 +108,21 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // summary comes early with Done=false, Draining=true and NextSeq as the
 // resume point for the next attach.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "jobs")
+	t0 := s.CountRequest()
+	defer s.ObserveLatency(t0, "jobs")
 	id := r.PathValue("id")
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
+			s.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
 				errors.New("serve: from must be a non-negative integer"))
 			return
 		}
 		from = n
 	}
 	if _, ok := s.jobStore.Get(id); !ok {
-		s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
+		s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
 		return
 	}
 
@@ -156,7 +153,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			s.writeStreamSummary(enc, flusher, info, next, false)
 			return
 		}
-		if s.draining.Load() {
+		if s.Draining() {
 			s.writeStreamSummary(enc, flusher, info, next, true)
 			return
 		}
@@ -171,8 +168,8 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info JobInfo, next int, draining bool) {
-	_ = enc.Encode(JobStreamSummary{
+func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info apitypes.JobInfo, next int, draining bool) {
+	_ = enc.Encode(apitypes.JobStreamSummary{
 		Done:     info.State.Terminal(),
 		State:    info.State,
 		Cells:    info.Cells,
@@ -184,15 +181,6 @@ func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, inf
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// handleJobsDisabled answers every job route when the daemon runs
-// without -jobs-dir: a 404 with a message that says why, so a client
-// pointed at the wrong daemon is not left guessing.
-func (s *Server) handleJobsDisabled(w http.ResponseWriter, _ *http.Request) {
-	s.count(s.mRequests)
-	s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound,
-		errors.New("serve: job queue disabled (start the daemon with -jobs-dir)"))
 }
 
 // runJobCell is the jobs.RunCell the manager drives: one grid cell
@@ -233,14 +221,16 @@ func (s *Server) runJobCell(ctx context.Context, info apitypes.JobInfo, ref apit
 		res.Stats = nil
 		return res, nil
 	}
-	s.count(s.mCells)
+	count(s.metrics.Cells)
 	return res, nil
 }
 
-// DrainJobs stops the job scheduler, waits (bounded by ctx) for
-// in-flight cells, and closes the WAL. Queued and running jobs stay in
-// the log and resume on the next daemon start.
-func (s *Server) DrainJobs(ctx context.Context) error {
+// Drain stops the job scheduler, waits (bounded by ctx) for in-flight
+// cells, and closes the WAL. Queued and running jobs stay in the log
+// and resume on the next daemon start; draining job streams already
+// told their clients where to re-attach. Daemon.Run calls it once
+// the HTTP side is quiet.
+func (s *Server) Drain(ctx context.Context) error {
 	if s.jobs == nil {
 		return nil
 	}
@@ -249,7 +239,7 @@ func (s *Server) DrainJobs(ctx context.Context) error {
 
 // KillJobs is the SIGKILL-equivalent test seam: stop the job subsystem
 // with no final state writes, leaving the WAL exactly as a dead process
-// would. Production shutdown uses DrainJobs.
+// would. Production shutdown uses Drain.
 func (s *Server) KillJobs() {
 	if s.jobs != nil {
 		s.jobs.Kill()

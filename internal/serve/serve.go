@@ -2,14 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +17,11 @@ import (
 	"repro/internal/serve/jobs"
 	"repro/internal/serve/rooms"
 	"repro/internal/tracestore"
-	"repro/internal/workload"
 )
 
 // Options configures a Server.
 type Options struct {
+	FrontendOptions
 	// Workers bounds concurrently executing simulations (0 = GOMAXPROCS).
 	Workers int
 	// Queue bounds interactive requests waiting for a worker; beyond it
@@ -33,13 +29,6 @@ type Options struct {
 	Queue int
 	// CacheDir enables the shared on-disk result cache ("" disables it).
 	CacheDir string
-	// DefaultTimeout applies to requests without timeout_ms (0 = 30s).
-	DefaultTimeout time.Duration
-	// MaxTimeout clamps per-request deadlines and bounds whole sweeps
-	// (0 = 5m).
-	MaxTimeout time.Duration
-	// MaxSweepCells caps the server-side grid expansion (0 = 4096).
-	MaxSweepCells int
 	// JobsDir enables the durable async job queue (POST /v1/jobs …),
 	// persisting the job WAL under this directory ("" disables jobs; the
 	// job endpoints then answer 404 not_found).
@@ -73,60 +62,37 @@ type Options struct {
 	TraceQuotaBytes int64
 	// TraceTTL expires traces unused for this long (0 = keep forever).
 	TraceTTL time.Duration
-	// Debug mounts the obs debug mux (pprof, expvar, /metrics) on the
-	// handler.
-	Debug bool
-	// Obs receives server telemetry (nil = a fresh hub).
-	Obs *obs.Hub
-	// Config is the simulated machine (zero NumSMs = gpusim.DefaultConfig).
-	Config gpusim.Config
 }
 
 func (o Options) withDefaults() Options {
+	o.FrontendOptions = o.FrontendOptions.WithDefaults()
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Queue <= 0 {
 		o.Queue = 4 * o.Workers
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
-	}
-	if o.MaxSweepCells <= 0 {
-		o.MaxSweepCells = 4096
-	}
 	if o.WatchSampleInterval == 0 {
 		o.WatchSampleInterval = 50000
-	}
-	if o.Obs == nil {
-		o.Obs = obs.NewHub()
-	}
-	if o.Config.NumSMs == 0 {
-		o.Config = gpusim.DefaultConfig()
 	}
 	return o
 }
 
-// Server serves simulation cells over HTTP. Construct with New, obtain
-// the handler with Handler (httptest-friendly), or bind a socket with
-// Listen for the daemon shape.
+// Server is the local executor behind imtd's Frontend: it serves
+// simulation cells from the result cache, coalesces identical
+// in-flight cells, admits the rest into a bounded worker pool and runs
+// them on the runner engine. Construct with New, obtain the handler
+// with Handler (httptest-friendly), or bind a socket with Listen for
+// the daemon shape.
 type Server struct {
+	*Frontend
 	opts     Options
-	hub      *obs.Hub
 	eng      *runner.Engine
 	cache    *runner.Cache
 	adm      *admission
 	flights  flightGroup
-	byName   map[string]workload.Workload
-	draining atomic.Bool
-	started  time.Time
-	manifest obs.Manifest
 	jobStore *jobs.Store
 	jobs     *jobs.Manager
-	rooms    *rooms.Registry
 	traces   *tracestore.Store
 
 	// jobRooms maps job ID → telemetry room for watch:true jobs. The
@@ -135,21 +101,15 @@ type Server struct {
 	jobRoomsMu sync.Mutex
 	jobRooms   map[string]*rooms.Room
 
-	mRequests  *obs.Counter
-	mCells     *obs.Counter
 	mCacheHits *obs.Counter
 	mCoalesce  *obs.Counter
-	mRejected  *obs.Counter
-	mTimeouts  *obs.Counter
-	mErrors    *obs.Counter
-	mLatency   *obs.HistogramVec
 	mQueueWait *obs.Histogram
 
 	// simHook, when non-nil, replaces the engine run inside execute —
 	// admission and coalescing still apply. Test seam: lets the suite
 	// hold a slot open or fail deterministically without timing a real
 	// simulation.
-	simHook func(ctx context.Context, cell cellSpec) outcome
+	simHook func(ctx context.Context, cell Cell) outcome
 }
 
 // New builds a server. The engine, admission controller and metrics are
@@ -158,44 +118,41 @@ type Server struct {
 // jobs resume immediately; a corrupt WAL is the only error path.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	s := &Server{
-		opts:    opts,
-		hub:     opts.Obs,
-		started: time.Now(),
-		byName:  make(map[string]workload.Workload),
-	}
-	for _, w := range workload.Catalog() {
-		s.byName[w.Name] = w
-	}
-	s.eng = runner.New(opts.Config, s.engineOptions(opts.Config))
+	s := &Server{opts: opts}
+	s.eng = runner.New(opts.Config, s.engineOptions())
 	if opts.CacheDir != "" {
 		s.cache = runner.OpenCache(opts.CacheDir)
 	}
-	reg := s.hub.Metrics
+	reg := opts.Obs.Metrics
 	s.adm = newAdmission(opts.Workers, opts.Queue, reg)
+	var m FrontendMetrics
 	if reg != nil {
-		s.mRequests = reg.Counter("serve_requests_total", "API requests received")
-		s.mCells = reg.Counter("serve_cells_total", "cells served successfully")
+		m = FrontendMetrics{
+			Requests: reg.Counter("serve_requests_total", "API requests received"),
+			Cells:    reg.Counter("serve_cells_total", "cells served successfully"),
+			Rejected: reg.Counter("serve_rejected_total", "requests rejected with 429 (queue full)"),
+			Timeouts: reg.Counter("serve_timeouts_total", "requests that exceeded their deadline (504)"),
+			Errors:   reg.Counter("serve_errors_total", "requests that failed with 500"),
+			Latency:  reg.HistogramVec("serve_request_seconds", "route", "end-to-end request latency by route", obs.DurationBuckets),
+		}
 		s.mCacheHits = reg.Counter("serve_cache_hits_total", "cells answered from the result cache")
 		s.mCoalesce = reg.Counter("serve_coalesce_hits_total", "requests that shared another request's in-flight simulation")
-		s.mRejected = reg.Counter("serve_rejected_total", "requests rejected with 429 (queue full)")
-		s.mTimeouts = reg.Counter("serve_timeouts_total", "requests that exceeded their deadline (504)")
-		s.mErrors = reg.Counter("serve_errors_total", "requests that failed with 500")
-		s.mLatency = reg.HistogramVec("serve_request_seconds", "route", "end-to-end request latency by route", obs.DurationBuckets)
 		s.mQueueWait = reg.Histogram("serve_queue_wait_seconds", "time spent waiting for an execution slot", obs.DurationBuckets)
 	}
+	s.Frontend = NewFrontend(opts.FrontendOptions, s, m, obs.NewManifest("imtd", struct {
+		Workers, Queue int
+		CacheDir       string
+		JobsDir        string
+		Config         gpusim.Config
+	}{opts.Workers, opts.Queue, opts.CacheDir, opts.JobsDir, opts.Config}))
+	// Hosting rooms is what lets the Frontend accept watch requests.
 	s.rooms = rooms.NewRegistry(reg, rooms.Options{
 		Buffer:  opts.RoomBuffer,
 		History: opts.RoomHistory,
 		TTL:     opts.RoomTTL,
 	})
+	s.watchSample = opts.WatchSampleInterval
 	s.jobRooms = make(map[string]*rooms.Room)
-	s.manifest = obs.NewManifest("imtd", struct {
-		Workers, Queue int
-		CacheDir       string
-		JobsDir        string
-		Config         gpusim.Config
-	}{opts.Workers, opts.Queue, opts.CacheDir, opts.JobsDir, opts.Config})
 	if opts.JobsDir != "" {
 		st, err := jobs.Open(opts.JobsDir)
 		if err != nil {
@@ -262,34 +219,27 @@ func (s *Server) traceInUse(digest string) bool {
 // admission control, so its internal worker bound is per-call (1 job =
 // 1 worker) and concurrency is governed entirely by the admission
 // slots.
-func (s *Server) engineOptions(gpusim.Config) runner.Options {
-	return runner.Options{Workers: 1, CacheDir: s.opts.CacheDir, Obs: s.hub}
+func (s *Server) engineOptions() runner.Options {
+	return runner.Options{Workers: 1, CacheDir: s.opts.CacheDir, Obs: s.opts.Obs}
 }
 
-// Hub returns the server's observability hub (metrics registry, trace
-// recorder, cell log).
-func (s *Server) Hub() *obs.Hub { return s.hub }
-
-// Handler returns the server's HTTP handler:
+// Handler returns the server's HTTP handler: the Frontend's shared
+// routes (POST /v1/sim, POST /v1/sweep, GET /v1/workloads and the
+// debug mux) plus imtd's own:
 //
-//	POST   /v1/sim              one cell → CellResult JSON
-//	POST   /v1/sweep            grid → NDJSON CellResult stream + SweepSummary
 //	POST   /v1/jobs             durable job submit → JobInfo (202)
 //	GET    /v1/jobs             job listing (?tenant= filters)
 //	GET    /v1/jobs/{id}        job poll → JobInfo
 //	GET    /v1/jobs/{id}/stream NDJSON JobFrame stream (?from=N resumes)
 //	DELETE /v1/jobs/{id}        cancel → JobInfo
+//	POST   /v1/traces           trace upload → TraceUploadResponse
+//	GET    /v1/traces[/{d}]     trace listing / stat (?raw=1 streams)
+//	DELETE /v1/traces/{d}       trace delete
 //	GET    /v1/watch/{room}     SSE telemetry stream (?from=N resumes)
-//	GET    /v1/workloads        catalog listing
 //	GET    /v1/statsz           StatsSnapshot (activity counters)
 //	GET    /v1/healthz          200 ok / 503 draining
-//
-// plus, when Options.Debug is set, the obs debug mux (/metrics,
-// /metrics.json, /debug/vars, /debug/pprof/).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sim", s.handleSim)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux := s.Mux()
 	if s.jobs != nil {
 		mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 		mux.HandleFunc("GET /v1/jobs", s.handleJobList)
@@ -297,8 +247,9 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
 		mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	} else {
-		mux.HandleFunc("/v1/jobs", s.handleJobsDisabled)
-		mux.HandleFunc("/v1/jobs/", s.handleJobsDisabled)
+		off := s.Unserved(apitypes.CodeNotFound, "serve: job queue disabled (start the daemon with -jobs-dir)")
+		mux.HandleFunc("/v1/jobs", off)
+		mux.HandleFunc("/v1/jobs/", off)
 	}
 	if s.traces != nil {
 		mux.HandleFunc("POST /v1/traces", s.handleTraceUpload)
@@ -306,129 +257,100 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/traces/{digest}", s.handleTraceGet)
 		mux.HandleFunc("DELETE /v1/traces/{digest}", s.handleTraceDelete)
 	} else {
-		mux.HandleFunc("/v1/traces", s.handleTracesDisabled)
-		mux.HandleFunc("/v1/traces/", s.handleTracesDisabled)
+		// trace_not_found, so clients see one code for "this shard
+		// cannot serve this trace" whether the store is absent or the
+		// blob is.
+		off := s.Unserved(apitypes.CodeTraceNotFound, "serve: trace store disabled (start the daemon with -trace-dir)")
+		mux.HandleFunc("/v1/traces", off)
+		mux.HandleFunc("/v1/traces/", off)
 	}
 	mux.HandleFunc("GET /v1/watch/{room}", s.handleWatch)
-	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	if s.opts.Debug {
-		dbg := obs.DebugMux(s.hub.Metrics)
-		mux.Handle("/debug/", dbg)
-		mux.Handle("GET /metrics", dbg)
-		mux.Handle("GET /metrics.json", dbg)
-	}
 	return mux
 }
 
-// cellSpec is one validated cell: a resolved workload (or stored-trace
-// reference) and tagging configuration plus the request's knobs.
-type cellSpec struct {
-	// name is the request's workload spelling: a catalog name, or
-	// "trace:<digest>" for a stored-trace cell.
-	name string
-	// w is the catalog workload; zero for trace cells, which carry the
-	// store digest in traceDigest instead.
-	w              workload.Workload
-	traceDigest    string
-	modeName       string
-	mode           gpusim.TagMode
-	carve          gpusim.CarveOut
-	maxCycles      uint64
-	sampleInterval uint64
-}
-
-func (s *Server) resolveCell(name, mode string, maxCycles, sampleInterval uint64) (cellSpec, error) {
-	tm, carve, err := gpusim.ParseTagMode(mode)
+// Check is the trace-store pre-check: a trace cell must name a blob
+// this daemon holds, recorded for no more SMs than the machine has.
+func (s *Server) Check(cell Cell) error {
+	if cell.Digest == "" {
+		return nil
+	}
+	if s.traces == nil {
+		return fmt.Errorf("%w: trace store disabled (start the daemon with -trace-dir)", tracestore.ErrNotFound)
+	}
+	info, err := s.traces.Stat(cell.Digest)
 	if err != nil {
-		return cellSpec{}, err
+		return err
 	}
-	cell := cellSpec{
-		name:           name,
-		modeName:       mode,
-		mode:           tm,
-		carve:          carve,
-		maxCycles:      maxCycles,
-		sampleInterval: sampleInterval,
+	if info.NumSMs > s.opts.Config.NumSMs {
+		return fmt.Errorf("serve: trace %s… carries %d SM streams, machine has %d SMs",
+			cell.Digest[:12], info.NumSMs, s.opts.Config.NumSMs)
 	}
-	if digest, ok := strings.CutPrefix(name, "trace:"); ok {
-		if s.traces == nil {
-			return cellSpec{}, fmt.Errorf("%w: trace store disabled (start the daemon with -trace-dir)", tracestore.ErrNotFound)
-		}
-		if !tracestore.ValidDigest(digest) {
-			return cellSpec{}, fmt.Errorf("serve: malformed trace workload %q (want trace:<64 lowercase hex sha-256>)", name)
-		}
-		info, err := s.traces.Stat(digest)
-		if err != nil {
-			return cellSpec{}, err
-		}
-		if info.NumSMs > s.opts.Config.NumSMs {
-			return cellSpec{}, fmt.Errorf("serve: trace %s… carries %d SM streams, machine has %d SMs",
-				digest[:12], info.NumSMs, s.opts.Config.NumSMs)
-		}
-		cell.traceDigest = digest
-		return cell, nil
-	}
-	w, ok := s.byName[name]
-	if !ok {
-		return cellSpec{}, fmt.Errorf("serve: unknown workload %q (GET /v1/workloads lists the catalog)", name)
-	}
-	cell.w = w
-	return cell, nil
+	return nil
 }
 
-// resolveStatus maps a resolveCell/expandSweep failure onto the failure
-// table: an absent trace digest is the typed 404 a gateway reacts to by
-// re-uploading the blob; everything else is the client's 400.
-func resolveStatus(err error) (int, string) {
-	if errors.Is(err, tracestore.ErrNotFound) {
-		return http.StatusNotFound, apitypes.CodeTraceNotFound
-	}
-	return http.StatusBadRequest, apitypes.CodeBadRequest
+// Sim runs one interactive cell: impatient admission, so a full queue
+// answers 429 at once.
+func (s *Server) Sim(ctx context.Context, _ apitypes.SimRequest, cell Cell, sink func(runner.LiveSample)) (apitypes.CellResult, error) {
+	return s.runCell(ctx, cell, false, sink)
 }
 
-// cellConfig is the machine configuration the cell simulates under —
-// the base machine plus the request's sampling interval. Mode and carve
-// ride on the runner.Job (and are folded into the cache key by
-// runner.CacheKeyFor).
-func (s *Server) cellConfig(cell cellSpec) gpusim.Config {
-	cfg := s.opts.Config
-	cfg.SampleInterval = cell.sampleInterval
-	return cfg
+// Sweep runs every cell through the same coalesce+admission path as a
+// /v1/sim request, with patient admission: the sweep's concurrency
+// (Workers cells at a time) is its flow control, so its cells wait for
+// slots instead of tripping the interactive queue bound. Results are
+// emitted in completion order.
+func (s *Server) Sweep(ctx context.Context, _ apitypes.SweepRequest, cells []Cell, sinkFor func(Cell) func(runner.LiveSample), emit func(apitypes.CellResult, error)) {
+	type finished struct {
+		res apitypes.CellResult
+		err error
+	}
+	done := make(chan finished)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(s.opts.Workers, len(cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
+					return
+				}
+				var sink func(runner.LiveSample)
+				if sinkFor != nil {
+					sink = sinkFor(cells[i])
+				}
+				res, err := s.runCell(ctx, cells[i], true, sink)
+				done <- finished{res, err}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for d := range done {
+		emit(d.res, d.err)
+	}
 }
 
 // runCell executes one cell through the full serving path: cache fast
 // path, then singleflight coalescing on the cell's content key, then
-// admission, then the engine. It never writes HTTP — handlers map the
-// returned result + error to a status via statusFor. sink, when
-// non-nil, receives the run's live telemetry samples; cached and
-// coalesced-follower cells emit none (nothing is re-simulated — the
-// watcher sees their cell-done frame only).
-func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink func(runner.LiveSample)) (CellResult, error) {
+// admission, then the engine. It never writes HTTP — the Frontend maps
+// the returned error to a status. sink, when non-nil, receives the
+// run's live telemetry samples; cached and coalesced-follower cells
+// emit none (nothing is re-simulated — the watcher sees their cell-done
+// frame only).
+func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func(runner.LiveSample)) (apitypes.CellResult, error) {
 	t0 := time.Now()
-	res := CellResult{Workload: cell.name, Mode: cell.modeName}
-	job := runner.Job{
-		Mode:      cell.mode,
-		Carve:     cell.carve,
-		MaxCycles: cell.maxCycles,
-	}
-	if cell.traceDigest != "" {
-		// The trace identity is the key material; the replay itself is
-		// attached by the singleflight leader inside execute, so cache
-		// hits and coalesced followers never pin the blob.
-		job.Key = cell.name
-	} else {
-		job.Workload = cell.w
-	}
-	cfg := s.cellConfig(cell)
-	key, _ := runner.CacheKeyFor(cfg, job) // catalog and keyed trace cells are always cacheable
-	res.CacheKey = shortKey(key)
+	res := apitypes.CellResult{Workload: cell.Ref.Workload, Mode: cell.Ref.Mode, CacheKey: shortKey(cell.Key)}
 
 	// Fast path: a warm cell costs one file read, no queue slot.
 	if s.cache != nil {
-		if st, ok := s.cache.Lookup(key); ok {
-			s.count(s.mCacheHits)
+		if st, ok := s.cache.Lookup(cell.Key); ok {
+			count(s.mCacheHits)
 			res.Cached = true
 			res.Stats = &st
 			res.ElapsedMs = millisSince(t0)
@@ -436,12 +358,12 @@ func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink 
 		}
 	}
 
-	out, shared, err := s.flights.do(ctx, key, func() outcome {
-		return s.execute(ctx, cfg, cell, job, patient, sink)
+	out, shared, err := s.flights.do(ctx, cell.Key, func() outcome {
+		return s.execute(ctx, cell, patient, sink)
 	})
 	res.Coalesced = shared
 	if shared {
-		s.count(s.mCoalesce)
+		count(s.mCoalesce)
 	}
 	res.ElapsedMs = millisSince(t0)
 	if err != nil {
@@ -452,9 +374,9 @@ func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink 
 	if out.err != nil {
 		return res, out.err
 	}
-	res.Cached = res.Cached || out.cached
+	res.Cached = out.cached
 	if out.cached {
-		s.count(s.mCacheHits)
+		count(s.mCacheHits)
 	}
 	st := out.stats
 	res.Stats = &st
@@ -464,7 +386,7 @@ func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink 
 // execute is the singleflight leader's body: acquire an execution slot
 // under the request's context, run the engine, and normalize the
 // result.
-func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, job runner.Job, patient bool, sink func(runner.LiveSample)) outcome {
+func (s *Server) execute(ctx context.Context, cell Cell, patient bool, sink func(runner.LiveSample)) outcome {
 	tQueue := time.Now()
 	release, err := s.adm.acquire(ctx, patient)
 	if s.mQueueWait != nil {
@@ -478,11 +400,12 @@ func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, 
 	if s.simHook != nil {
 		return s.simHook(ctx, cell)
 	}
-	if cell.traceDigest != "" {
+	job := cell.Job
+	if cell.Digest != "" {
 		// Pin the blob for exactly the duration of the run. A digest that
 		// resolved but is gone now was evicted in between; the typed
 		// not-found propagates so a gateway can re-upload and retry.
-		rep, err := s.traces.OpenReplay(cell.traceDigest)
+		rep, err := s.traces.OpenReplay(cell.Digest)
 		if err != nil {
 			return outcome{err: err}
 		}
@@ -490,15 +413,15 @@ func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, 
 		job.Traces = rep.Traces
 	}
 	eng := s.eng
-	if cell.sampleInterval != 0 || sink != nil {
+	if cell.SampleInterval != 0 || sink != nil {
 		// Sampling changes the machine config (and the cache key), so a
 		// sampled cell runs on an ephemeral engine over the same hub and
 		// cache directory; the shared registry metrics still accumulate.
 		// A live sink rides the same path: it is per-request state, so it
 		// must never be installed on the shared engine.
-		eopts := s.engineOptions(cfg)
+		eopts := s.engineOptions()
 		eopts.OnSample = sink
-		eng = runner.New(cfg, eopts)
+		eng = runner.New(s.cellConfig(cell.SampleInterval), eopts)
 	}
 	results, runErr := eng.Run(ctx, []runner.Job{job})
 	r := results[0]
@@ -512,80 +435,6 @@ func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, 
 	// identical whether served fresh, coalesced or from cache.
 	return outcome{stats: r.Stats.WithoutHost(), cached: r.Cached}
 }
-
-// statusFor maps an execution error onto the API's failure table: the
-// HTTP status plus the envelope code clients dispatch on.
-func statusFor(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests, apitypes.CodeBackpressure
-	case errors.Is(err, tracestore.ErrNotFound):
-		// The trace was evicted between resolve and execute; the typed
-		// 404 tells a gateway to re-upload the blob and retry.
-		return http.StatusNotFound, apitypes.CodeTraceNotFound
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, apitypes.CodeTimeout
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is never read but keeps logs
-		// honest (499 is the de-facto client-closed-request code).
-		return 499, apitypes.CodeCanceled
-	default:
-		return http.StatusInternalServerError, apitypes.CodeInternal
-	}
-}
-
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "sim")
-	if s.rejectDraining(w) {
-		return
-	}
-	req, err := DecodeSimRequest(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	if req.Watch && req.SampleInterval == 0 {
-		req.SampleInterval = s.opts.WatchSampleInterval
-	}
-	cell, err := s.resolveCell(req.Workload, req.Mode, req.MaxCycles, req.SampleInterval)
-	if err != nil {
-		status, code := resolveStatus(err)
-		s.writeError(w, status, code, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMs, s.opts.DefaultTimeout)
-	defer cancel()
-	var sink func(runner.LiveSample)
-	var room *rooms.Room
-	if req.Watch {
-		// The join code rides in a header too, so a streaming-inclined
-		// client could attach before the cell finishes; the JSON result
-		// is the canonical carrier.
-		room = s.rooms.Open()
-		w.Header().Set("X-Watch-Room", room.Code())
-		sink = roomSink(room, cellName(cell))
-	}
-	res, err := s.runCell(ctx, cell, false, sink)
-	if room != nil {
-		publishCellDone(room, res, err)
-		room.Close(apitypes.WatchSummary{Done: true})
-		res.WatchRoom = room.Code()
-	}
-	if err != nil {
-		status, code := statusFor(err)
-		s.writeError(w, status, code, err)
-		return
-	}
-	s.count(s.mCells)
-	writeJSON(w, http.StatusOK, res)
-}
-
-// cellName is the cell label telemetry frames carry: the request's own
-// workload/mode spelling (not the runner's normalized mode name), so
-// watchers demultiplex on the strings they asked for.
-func cellName(cell cellSpec) string { return cell.name + "/" + cell.modeName }
 
 // roomSink adapts a telemetry room into a runner live-sample sink for
 // one cell.
@@ -603,7 +452,7 @@ func roomSink(room *rooms.Room, cell string) func(runner.LiveSample) {
 
 // publishCellDone emits the lifecycle frame that ends a cell's series
 // (the only frame a cached or coalesced cell produces).
-func publishCellDone(room *rooms.Room, res CellResult, err error) {
+func publishCellDone(room *rooms.Room, res apitypes.CellResult, err error) {
 	f := apitypes.WatchFrame{
 		Cell:    res.Workload + "/" + res.Mode,
 		Key:     res.CacheKey,
@@ -618,227 +467,17 @@ func publishCellDone(room *rooms.Room, res CellResult, err error) {
 	room.Publish(f)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "sweep")
-	if s.rejectDraining(w) {
-		return
-	}
-	req, err := DecodeSweepRequest(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	if req.Watch && req.SampleInterval == 0 {
-		req.SampleInterval = s.opts.WatchSampleInterval
-	}
-	cells, err := s.expandSweep(req)
-	if err != nil {
-		status, code := resolveStatus(err)
-		s.writeError(w, status, code, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMs, s.opts.MaxTimeout)
-	defer cancel()
-
-	var room *rooms.Room
-	if req.Watch {
-		// The join code must be available before the stream starts (the
-		// whole point is watching the sweep live), so it goes out as a
-		// response header ahead of the NDJSON body.
-		room = s.rooms.Open()
-		w.Header().Set("X-Watch-Room", room.Code())
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// Every cell goes through the same coalesce+admission path as a
-	// /v1/sim request, with patient admission: the sweep's concurrency
-	// (bounded here to the worker count) is its flow control, so its
-	// cells wait for slots instead of tripping the interactive queue
-	// bound. Results stream in completion order.
-	type numbered struct {
-		res CellResult
-		err error
-	}
-	done := make(chan numbered)
-	sem := make(chan struct{}, s.opts.Workers)
-	var wg sync.WaitGroup
-	for _, cell := range cells {
-		wg.Add(1)
-		go func(cell cellSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var sink func(runner.LiveSample)
-			if room != nil {
-				sink = roomSink(room, cellName(cell))
-			}
-			res, err := s.runCell(ctx, cell, true, sink)
-			done <- numbered{res, err}
-		}(cell)
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	summary := SweepSummary{Cells: len(cells)}
-	for n := range done {
-		res := n.res
-		if n.err != nil {
-			res.Error = n.err.Error()
-			res.Stats = nil
-			summary.Failed++
-			s.countError(n.err)
-		} else {
-			s.count(s.mCells)
-		}
-		if room != nil {
-			publishCellDone(room, res, nil)
-			res.WatchRoom = room.Code()
-		}
-		if res.Cached {
-			summary.Cached++
-		}
-		if res.Coalesced {
-			summary.Coalesced++
-		}
-		if err := enc.Encode(res); err != nil {
-			// The client hung up; drain the workers and stop writing.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if room != nil {
-		room.Close(apitypes.WatchSummary{Done: true})
-		summary.WatchRoom = room.Code()
-	}
-	summary.Done = true
-	summary.ElapsedMs = millisSince(t0)
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// expandSweep turns a SweepRequest into its grid of cells:
-// (named workloads ∪ suite members) × modes, deduplicated by workload
-// name, order-preserving — plus any explicit req.Cells, appended in
-// order and deduplicated against the product by (workload, mode). An
-// explicit cell list is how a gateway scatters one shard's share of a
-// grid, which is rarely a clean product.
-func (s *Server) expandSweep(req SweepRequest) ([]cellSpec, error) {
-	// names is the deduplicated workload axis: catalog names and
-	// trace:<digest> references mix freely (resolveCell dispatches on
-	// the prefix; validation happens per cell in the product loop).
-	var names []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	for _, name := range req.Workloads {
-		if _, ok := s.byName[name]; !ok && !strings.HasPrefix(name, "trace:") {
-			return nil, fmt.Errorf("serve: unknown workload %q", name)
-		}
-		add(name)
-	}
-	if req.Suite != "" {
-		suite := workload.BySuite(req.Suite)
-		if len(suite) == 0 {
-			return nil, fmt.Errorf("serve: unknown suite %q (valid: %v)", req.Suite, workload.Suites())
-		}
-		for _, w := range suite {
-			add(w.Name)
-		}
-	}
-	if len(names) == 0 && len(req.Cells) == 0 {
-		return nil, errors.New("serve: sweep needs workloads, a suite, and/or explicit cells")
-	}
-	if len(names) > 0 && len(req.Modes) == 0 {
-		return nil, errors.New("serve: sweep needs at least one mode")
-	}
-	cells := make([]cellSpec, 0, len(names)*len(req.Modes)+len(req.Cells))
-	for _, name := range names {
-		for _, mode := range req.Modes {
-			cell, err := s.resolveCell(name, mode, req.MaxCycles, req.SampleInterval)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, cell)
-		}
-	}
-	inGrid := make(map[apitypes.CellRef]bool, len(cells))
-	for _, c := range cells {
-		inGrid[apitypes.CellRef{Workload: c.name, Mode: c.modeName}] = true
-	}
-	for _, ref := range req.Cells {
-		if inGrid[ref] {
-			continue
-		}
-		inGrid[ref] = true
-		cell, err := s.resolveCell(ref.Workload, ref.Mode, req.MaxCycles, req.SampleInterval)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	if len(cells) > s.opts.MaxSweepCells {
-		return nil, fmt.Errorf("serve: sweep expands to %d cells, server cap is %d", len(cells), s.opts.MaxSweepCells)
-	}
-	return cells, nil
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	cat := workload.Catalog()
-	resp := CatalogResponse{
-		Workloads: make([]WorkloadInfo, 0, len(cat)),
-		Suites:    workload.Suites(),
-		Modes:     gpusim.TagModeNames(),
-	}
-	for _, wl := range cat {
-		resp.Workloads = append(resp.Workloads, WorkloadInfo{
-			Name:           wl.Name,
-			Suite:          wl.Suite,
-			Pattern:        wl.Pattern.String(),
-			FootprintBytes: wl.FootprintBytes,
-		})
-	}
-	sort.Slice(resp.Workloads, func(i, j int) bool { return resp.Workloads[i].Name < resp.Workloads[j].Name })
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // Stats returns the server's activity snapshot (the /v1/statsz body).
-func (s *Server) Stats() StatsSnapshot {
-	up := time.Since(s.started)
-	snap := StatsSnapshot{
-		Draining:      s.draining.Load(),
-		UptimeMs:      float64(up) / float64(time.Millisecond),
-		UptimeSeconds: up.Seconds(),
-		// Build identity, so a watcher can tell which binary and machine
-		// configuration it is observing.
-		ConfigHash:  s.manifest.ConfigHash,
-		GoVersion:   s.manifest.GoVersion,
-		VCSRevision: s.manifest.VCSRevision,
-		VCSModified: s.manifest.VCSModified,
-	}
-	if s.mRequests != nil {
-		snap.Requests = s.mRequests.Value()
-		snap.Cells = s.mCells.Value()
+func (s *Server) Stats() apitypes.StatsSnapshot {
+	snap := s.Snapshot()
+	if m := s.metrics; m.Requests != nil {
+		snap.Requests = m.Requests.Value()
+		snap.Cells = m.Cells.Value()
 		snap.CacheHits = s.mCacheHits.Value()
 		snap.CoalesceHits = s.mCoalesce.Value()
-		snap.Rejected = s.mRejected.Value()
-		snap.Timeouts = s.mTimeouts.Value()
-		snap.Errors = s.mErrors.Value()
+		snap.Rejected = m.Rejected.Value()
+		snap.Timeouts = m.Timeouts.Value()
+		snap.Errors = m.Errors.Value()
 	}
 	if s.adm.inflight != nil {
 		snap.Inflight = int64(s.adm.inflight.Value())
@@ -869,51 +508,23 @@ func (s *Server) Stats() StatsSnapshot {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if s.Draining() {
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// SetDraining flips the server into (or out of) drain mode: new work is
-// refused with 503 + Retry-After while in-flight requests run to
-// completion. Daemon.Shutdown sets it before closing the listener.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// rejectDraining refuses new work during drain.
-func (s *Server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.writeError(w, http.StatusServiceUnavailable, apitypes.CodeDraining, errors.New("serve: draining"))
-	return true
-}
-
-// requestContext derives the cell-execution context: the request's
-// timeout_ms clamped to the server maximum, or fallback when unset.
-func (s *Server) requestContext(parent context.Context, timeoutMs int64, fallback time.Duration) (context.Context, context.CancelFunc) {
-	d := fallback
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > s.opts.MaxTimeout {
-		d = s.opts.MaxTimeout
-	}
-	return context.WithTimeout(parent, d)
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Manifest pins this server run: the construction-time identity plus
 // current wall time, activity counters, metrics snapshot and the
 // per-cell log. Call at drain time for the run manifest.
 func (s *Server) Manifest() obs.Manifest {
-	m := s.manifest
-	m.WallSeconds = time.Since(s.started).Seconds()
+	m := s.Frontend.Manifest()
 	stats := s.Stats()
 	m.Counters = map[string]uint64{
 		"requests":      stats.Requests,
@@ -933,81 +544,6 @@ func (s *Server) Manifest() obs.Manifest {
 		m.Counters["jobs_cells"] = stats.Jobs.Cells
 		m.Counters["jobs_cells_resumed"] = stats.Jobs.CellsResumed
 	}
-	if s.hub.Metrics != nil {
-		snap := s.hub.Metrics.Snapshot()
-		m.Metrics = &snap
-	}
-	m.Cells = s.hub.Cells()
+	m.Cells = s.opts.Obs.Cells()
 	return m
-}
-
-// writeError emits the uniform error envelope
-// {"error":{"code","message","retry_after_ms"}} for status, bumping the
-// matching counter and attaching Retry-After (header and JSON twin) to
-// backpressure statuses.
-func (s *Server) writeError(w http.ResponseWriter, status int, code string, err error) {
-	body := apitypes.ErrorBody{Code: code, Message: err.Error()}
-	switch status {
-	case http.StatusTooManyRequests:
-		s.count(s.mRejected)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		body.RetryAfterMs = retryAfterSeconds * 1000
-	case http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		body.RetryAfterMs = retryAfterSeconds * 1000
-	case http.StatusGatewayTimeout:
-		s.count(s.mTimeouts)
-	case http.StatusBadRequest, http.StatusNotFound, 499,
-		http.StatusRequestEntityTooLarge, http.StatusConflict:
-		// Client-side mistakes, hangups, over-quota uploads and in-use
-		// deletes are not server failures.
-	default:
-		s.count(s.mErrors)
-	}
-	writeJSON(w, status, ErrorResponse{Error: body})
-}
-
-// countError bumps the counter matching err's failure class (the
-// per-cell accounting inside a sweep stream, where no status is
-// written).
-func (s *Server) countError(err error) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.count(s.mRejected)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.count(s.mTimeouts)
-	case errors.Is(err, context.Canceled):
-	default:
-		s.count(s.mErrors)
-	}
-}
-
-func (s *Server) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (s *Server) observeLatency(t0 time.Time, route string) {
-	if s.mLatency != nil {
-		s.mLatency.With(route).Observe(time.Since(t0).Seconds())
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func shortKey(key string) string {
-	if len(key) > 16 {
-		return key[:16]
-	}
-	return key
-}
-
-func millisSince(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Millisecond)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/gpusim"
+	"repro/internal/serve/apitypes"
 )
 
 // post runs one request through the handler without a socket.
@@ -53,7 +54,8 @@ func decodeBody[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 
 // TestSimBadRequests is the 400 table: every malformed or semantically
 // invalid body must come back 400 with a JSON error, never 500 and
-// never a hang.
+// never a hang. The cluster package's rejection table runs the same
+// cases against both front ends for parity.
 func TestSimBadRequests(t *testing.T) {
 	s := mustNew(t, Options{Workers: 1})
 	h := s.Handler()
@@ -76,7 +78,7 @@ func TestSimBadRequests(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %q)", rec.Code, rec.Body.String())
 			}
-			e := decodeBody[ErrorResponse](t, rec)
+			e := decodeBody[apitypes.ErrorResponse](t, rec)
 			if !strings.Contains(e.Error.Message, tc.wantInErr) {
 				t.Errorf("error %q does not mention %q", e.Error.Message, tc.wantInErr)
 			}
@@ -99,7 +101,7 @@ func TestSimOK(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	res := decodeBody[CellResult](t, rec)
+	res := decodeBody[apitypes.CellResult](t, rec)
 	if res.Stats == nil || res.Stats.Cycles == 0 || res.Stats.WarpOps == 0 {
 		t.Fatalf("empty stats: %+v", res)
 	}
@@ -116,7 +118,7 @@ func TestSimOK(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("warm status = %d: %s", rec2.Code, rec2.Body.String())
 	}
-	res2 := decodeBody[CellResult](t, rec2)
+	res2 := decodeBody[apitypes.CellResult](t, rec2)
 	if !res2.Cached {
 		t.Errorf("second run must be a cache hit: %+v", res2)
 	}
@@ -157,9 +159,9 @@ func newBlockingHook() *blockingHook {
 	return &blockingHook{entered: make(chan string, 16), release: make(chan struct{})}
 }
 
-func (b *blockingHook) hook(ctx context.Context, cell cellSpec) outcome {
+func (b *blockingHook) hook(ctx context.Context, cell Cell) outcome {
 	b.runs.Add(1)
-	b.entered <- cell.w.Name
+	b.entered <- cell.Ref.Workload
 	select {
 	case <-b.release:
 		return outcome{stats: gpusim.Stats{Cycles: 42, WarpOps: 1}}
@@ -252,7 +254,7 @@ func TestCoalescing(t *testing.T) {
 
 	const herd = 5
 	var wg sync.WaitGroup
-	results := make([]CellResult, herd)
+	results := make([]apitypes.CellResult, herd)
 	codes := make([]int, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
@@ -339,18 +341,22 @@ func TestDrainingRejects(t *testing.T) {
 }
 
 // TestGracefulDrain is the SIGTERM-equivalent shutdown contract (imtd
-// maps SIGTERM to Daemon.Shutdown): in-flight requests complete with
-// 200, Shutdown waits for them, and afterwards the socket is gone.
+// runs the daemon under its signal context): once the context is
+// canceled, in-flight requests complete with 200, Run waits for them,
+// and afterwards the socket is gone.
 func TestGracefulDrain(t *testing.T) {
 	s := mustNew(t, Options{Workers: 1})
 	hook := newBlockingHook()
 	s.simHook = hook.hook
 
-	d, err := s.Listen("127.0.0.1:0")
+	d, err := Listen("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go d.Serve()
+	ctx, signal := context.WithCancel(context.Background())
+	defer signal()
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- d.Run(ctx, 10*time.Second) }()
 
 	inflight := make(chan *http.Response, 1)
 	go func() {
@@ -364,13 +370,7 @@ func TestGracefulDrain(t *testing.T) {
 		inflight <- resp
 	}()
 	waitEntered(t, hook)
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownDone <- d.Shutdown(ctx)
-	}()
+	signal()
 
 	// Shutdown must wait for the in-flight request, not kill it.
 	select {
@@ -388,7 +388,7 @@ func TestGracefulDrain(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("in-flight request status = %d, want 200", resp.StatusCode)
 		}
-		var res CellResult
+		var res apitypes.CellResult
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -411,10 +411,6 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := http.Get("http://" + d.Addr() + "/v1/healthz"); err == nil {
 		t.Error("server still answering after drain")
 	}
-	// Idempotent.
-	if err := d.Shutdown(context.Background()); err != nil {
-		t.Errorf("second shutdown: %v", err)
-	}
 }
 
 // TestSweepStreaming runs a real two-cell sweep and checks the NDJSON
@@ -429,8 +425,8 @@ func TestSweepStreaming(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	var cells []CellResult
-	var summary *SweepSummary
+	var cells []apitypes.CellResult
+	var summary *apitypes.SweepSummary
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -444,13 +440,13 @@ func TestSweepStreaming(t *testing.T) {
 			if summary != nil {
 				t.Fatal("two summary lines")
 			}
-			summary = &SweepSummary{}
+			summary = &apitypes.SweepSummary{}
 			if err := json.Unmarshal(line, summary); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		var cell CellResult
+		var cell apitypes.CellResult
 		if err := json.Unmarshal(line, &cell); err != nil {
 			t.Fatalf("bad cell line %q: %v", line, err)
 		}
@@ -471,7 +467,7 @@ func TestSweepStreaming(t *testing.T) {
 
 // TestSweepBadRequests covers the grid-expansion 400s.
 func TestSweepBadRequests(t *testing.T) {
-	s := mustNew(t, Options{Workers: 1, MaxSweepCells: 3})
+	s := mustNew(t, Options{Workers: 1, FrontendOptions: FrontendOptions{MaxSweepCells: 3}})
 	h := s.Handler()
 	cases := []struct {
 		name, body, wantInErr string
@@ -489,7 +485,7 @@ func TestSweepBadRequests(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 			}
-			e := decodeBody[ErrorResponse](t, rec)
+			e := decodeBody[apitypes.ErrorResponse](t, rec)
 			if !strings.Contains(e.Error.Message, tc.wantInErr) {
 				t.Errorf("error %q does not mention %q", e.Error.Message, tc.wantInErr)
 			}
@@ -508,7 +504,7 @@ func TestWorkloadsAndStatsz(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("workloads = %d", rec.Code)
 	}
-	cat := decodeBody[CatalogResponse](t, rec)
+	cat := decodeBody[apitypes.CatalogResponse](t, rec)
 	if len(cat.Workloads) != 193 || len(cat.Suites) != 3 || len(cat.Modes) == 0 {
 		t.Fatalf("catalog: %d workloads, %d suites, %d modes",
 			len(cat.Workloads), len(cat.Suites), len(cat.Modes))
@@ -517,7 +513,7 @@ func TestWorkloadsAndStatsz(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("statsz = %d", rec.Code)
 	}
-	snap := decodeBody[StatsSnapshot](t, rec)
+	snap := decodeBody[apitypes.StatsSnapshot](t, rec)
 	// /v1/workloads and /v1/statsz are not counted as API requests;
 	// only cell-serving endpoints are.
 	if snap.Requests != 0 || snap.Draining {

@@ -26,15 +26,14 @@ const watchKeepAliveEvery = 60
 // next_seq); an eviction for falling behind ends the stream with no
 // summary — re-attaching replays the missed frames from history.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "watch")
+	t0 := s.CountRequest()
+	defer s.ObserveLatency(t0, "watch")
 
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
+			s.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
 				errors.New("serve: from must be a non-negative integer"))
 			return
 		}
@@ -47,13 +46,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	room, err := s.rooms.Get(r.PathValue("room"))
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
+		s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
 		return
 	}
 	replay, sub, sum, err := room.Subscribe(from, 0)
 	if err != nil {
 		// Only ErrGone: the resume point fell out of history.
-		s.writeError(w, http.StatusGone, apitypes.CodeGone, err)
+		s.WriteError(w, http.StatusGone, apitypes.CodeGone, err)
 		return
 	}
 	defer room.Unsubscribe(sub)
@@ -155,7 +154,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-time.After(drainPollInterval):
-			if s.draining.Load() {
+			if s.Draining() {
 				writeSummary(apitypes.WatchSummary{Frames: next, NextSeq: next, Draining: true})
 				return
 			}
