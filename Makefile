@@ -140,10 +140,12 @@ cluster-smoke:
 traces-smoke:
 	sh scripts/traces-smoke.sh
 
-# Non-test Go line count of the serving stack (internal/serve,
-# cmd/imtd, cmd/imtgw): a tracked number (see ROADMAP.md).
+# Non-test Go line counts, tracked numbers (see ROADMAP.md): first the
+# serving stack (internal/serve, cmd/imtd, cmd/imtgw), then the whole
+# main module without the perfbench module and hidden build directories.
 loc:
 	@find internal/serve cmd/imtd cmd/imtgw -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find . \( -path ./perfbench -o -name '.?*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Documentation drift gate: fails if docs reference flags no binary
 # prints, point at paths outside the repo, or miss required sections

@@ -119,23 +119,28 @@ func runTracesMode(ctx context.Context, cl *client.Client, o traceOpts) int {
 }
 
 // replayBaseline replays the trace file in-process, one cell per mode,
-// under the same trace:<digest> cache key the server uses.
+// under the same trace:<digest> cache key the server uses. The file is
+// validated and indexed once, as the store does on upload, and each
+// cell replays fresh streams straight off it.
 func replayBaseline(ctx context.Context, path, digest string, modes []string, maxCycles uint64) ([]apitypes.CellResult, error) {
 	cfg := gpusim.DefaultConfig()
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	idx, err := gpusim.IndexTraceStream(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if idx.NumSMs > cfg.NumSMs {
+		return nil, fmt.Errorf("%s has %d SMs but the machine only has %d", path, idx.NumSMs, cfg.NumSMs)
+	}
+	// Trace streams occupy the first SMs; the rest idle, exactly as
+	// the server pads a blob narrower than the machine.
 	src := func(numSMs int) []gpusim.Trace {
-		f, err := os.Open(path)
-		if err != nil {
-			return make([]gpusim.Trace, numSMs)
-		}
-		defer f.Close()
-		traces, err := gpusim.ReadTraces(f)
-		if err != nil || len(traces) > numSMs {
-			return make([]gpusim.Trace, numSMs)
-		}
-		// Trace streams occupy the first SMs; the rest idle, exactly as
-		// the server pads a blob narrower than the machine.
 		out := make([]gpusim.Trace, numSMs)
-		copy(out, traces)
+		copy(out, gpusim.OpenTraceAt(f, idx))
 		return out
 	}
 	jobs := make([]runner.Job, 0, len(modes))

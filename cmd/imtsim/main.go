@@ -225,33 +225,33 @@ func (s sweeper) writeOutputs(metricsOut, traceOut string) {
 	}
 }
 
-// replayTrace reads a recorded trace once and drives both the baseline
-// and the tagged run from deep copies, so the one-shot stream can feed
-// two simulations.
+// replayTrace validates and indexes a recorded trace once, exactly as
+// the trace store does on upload, then drives both the baseline and the
+// tagged run from fresh streams over the open file: nothing is
+// materialized, so replay memory stays bounded whatever the file size.
 func replayTrace(ctx context.Context, run sweeper, path, modeName string, tagMode gpusim.TagMode, carve gpusim.CarveOut) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	traces, err := gpusim.ReadTraces(f)
-	f.Close()
+	defer f.Close()
+	idx, err := gpusim.IndexTraceStream(f)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("%s: %w", path, err))
 	}
+	if idx.NumSMs > run.cfg.NumSMs {
+		fatal(fmt.Errorf("trace has %d SMs but the machine only has %d", idx.NumSMs, run.cfg.NumSMs))
+	}
+	// Trace streams occupy the first SMs; the rest idle.
 	src := func(numSMs int) []gpusim.Trace {
-		cloned, err := gpusim.CloneTraces(traces)
-		if err != nil {
-			panic(err) // ReadTraces always yields cloneable SliceTraces
-		}
-		if len(cloned) > numSMs {
-			fatal(fmt.Errorf("trace has %d SMs but the machine only has %d", len(cloned), numSMs))
-		}
-		return cloned
+		out := make([]gpusim.Trace, numSMs)
+		copy(out, gpusim.OpenTraceAt(f, idx))
+		return out
 	}
 	// The cache key for replay cells is the trace file's identity plus
 	// its modification time, which is invalidated by re-recording.
 	key := ""
-	if st, err := os.Stat(path); err == nil {
+	if st, err := f.Stat(); err == nil {
 		key = fmt.Sprintf("replay:%s:%d:%d", path, st.Size(), st.ModTime().UnixNano())
 	}
 	jobs := []runner.Job{

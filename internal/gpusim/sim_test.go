@@ -441,10 +441,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err := WriteTraces(&buf, mk()); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := ReadTraces(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := replayBlob(t, buf.Bytes())
 	if len(replayed) != 3 {
 		t.Fatalf("SMs = %d", len(replayed))
 	}
@@ -481,10 +478,7 @@ func TestTraceFileSimEquivalence(t *testing.T) {
 	if err := WriteTraces(&buf, gen()); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := ReadTraces(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := replayBlob(t, buf.Bytes())
 	s1 := run(t, cfg, gen())
 	s2 := run(t, cfg, replayed)
 	if !reflect.DeepEqual(s1.WithoutHost(), s2.WithoutHost()) {
@@ -493,10 +487,10 @@ func TestTraceFileSimEquivalence(t *testing.T) {
 }
 
 func TestTraceFileRejectsGarbage(t *testing.T) {
-	if _, err := ReadTraces(bytes.NewReader([]byte("not a trace"))); err == nil {
+	if _, err := IndexTraceStream(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadTraces(bytes.NewReader(nil)); err == nil {
+	if _, err := IndexTraceStream(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Truncated stream: write a valid file, chop it.
@@ -505,7 +499,7 @@ func TestTraceFileRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadTraces(bytes.NewReader(trunc)); err == nil {
+	if _, err := IndexTraceStream(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
 }

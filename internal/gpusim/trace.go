@@ -37,7 +37,7 @@ type Trace interface {
 // interface call per warp op. Batching must yield exactly the sequence
 // repeated Next calls would — the simulator's results are identical
 // either way (it only changes when the trace is decoded, not what it
-// decodes). SliceTrace and FuncTrace implement it.
+// decodes). SliceTrace, FuncTrace and OpenTraceAt replays implement it.
 type batchTrace interface {
 	NextBatch(dst []WarpOp) int
 }
@@ -85,10 +85,10 @@ func (s *SliceTrace) Clone() Trace {
 	return &SliceTrace{Ops: ops}
 }
 
-// CloneTraces deep-copies materialized traces so one recorded stream can
-// drive several simulations (a Trace is otherwise a one-shot stream that
+// CloneTraces returns independent, rewound copies of replayable traces
+// so one recorded stream can drive several simulations (a Trace is otherwise a one-shot stream that
 // the first Sim consumes). Every input must implement Clone() Trace —
-// ReadTraces results and SliceTrace qualify; generator-backed traces
+// SliceTrace and OpenTraceAt replays qualify; generator-backed traces
 // such as FuncTrace do not, because their closures may carry hidden
 // state (an RNG) that a shallow copy would share. Nil entries (idle SMs)
 // are preserved.

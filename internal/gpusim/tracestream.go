@@ -7,13 +7,27 @@ import (
 	"io"
 )
 
-// This file is the streaming half of the trace codec: where ReadTraces
-// materializes a whole file into SliceTraces, the scanner/encoder pair
-// here validates and moves multi-GB traces through bounded buffers — a
-// chunk of ops at a time — and OpenTraceAt replays a trace straight off
-// an io.ReaderAt (an on-disk blob) without ever loading it. The wire
-// format is identical to tracefile.go; both sides share the same
-// hostile-input caps.
+// Trace files let a workload's warp-op stream be recorded once and
+// replayed deterministically — the "trace-driven" half of a trace-driven
+// simulator. This file is the format's only codec. The format is a
+// compact varint stream:
+//
+//	magic "IMTTRC1\n"
+//	numSMs  uvarint
+//	per SM: numOps uvarint, then per op:
+//	  flags   byte (bit0 store, bit1 atomic)
+//	  compute uvarint
+//	  nAddrs  uvarint
+//	  addrs   uvarint each (raw; generators emit small, local values)
+//
+// The scanner validates multi-GB traces through bounded buffers — a
+// chunk of ops at a time — and OpenTraceAt replays a validated trace
+// straight off an io.ReaderAt (an on-disk blob or recorded file)
+// without ever loading it. TraceEncoder, and WriteTraces over it,
+// write the format under the same hostile-input caps the scanner
+// enforces, so anything written can be read back.
+const traceMagic = "IMTTRC1\n"
+
 const (
 	maxTraceSMs   = 1 << 16
 	maxTraceOps   = 1 << 28
@@ -261,19 +275,11 @@ func (t *blobTrace) init() {
 	}
 }
 
-// Next implements Trace.
+// Next implements Trace as a one-op NextBatch.
 func (t *blobTrace) Next() (WarpOp, bool) {
-	t.init()
-	if t.left == 0 || t.err != nil {
-		return WarpOp{}, false
-	}
-	op, err := readTraceOp(t.br, nil)
-	if err != nil {
-		t.err = err
-		return WarpOp{}, false
-	}
-	t.left--
-	return op, true
+	var op [1]WarpOp
+	n := t.NextBatch(op[:])
+	return op[0], n == 1
 }
 
 // NextBatch implements the simulator's batched fast path. Each op gets
@@ -433,4 +439,42 @@ func (e *TraceEncoder) Close() error {
 		return e.fail(fmt.Errorf("gpusim: trace encoder closed with %d SMs and %d ops unwritten", e.smsLeft, e.opsLeft))
 	}
 	return e.fail0(e.bw.Flush())
+}
+
+// WriteTraces drains the given traces and writes them to w through a
+// TraceEncoder, so a file it writes always passes IndexTraceStream.
+// Each SM's ops are buffered to learn the op count its record declares;
+// nil entries are written as empty (idle) SMs.
+//
+// CONSUMPTION CONTRACT: a Trace is a one-shot stream, and WriteTraces
+// reads every trace to exhaustion — afterwards the inputs yield no
+// further ops and cannot drive a simulation. Callers that need the
+// traces again write CloneTraces copies instead, or replay the written
+// bytes with IndexTraceStream and OpenTraceAt.
+func WriteTraces(w io.Writer, traces []Trace) error {
+	enc, err := NewTraceEncoder(w, len(traces))
+	if err != nil {
+		return err
+	}
+	for _, tr := range traces {
+		var ops []WarpOp
+		if tr != nil {
+			for {
+				op, ok := tr.Next()
+				if !ok {
+					break
+				}
+				ops = append(ops, op)
+			}
+		}
+		if err := enc.BeginSM(uint64(len(ops))); err != nil {
+			return err
+		}
+		for _, op := range ops {
+			if err := enc.WriteOp(op); err != nil {
+				return err
+			}
+		}
+	}
+	return enc.Close()
 }

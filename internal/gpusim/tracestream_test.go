@@ -25,13 +25,30 @@ func testTraces() []Trace {
 	}
 }
 
+// encodeTraces writes clones of traces, leaving the inputs replayable.
 func encodeTraces(t testing.TB, traces []Trace) []byte {
 	t.Helper()
+	cloned, err := CloneTraces(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteTracesClone(&buf, traces); err != nil {
+	if err := WriteTraces(&buf, cloned); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// replayBlob replays an encoded trace the way the trace store and
+// imtsim -replay do: one validating IndexTraceStream pass, then
+// OpenTraceAt over the same bytes.
+func replayBlob(t testing.TB, blob []byte) []Trace {
+	t.Helper()
+	idx, err := IndexTraceStream(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return OpenTraceAt(bytes.NewReader(blob), idx)
 }
 
 func drain(tr Trace) []WarpOp {
@@ -49,29 +66,26 @@ func drain(tr Trace) []WarpOp {
 }
 
 // TestWriteTracesCloneDoesNotConsume is the regression test for the
-// silent-consumption trap: WriteTraces drains its inputs, while
-// WriteTracesClone must leave them replayable and still produce
-// byte-identical output.
+// silent-consumption trap: WriteTraces drains its inputs, so writing
+// CloneTraces copies must leave the originals replayable and still
+// produce byte-identical output.
 func TestWriteTracesCloneDoesNotConsume(t *testing.T) {
 	traces := testTraces()
-	var cloneBuf bytes.Buffer
-	if err := WriteTracesClone(&cloneBuf, traces); err != nil {
-		t.Fatal(err)
-	}
+	cloneBytes := encodeTraces(t, traces)
 	// The originals must still yield their full op streams.
 	if ops := drain(traces[2]); len(ops) != 4 {
-		t.Fatalf("WriteTracesClone consumed its input: %d ops left, want 4", len(ops))
+		t.Fatalf("writing clones consumed the input: %d ops left, want 4", len(ops))
 	}
 	if ops := drain(traces[3]); len(ops) != 1 {
-		t.Fatalf("WriteTracesClone consumed its input: %d ops left, want 1", len(ops))
+		t.Fatalf("writing clones consumed the input: %d ops left, want 1", len(ops))
 	}
 	// And the bytes match what a draining WriteTraces produces.
 	var drainBuf bytes.Buffer
 	if err := WriteTraces(&drainBuf, testTraces()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cloneBuf.Bytes(), drainBuf.Bytes()) {
-		t.Fatal("WriteTracesClone bytes differ from WriteTraces bytes")
+	if !bytes.Equal(cloneBytes, drainBuf.Bytes()) {
+		t.Fatal("bytes written from clones differ from WriteTraces bytes")
 	}
 	// After the draining write, the inputs are exhausted — the
 	// documented contract.
@@ -84,14 +98,14 @@ func TestWriteTracesCloneDoesNotConsume(t *testing.T) {
 		t.Fatalf("WriteTraces left %d ops unconsumed, want 0", len(ops))
 	}
 	// FuncTrace inputs are not cloneable and must be rejected.
-	if err := WriteTracesClone(&sink, []Trace{&FuncTrace{N: 1, Gen: func(int) WarpOp { return WarpOp{} }}}); err == nil {
-		t.Fatal("WriteTracesClone accepted a non-cloneable FuncTrace")
+	if _, err := CloneTraces([]Trace{&FuncTrace{N: 1, Gen: func(int) WarpOp { return WarpOp{} }}}); err == nil {
+		t.Fatal("CloneTraces accepted a non-cloneable FuncTrace")
 	}
 }
 
 // TestIndexTraceStreamMatchesReadTraces checks the streaming validator
-// and the materializing reader agree byte for byte: same acceptance,
-// same per-SM op streams via OpenTraceAt.
+// and replay agree with the reference decoder: same acceptance, same
+// per-SM op streams via OpenTraceAt.
 func TestIndexTraceStreamMatchesReadTraces(t *testing.T) {
 	blob := encodeTraces(t, testTraces())
 	idx, err := IndexTraceStream(bytes.NewReader(blob))
@@ -101,7 +115,7 @@ func TestIndexTraceStreamMatchesReadTraces(t *testing.T) {
 	if idx.NumSMs != 4 || idx.TotalOps != 5 || idx.Bytes != int64(len(blob)) {
 		t.Fatalf("index = %+v, want 4 SMs / 5 ops / %d bytes", idx, len(blob))
 	}
-	want, err := ReadTraces(bytes.NewReader(blob))
+	want, err := refDecodeTraces(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +124,8 @@ func TestIndexTraceStreamMatchesReadTraces(t *testing.T) {
 		t.Fatalf("OpenTraceAt returned %d SMs, want %d", len(got), len(want))
 	}
 	for sm := range want {
-		if !opsEqual(drain(want[sm]), drain(got[sm])) {
-			t.Fatalf("SM %d: streamed replay diverges from ReadTraces", sm)
+		if !opsEqual(want[sm], drain(got[sm])) {
+			t.Fatalf("SM %d: streamed replay diverges from the reference decoder", sm)
 		}
 	}
 }
@@ -227,6 +241,12 @@ func TestTraceEncoderValidatesStructure(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatalf("closing an empty 0-SM stream: %v", err)
 	}
+	// WriteTraces encodes through the same checks: an op no reader
+	// would accept fails the write itself.
+	wide := &SliceTrace{Ops: []WarpOp{{Addrs: make([]uint64, maxTraceAddrs+1)}}}
+	if err := WriteTraces(&buf, []Trace{wide}); err == nil {
+		t.Fatalf("WriteTraces accepted an op with %d addresses", maxTraceAddrs+1)
+	}
 }
 
 // TestIndexTraceStreamRejects: the validator must reject malformed,
@@ -336,21 +356,21 @@ func FuzzTraceChunkDecode(f *testing.F) {
 		if idx1.NumSMs != idx.NumSMs || idx1.TotalOps != idx.TotalOps || idx1.Bytes != idx.Bytes {
 			t.Fatalf("scanner index %+v != IndexTraceStream index %+v", idx1, idx)
 		}
-		// The materializing reader accepts a superset; on accepted
+		// The reference decoder accepts the same streams; on accepted
 		// input the op streams must agree exactly.
-		want, err := ReadTraces(bytes.NewReader(b))
+		want, err := refDecodeTraces(b)
 		if err != nil {
-			t.Fatalf("ReadTraces rejected validated stream: %v", err)
+			t.Fatalf("reference decoder rejected validated stream: %v", err)
 		}
-		got, err := ReadTraces(bytes.NewReader(enc1))
+		got, err := refDecodeTraces(enc1)
 		if err != nil {
-			t.Fatalf("ReadTraces rejected re-encoded stream: %v", err)
+			t.Fatalf("reference decoder rejected re-encoded stream: %v", err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("re-encode changed SM count %d → %d", len(want), len(got))
 		}
 		for sm := range want {
-			if !opsEqual(want[sm].(*SliceTrace).Ops, got[sm].(*SliceTrace).Ops) {
+			if !opsEqual(want[sm], got[sm]) {
 				t.Fatalf("SM %d ops changed across chunked re-encode", sm)
 			}
 		}
@@ -369,8 +389,8 @@ func FuzzTraceChunkDecode(f *testing.F) {
 			t.Fatalf("re-indexing re-encoded stream: %v", err)
 		}
 		for sm, tr := range OpenTraceAt(bytes.NewReader(enc1), idx2) {
-			if !opsEqual(want[sm].(*SliceTrace).Ops, drain(tr)) {
-				t.Fatalf("SM %d: store replay diverges from ReadTraces", sm)
+			if !opsEqual(want[sm], drain(tr)) {
+				t.Fatalf("SM %d: store replay diverges from the reference decoder", sm)
 			}
 		}
 	})

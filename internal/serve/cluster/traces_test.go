@@ -64,7 +64,7 @@ func gwTraceBlob(t *testing.T, seed int) ([]byte, string) {
 		traces[sm] = &gpusim.SliceTrace{Ops: ops}
 	}
 	var buf bytes.Buffer
-	if err := gpusim.WriteTracesClone(&buf, traces); err != nil {
+	if err := gpusim.WriteTraces(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())

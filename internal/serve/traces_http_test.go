@@ -35,7 +35,7 @@ func testTraceBlob(t *testing.T, seed, numSMs, ops int) ([]byte, string) {
 		traces[sm] = &gpusim.SliceTrace{Ops: warpOps}
 	}
 	var buf bytes.Buffer
-	if err := gpusim.WriteTracesClone(&buf, traces); err != nil {
+	if err := gpusim.WriteTraces(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
@@ -173,13 +173,13 @@ func TestSimTraceWorkload(t *testing.T) {
 		Key:  "trace:" + digest,
 		Mode: gpusim.ModeIMT,
 		Traces: func(numSMs int) []gpusim.Trace {
-			traces, err := gpusim.ReadTraces(bytes.NewReader(blob))
+			idx, err := gpusim.IndexTraceStream(bytes.NewReader(blob))
 			if err != nil {
 				t.Errorf("re-reading blob: %v", err)
 				return make([]gpusim.Trace, numSMs)
 			}
 			out := make([]gpusim.Trace, numSMs)
-			copy(out, traces)
+			copy(out, gpusim.OpenTraceAt(bytes.NewReader(blob), idx))
 			return out
 		},
 	}})

@@ -127,13 +127,21 @@ func TestReplayStreamsAndPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay must match a fully materialized read, twice over (each
-	// Traces call is an independent rewound stream).
-	want, err := gpusim.ReadTraces(bytes.NewReader(blob))
+	// Replay must match an independent decode of the uploaded bytes,
+	// twice over (each Traces call is an independent rewound stream).
+	idx, err := gpusim.IndexTraceStream(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOps := want[0].(*gpusim.SliceTrace).Ops
+	ref := gpusim.OpenTraceAt(bytes.NewReader(blob), idx)[0]
+	var wantOps []gpusim.WarpOp
+	for {
+		op, ok := ref.Next()
+		if !ok {
+			break
+		}
+		wantOps = append(wantOps, op)
+	}
 	for round := 0; round < 2; round++ {
 		traces := rep.Traces(4)
 		if len(traces) != 4 || traces[2] != nil || traces[3] != nil {

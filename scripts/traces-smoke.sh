@@ -7,7 +7,10 @@
 #   1. records a catalog workload's trace with imtsim and uploads it
 #      through the gateway twice — the second upload must be a
 #      content-address hit ("already stored as"), which also proves the
-#      gateway targets uploads deterministically;
+#      gateway targets uploads deterministically; then replays the
+#      recording with imtsim -replay, whose tagged stats must equal a
+#      direct run of the workload, and requires the same file with one
+#      trailing byte appended to be rejected, as the store rejects it;
 #   2. runs imtload -traces against the gateway: upload twice (hit
 #      asserted server-side via tracestore put-hit counters), stream a
 #      trace:<digest> sweep across the 2-shard fleet, and byte-compare
@@ -84,6 +87,22 @@ grep -q ' stored as trace:' "$WORK/upload1.out" || { echo "traces-smoke: FAILED:
     | tee "$WORK/upload2.out"
 grep -q 'already stored as trace:' "$WORK/upload2.out" || {
     echo "traces-smoke: FAILED: re-uploading identical bytes through the gateway was not a content-address hit"; exit 1; }
+
+echo "traces-smoke: replaying the recording with imtsim -replay (must match the generator, and reject what the store rejects)"
+"$WORK/imtsim" -replay "$WORK/rec.trc" -mode carve-low >"$WORK/replay.out"
+"$WORK/imtsim" -workload "$WORKLOAD" -mode carve-low >"$WORK/direct.out"
+REPLAY_TAGGED=$(grep 'tagged:' "$WORK/replay.out" || true)
+DIRECT_TAGGED=$(grep 'tagged:' "$WORK/direct.out" || true)
+if [ -z "$DIRECT_TAGGED" ] || [ "$REPLAY_TAGGED" != "$DIRECT_TAGGED" ]; then
+    echo "traces-smoke: FAILED: replayed stats differ from the generator's"
+    echo "  replay: $REPLAY_TAGGED"; echo "  direct: $DIRECT_TAGGED"; exit 1
+fi
+cp "$WORK/rec.trc" "$WORK/trailing.trc"
+printf 'x' >>"$WORK/trailing.trc"
+if "$WORK/imtsim" -replay "$WORK/trailing.trc" -mode carve-low >/dev/null 2>"$WORK/trailing.err"; then
+    echo "traces-smoke: FAILED: imtsim -replay accepted a trace with a trailing byte"; exit 1
+fi
+echo "traces-smoke: replay matches the generator; trailing byte rejected: $(cat "$WORK/trailing.err")"
 
 echo "traces-smoke: trace sweep through the gateway + ~$((BIG_OPS * 2 * 8 / 1048576))MB streamed synthetic upload"
 "$WORK/imtload" -addr "$GW" -traces -trace-file "$WORK/rec.trc" \
