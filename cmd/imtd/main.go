@@ -77,6 +77,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/serve"
 )
 
@@ -145,7 +146,7 @@ func main() {
 		fatal(err)
 	}
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(d.Addr()+"\n"), 0o644); err != nil {
+		if err := durable.WriteFile(*addrFile, []byte(d.Addr()+"\n")); err != nil {
 			fatal(err)
 		}
 	}

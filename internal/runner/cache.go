@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/gpusim"
 	"repro/internal/workload"
 )
@@ -19,16 +20,27 @@ import (
 // gpusim.Config gained SampleInterval.
 const cacheVersion = 2
 
-// diskCache is a content-addressed result store: the key is SHA-256 over
+// Cache is the engine's content-addressed result store, also opened
+// directly (OpenCache) by callers that need cache access without a full
+// Engine, such as the serving layer's fast path. The key is SHA-256 over
 // a canonical JSON encoding of (cache version, full machine config with
 // the cell's mode and carve applied, the workload's complete parameter
 // set, the cycle cap, and any replay-trace identity). Any change to the
 // machine, workload, tagging mode or carve geometry therefore changes
 // the address and misses. Entries are JSON-encoded gpusim.Stats stored
-// at <dir>/<key[:2]>/<key>.json; writes go through a temp file + rename
-// so concurrent sweeps sharing a directory never observe torn entries.
-type diskCache struct {
+// at <dir>/<key[:2]>/<key>.json; writes are durable.FS commits, so
+// concurrent sweeps sharing a directory never observe torn entries and
+// a stored entry survives power loss.
+type Cache struct {
 	dir string
+	fs  durable.FS // zero outside tests
+}
+
+// OpenCache returns a handle on the cache rooted at dir. The directory
+// is created on the first Store; a Lookup against a nonexistent
+// directory is simply a miss.
+func OpenCache(dir string) *Cache {
+	return &Cache{dir: dir}
 }
 
 // cacheID is the canonical key material. encoding/json emits struct
@@ -73,13 +85,13 @@ func cacheKeyFor(cfg gpusim.Config, job Job) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func (c *diskCache) path(key string) string {
+func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
-// load returns the cached stats for key, reporting a miss for absent or
-// unreadable entries (a corrupt file is simply re-simulated).
-func (c *diskCache) load(key string) (gpusim.Stats, bool) {
+// Lookup returns the cached stats for key, reporting a miss for absent
+// or unreadable entries (a corrupt file is simply re-simulated).
+func (c *Cache) Lookup(key string) (gpusim.Stats, bool) {
 	blob, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return gpusim.Stats{}, false
@@ -91,32 +103,11 @@ func (c *diskCache) load(key string) (gpusim.Stats, bool) {
 	return st, true
 }
 
-// store writes the stats under key, atomically. Cache write failures are
+// Store commits the stats under key durably. Write failures are
 // deliberately swallowed: a sweep on a read-only or full disk still
 // produces results, it just stops being cached.
-func (c *diskCache) store(key string, st gpusim.Stats) {
-	blob, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	dir := filepath.Dir(c.path(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
+func (c *Cache) Store(key string, st gpusim.Stats) {
+	if blob, err := json.Marshal(st); err == nil {
+		_ = c.fs.WriteFile(c.path(key), blob)
 	}
 }

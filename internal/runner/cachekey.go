@@ -38,33 +38,3 @@ func CacheKey(cfg gpusim.Config, w workload.Workload, mode gpusim.TagMode, carve
 	key, _ := CacheKeyFor(cfg, Job{Workload: w, Mode: mode, Carve: carve})
 	return key
 }
-
-// Cache is a read/write handle on an engine result-cache directory for
-// callers that need cache access without a full Engine (the serving
-// layer's fast path). Keys come from CacheKey/CacheKeyFor, so entries
-// are shared bidirectionally with engines pointed at the same
-// directory.
-type Cache struct {
-	c diskCache
-}
-
-// OpenCache returns a handle on the cache rooted at dir. The directory
-// is created lazily on first Store; a Lookup against a nonexistent
-// directory is simply a miss.
-func OpenCache(dir string) *Cache {
-	return &Cache{c: diskCache{dir: dir}}
-}
-
-// Lookup returns the cached stats for key, reporting a miss for absent
-// or unreadable entries (same contract as the engine's own lookup: a
-// corrupt entry is a miss, never an error).
-func (c *Cache) Lookup(key string) (gpusim.Stats, bool) {
-	return c.c.load(key)
-}
-
-// Store writes stats under key atomically. Write failures are
-// swallowed, matching the engine: a full or read-only disk degrades to
-// an uncached store, not a failure.
-func (c *Cache) Store(key string, st gpusim.Stats) {
-	c.c.store(key, st)
-}

@@ -150,7 +150,7 @@ type Options struct {
 type Engine struct {
 	cfg   gpusim.Config
 	opts  Options
-	cache *diskCache
+	cache *Cache
 
 	simRuns     atomic.Uint64
 	cacheHits   atomic.Uint64
@@ -174,7 +174,7 @@ var nsPerOpBuckets = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50
 func New(cfg gpusim.Config, opts Options) *Engine {
 	e := &Engine{cfg: cfg, opts: opts}
 	if opts.CacheDir != "" {
-		e.cache = &diskCache{dir: opts.CacheDir}
+		e.cache = OpenCache(opts.CacheDir)
 	}
 	if h := opts.Obs; h != nil && h.Metrics != nil {
 		// Registered eagerly so the metric set is stable (and present in
@@ -332,7 +332,7 @@ func (e *Engine) runJob(ctx context.Context, job Job) Result {
 		key = cacheKeyFor(e.cellConfig(job), job)
 	}
 	if cacheable {
-		if st, ok := e.cache.load(key); ok {
+		if st, ok := e.cache.Lookup(key); ok {
 			e.cacheHits.Add(1)
 			if e.mHits != nil {
 				e.mHits.Inc()
@@ -350,7 +350,7 @@ func (e *Engine) runJob(ctx context.Context, job Job) Result {
 		res.NsPerOp = res.Stats.HostNsPerOp
 		res.AllocsPerOp = res.Stats.HostAllocsPerOp
 		if cacheable {
-			e.cache.store(key, res.Stats)
+			e.cache.Store(key, res.Stats)
 		}
 	}
 	return res

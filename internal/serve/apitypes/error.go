@@ -38,6 +38,10 @@ const (
 	// CodeTraceInUse (409): DELETE refused because the trace is pinned
 	// by a running replay or referenced by a queued job.
 	CodeTraceInUse = "trace_in_use"
+	// CodeStorage (507): the server's disk failed: it is full or over
+	// quota (ENOSPC, EDQUOT), or an I/O error (EIO). The request itself
+	// was fine and nothing was committed; retry once the disk is fixed.
+	CodeStorage = "storage_error"
 )
 
 // ErrorBody is the payload of the uniform error envelope.

@@ -57,6 +57,10 @@ var (
 	// running replay or referenced by a queued job (409, code
 	// "trace_in_use"). Retry after the job or replay finishes.
 	ErrTraceInUse = errors.New("client: trace in use")
+	// ErrStorage: the server's disk is full or over quota, or failed
+	// with an I/O error (507, code "storage_error"). Nothing was
+	// committed; not retryable until the disk is fixed.
+	ErrStorage = errors.New("client: server storage failure")
 )
 
 // APIError is a non-2xx response from the server: the HTTP status, the
@@ -82,53 +86,42 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serve: %d %s: %s", e.StatusCode, code, e.Message)
 }
 
-// Unwrap maps the envelope code (falling back to the HTTP status) onto
-// the sentinel table, making errors.Is(err, client.ErrX) work across
-// wrapping.
+// codes is the sentinel table: each envelope code with its sentinel and
+// the HTTP status it travels under.
+var codes = []struct {
+	code   string
+	status int
+	err    error
+}{
+	{apitypes.CodeBackpressure, http.StatusTooManyRequests, ErrBackpressure},
+	{apitypes.CodeDraining, http.StatusServiceUnavailable, ErrDraining},
+	{apitypes.CodeNotFound, http.StatusNotFound, ErrNotFound},
+	{apitypes.CodeTimeout, http.StatusGatewayTimeout, ErrTimeout},
+	{apitypes.CodeBadRequest, http.StatusBadRequest, ErrBadRequest},
+	{apitypes.CodeCanceled, 499, ErrCanceled},
+	{apitypes.CodeInternal, http.StatusInternalServerError, ErrInternal},
+	{apitypes.CodeGone, http.StatusGone, ErrGone},
+	{apitypes.CodeTraceNotFound, http.StatusNotFound, ErrTraceNotFound},
+	{apitypes.CodeTraceQuota, http.StatusRequestEntityTooLarge, ErrTraceQuota},
+	{apitypes.CodeTraceInUse, http.StatusConflict, ErrTraceInUse},
+	{apitypes.CodeStorage, http.StatusInsufficientStorage, ErrStorage},
+}
+
+// Unwrap maps the envelope code onto the sentinel table, making
+// errors.Is(err, client.ErrX) work across wrapping. A body without a
+// known code (a proxy's error page) is classified by its status, the
+// first table row winning (a bare 404 is ErrNotFound), so Retryable and
+// errors.Is still behave.
 func (e *APIError) Unwrap() error {
-	switch e.Code {
-	case apitypes.CodeBackpressure:
-		return ErrBackpressure
-	case apitypes.CodeDraining:
-		return ErrDraining
-	case apitypes.CodeNotFound:
-		return ErrNotFound
-	case apitypes.CodeTimeout:
-		return ErrTimeout
-	case apitypes.CodeBadRequest:
-		return ErrBadRequest
-	case apitypes.CodeCanceled:
-		return ErrCanceled
-	case apitypes.CodeInternal:
-		return ErrInternal
-	case apitypes.CodeGone:
-		return ErrGone
-	case apitypes.CodeTraceNotFound:
-		return ErrTraceNotFound
-	case apitypes.CodeTraceQuota:
-		return ErrTraceQuota
-	case apitypes.CodeTraceInUse:
-		return ErrTraceInUse
+	for _, c := range codes {
+		if c.code == e.Code {
+			return c.err
+		}
 	}
-	// No (or unknown) code: a proxy's error page. Classify by status so
-	// Retryable and errors.Is still behave.
-	switch e.StatusCode {
-	case http.StatusTooManyRequests:
-		return ErrBackpressure
-	case http.StatusServiceUnavailable:
-		return ErrDraining
-	case http.StatusNotFound:
-		return ErrNotFound
-	case http.StatusGatewayTimeout:
-		return ErrTimeout
-	case http.StatusBadRequest:
-		return ErrBadRequest
-	case http.StatusGone:
-		return ErrGone
-	case http.StatusRequestEntityTooLarge:
-		return ErrTraceQuota
-	case http.StatusConflict:
-		return ErrTraceInUse
+	for _, c := range codes {
+		if c.status == e.StatusCode {
+			return c.err
+		}
 	}
 	return ErrInternal
 }

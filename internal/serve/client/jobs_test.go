@@ -43,6 +43,8 @@ func TestTypedErrors(t *testing.T) {
 		{"timeout", 504, `{"error":{"code":"timeout","message":"deadline"}}`, ErrTimeout, false},
 		{"bad_request", 400, `{"error":{"code":"bad_request","message":"bad mode"}}`, ErrBadRequest, false},
 		{"internal", 500, `{"error":{"code":"internal","message":"sim failed"}}`, ErrInternal, false},
+		{"storage_error", 507, `{"error":{"code":"storage_error","message":"no space left on device"}}`, ErrStorage, false},
+		{"bare 507", 507, `insufficient storage`, ErrStorage, false},
 		{"legacy body", 429, `{"error":"queue full"}`, ErrBackpressure, true},
 		{"non-json body", 503, `service unavailable`, ErrDraining, true},
 	}

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/gpusim"
@@ -572,6 +573,8 @@ func statusFor(err error) (int, string) {
 		return http.StatusConflict, apitypes.CodeTraceInUse
 	case errors.Is(err, tracestore.ErrBadTrace):
 		return http.StatusBadRequest, apitypes.CodeBadRequest
+	case errors.Is(err, syscall.ENOSPC), errors.Is(err, syscall.EDQUOT), errors.Is(err, syscall.EIO):
+		return http.StatusInsufficientStorage, apitypes.CodeStorage
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, apitypes.CodeTimeout
 	case errors.Is(err, context.Canceled):

@@ -15,8 +15,8 @@
 // in-memory job table; a torn final record (the write the crash
 // interrupted) is detected and truncated away, while corruption
 // anywhere earlier is refused. Compaction rewrites the log from live
-// state (atomically, via temp file + rename) whenever GC has removed
-// jobs, so the WAL does not grow without bound.
+// state (a durable.FS commit) whenever GC has removed jobs, so the WAL
+// does not grow without bound.
 //
 // # Resume semantics
 //

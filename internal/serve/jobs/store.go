@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/serve/apitypes"
 )
 
@@ -39,36 +40,44 @@ type Store struct {
 	closed bool
 	bytes  int64
 	now    func() time.Time
+	fs     durable.FS // zero outside tests
 
 	st *walState
 }
 
-// Open replays dir's WAL (creating the directory when absent) and
-// returns the store positioned for appends. A torn final record — the
-// write a crash interrupted — is truncated away; corruption earlier in
-// the log is an error.
+// Open replays dir's WAL (creating the log and directory when absent)
+// and returns the store positioned for appends. A torn final record —
+// the write a crash interrupted — is truncated away; corruption earlier
+// in the log is an error.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	path := filepath.Join(dir, walName)
 	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	if os.IsNotExist(err) {
+		// Create the empty log through a durable commit so its directory
+		// entry survives power loss before the first record is
+		// acknowledged.
+		err = durable.WriteFile(path, nil)
+	}
+	if err != nil {
 		return nil, err
 	}
 	st, good, err := replay(data)
 	if err != nil {
 		return nil, err
 	}
-	if good < int64(len(data)) {
-		// Drop the torn tail before appending anything after it.
-		if err := os.Truncate(path, good); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	if good < int64(len(data)) {
+		// Drop the torn tail durably before appending anything after it.
+		if err := f.Truncate(good); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	return &Store{
 		dir:   dir,
@@ -373,45 +382,37 @@ func (s *Store) GC(cutoff time.Time) ([]string, error) {
 	return removed, s.compactLocked()
 }
 
-// compactLocked rewrites the WAL from live state via temp file + rename
-// and swaps the append handle. Caller holds s.mu.
+// compactLocked rewrites the WAL from live state through a durable
+// commit and reopens the append handle on the result. Caller holds s.mu.
 func (s *Store) compactLocked() error {
 	if s.closed {
 		return errClosed
 	}
 	path := filepath.Join(s.dir, walName)
-	tmp, err := os.CreateTemp(s.dir, walName+".tmp*")
+	tmp, err := s.fs.Create(s.dir)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := encodeState(tmp, s.st); err != nil {
-		tmp.Close()
+		tmp.Discard()
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	size, err := tmp.Seek(0, 2)
-	if err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
+	cerr := tmp.Commit(path)
+	// Reopen whatever the log now is (the compacted file once the rename
+	// landed, even if the directory fsync after it failed; the old log
+	// otherwise), so appends do not go to an unlinked file.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return errors.Join(cerr, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return errors.Join(cerr, err)
 	}
 	old := s.f
-	s.f = f
-	s.bytes = size
-	return old.Close()
+	s.f, s.bytes = f, fi.Size()
+	return errors.Join(cerr, old.Close())
 }
 
 // newJobID draws a random 16-hex-digit job id ("j-…"), unique across

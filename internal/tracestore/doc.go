@@ -13,11 +13,12 @@
 //	dir/blobs/<dg[:2]>/<dg>.trc   committed trace bytes
 //	dir/meta/<dg>.json            sidecar: byte-level TraceIndex + info
 //
-// Commit is temp-and-rename in blob-then-meta order, which makes every
-// crash state recoverable on the next Open: a temp file is garbage (an
-// upload that never finished), a blob without meta is a validated trace
-// whose sidecar write was interrupted (re-indexed and resurrected), and
-// a meta without blob is the tail of an interrupted delete (removed).
+// Both files are committed through durable.FS, blob first, which makes
+// every crash state recoverable on the next Open: a temp file is
+// garbage (an upload or sidecar that never finished), a blob without
+// meta is a validated trace whose sidecar write was interrupted
+// (re-indexed and resurrected), and a meta without blob is the tail of
+// an interrupted delete (removed).
 // No partially written trace is ever visible under blobs/.
 //
 // Uploads stream: Put validates the bytes with gpusim.IndexTraceStream

@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 )
@@ -103,6 +105,7 @@ type entry struct {
 type Store struct {
 	opts Options
 	dir  string
+	fs   durable.FS // zero outside tests
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -173,6 +176,10 @@ func Open(opts Options) (*Store, error) {
 	for _, de := range metas {
 		digest, ok := metaDigest(de.Name())
 		if !ok {
+			// A sidecar commit's temp file: never visible, safe to drop.
+			if os.Remove(filepath.Join(s.dir, "meta", de.Name())) == nil {
+				s.mGCRemoved.Inc()
+			}
 			continue
 		}
 		mf, err := readMeta(s.metaPath(digest))
@@ -222,7 +229,7 @@ func Open(opts Options) (*Store, error) {
 }
 
 func metaDigest(name string) (string, bool) {
-	d, ok := cutSuffix(name, ".json")
+	d, ok := strings.CutSuffix(name, ".json")
 	if !ok || !ValidDigest(d) {
 		return "", false
 	}
@@ -230,18 +237,11 @@ func metaDigest(name string) (string, bool) {
 }
 
 func blobDigest(name string) (string, bool) {
-	d, ok := cutSuffix(name, ".trc")
+	d, ok := strings.CutSuffix(name, ".trc")
 	if !ok || !ValidDigest(d) {
 		return "", false
 	}
 	return d, true
-}
-
-func cutSuffix(s, suffix string) (string, bool) {
-	if len(s) < len(suffix) || s[len(s)-len(suffix):] != suffix {
-		return "", false
-	}
-	return s[:len(s)-len(suffix)], true
 }
 
 func readMeta(path string) (metaFile, error) {
@@ -286,41 +286,24 @@ func (s *Store) resurrect(digest string) error {
 	return nil
 }
 
-// writeMeta commits a sidecar via temp-and-rename.
+// writeMeta commits a sidecar.
 func (s *Store) writeMeta(mf metaFile) error {
 	b, err := json.Marshal(mf)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.tmpDir(), "meta-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, s.metaPath(mf.Digest)); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
+	return s.fs.WriteFile(s.metaPath(mf.Digest), b)
 }
 
 // quotaWriter fails an upload the moment it exceeds the whole-store
 // quota: no single blob can ever fit, so there is no point spilling
-// the rest of a multi-GB stream to disk first.
+// the rest of a multi-GB stream to disk first. werr keeps w's write
+// error, which tells a failing disk apart from a malformed stream.
 type quotaWriter struct {
-	w   io.Writer
-	n   int64
-	max int64 // 0 = unlimited
+	w    io.Writer
+	n    int64
+	max  int64 // 0 = unlimited
+	werr error
 }
 
 func (q *quotaWriter) Write(p []byte) (int, error) {
@@ -328,7 +311,9 @@ func (q *quotaWriter) Write(p []byte) (int, error) {
 	if q.max > 0 && q.n > q.max {
 		return 0, fmt.Errorf("%w: upload exceeds store quota (%d bytes)", ErrOverQuota, q.max)
 	}
-	return q.w.Write(p)
+	n, err := q.w.Write(p)
+	q.werr = err
+	return n, err
 }
 
 // Put streams one IMTTRC upload into the store: the bytes are hashed,
@@ -337,34 +322,24 @@ func (q *quotaWriter) Write(p []byte) (int, error) {
 // created=false means the trace was already resident (a content-address
 // hit); the upload is discarded and the blob's LRU clock touched.
 func (s *Store) Put(r io.Reader) (Info, bool, error) {
-	tmp, err := os.CreateTemp(s.tmpDir(), "put-*")
+	tmp, err := s.fs.Create(s.tmpDir())
 	if err != nil {
 		return Info{}, false, err
 	}
-	tmpName := tmp.Name()
-	discard := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
+	defer tmp.Discard()
 	h := sha256.New()
 	qw := &quotaWriter{w: io.MultiWriter(h, tmp), max: s.opts.QuotaBytes}
 	idx, err := gpusim.IndexTraceStream(io.TeeReader(r, qw))
 	if err != nil {
-		discard()
-		if errors.Is(err, ErrOverQuota) {
-			s.mRejected.Inc()
-			return Info{}, false, err
+		if qw.werr != nil {
+			// The disk failed (ENOSPC, EIO), not the stream.
+			return Info{}, false, qw.werr
 		}
 		s.mRejected.Inc()
+		if errors.Is(err, ErrOverQuota) {
+			return Info{}, false, err
+		}
 		return Info{}, false, fmt.Errorf("%w: %w", ErrBadTrace, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		discard()
-		return Info{}, false, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return Info{}, false, err
 	}
 	digest := hex.EncodeToString(h.Sum(nil))
 	now := time.Now()
@@ -372,26 +347,19 @@ func (s *Store) Put(r io.Reader) (Info, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[digest]; ok {
-		os.Remove(tmpName)
 		s.touchLocked(digest, e, now)
 		s.mPuts.Inc()
 		s.mPutHits.Inc()
 		return s.infoLocked(digest, e), false, nil
 	}
 	if err := s.makeRoomLocked(idx.Bytes); err != nil {
-		os.Remove(tmpName)
 		s.mRejected.Inc()
 		return Info{}, false, err
 	}
 	// Commit: blob first, sidecar second. A crash between the two
 	// leaves a blob-without-meta, which Open resurrects — the upload
 	// stays committed either way.
-	if err := os.MkdirAll(filepath.Dir(s.blobPath(digest)), 0o755); err != nil {
-		os.Remove(tmpName)
-		return Info{}, false, err
-	}
-	if err := os.Rename(tmpName, s.blobPath(digest)); err != nil {
-		os.Remove(tmpName)
+	if err := tmp.Commit(s.blobPath(digest)); err != nil {
 		return Info{}, false, err
 	}
 	os.Chtimes(s.blobPath(digest), now, now)

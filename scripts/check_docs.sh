@@ -10,7 +10,9 @@
 #      or documents a flag no serving binary defines;
 #   3. README.md / DESIGN.md / EXPERIMENTS.md / OPERATIONS.md mention
 #      a backticked `-flag` that no cmd/* binary defines;
-#   4. a required doc section or cross-link is missing.
+#   4. a required doc section or cross-link is missing, or an API
+#      error code (apitypes Code*) has no row in OPERATIONS.md's
+#      status table.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -68,8 +70,14 @@ grep -q 'cluster-smoke' README.md    || err "README.md does not mention make clu
 grep -q 'traces-smoke' README.md     || err "README.md does not mention make traces-smoke"
 grep -q '^## Trace store' OPERATIONS.md \
     || err "OPERATIONS.md is missing the Trace store section"
-grep -q 'trace_not_found' OPERATIONS.md && grep -q 'trace_quota' OPERATIONS.md && grep -q 'trace_in_use' OPERATIONS.md \
-    || err "OPERATIONS.md failure-code table is missing the trace codes"
+# Every closed error code (a Code* constant in apitypes) needs its own
+# row in OPERATIONS.md's status table: | <status> | `<code>` | ...
+codes=$(sed -nE 's/^[[:space:]]*Code[A-Za-z]+[[:space:]]*=[[:space:]]*"([a-z_]+)".*/\1/p' internal/serve/apitypes/error.go)
+[ -n "$codes" ] || err "no Code* constants found in internal/serve/apitypes/error.go"
+for code in $codes; do
+    grep -qE "^\| [0-9]{3} \| ${tick}${code}${tick} \|" OPERATIONS.md \
+        || err "OPERATIONS.md status table has no row for error code $code"
+done
 for series in serve_requests_total serve_jobs_submitted_total \
               serve_room_frames_total serve_gw_rerouted_total \
               serve_gw_trace_pushes_total tracestore_puts_total; do
