@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -306,6 +307,52 @@ func checkRunnerCache() *Finding {
 	return nil
 }
 
+// checkKeySoundness verifies that the runner cache key never merges
+// cells that simulate differently. It keys every tagging-mode spelling
+// gpusim.ParseTagMode accepts with keyOf (runner.CacheKeyFor in
+// production), simulates each directly with gpusim.New+Run, and
+// requires every cell sharing a key to produce byte-identical canonical
+// Stats: otherwise a cache hit, a coalesced request or a shard's
+// routing would hand one cell another's result.
+func checkKeySoundness(w workload.Workload, keyOf func(gpusim.Config, runner.Job) (string, bool)) *Finding {
+	check := "invariant/key-soundness/" + w.Name
+	type member struct {
+		spelling string
+		stats    []byte
+	}
+	first := map[string]member{}
+	for _, spelling := range gpusim.TagModeNames() {
+		mode, carve, err := gpusim.ParseTagMode(spelling)
+		if err != nil {
+			return &Finding{check, err.Error()}
+		}
+		cfg := gpusim.DefaultConfig()
+		key, ok := keyOf(cfg, runner.Job{Workload: w, Mode: mode, Carve: carve})
+		if !ok {
+			return &Finding{check, spelling + ": catalog cell has no cache key"}
+		}
+		cfg.Mode, cfg.Carve = mode, carve
+		st, err := runWorkload(w, cfg)
+		if err != nil {
+			return &Finding{check, spelling + ": " + err.Error()}
+		}
+		got, err := CanonicalJSON(st)
+		if err != nil {
+			return &Finding{check, err.Error()}
+		}
+		m, seen := first[key]
+		if !seen {
+			first[key] = member{spelling, got}
+			continue
+		}
+		if !bytes.Equal(m.stats, got) {
+			return &Finding{check, fmt.Sprintf("%s and %s share cache key %.12s but simulate differently: %s",
+				m.spelling, spelling, key, Diff(m.stats, got))}
+		}
+	}
+	return nil
+}
+
 // CheckInvariants runs the metamorphic pillar.
 func CheckInvariants() []Finding {
 	var out []Finding
@@ -325,6 +372,7 @@ func CheckInvariants() []Finding {
 		add(checkRepeatability(w))
 		add(checkCloneIsolation(w))
 		add(checkBandwidthMonotonicity(w))
+		add(checkKeySoundness(w, runner.CacheKeyFor))
 	}
 	add(checkRunnerCache())
 	return out

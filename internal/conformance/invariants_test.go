@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gpusim"
+	"repro/internal/runner"
 )
 
 // TestCheckInvariants runs the metamorphic pillar end to end.
@@ -35,5 +36,28 @@ func TestStatsDiffNamesField(t *testing.T) {
 	}
 	if d, err := statsDiff(a, a); err != nil || d != "" {
 		t.Fatalf("identical stats diffed: %q, %v", d, err)
+	}
+}
+
+// TestKeySoundnessCatchesSabotage proves the key-soundness invariant has
+// teeth: a canonicaliser that wrongly merges carve-low into none (whose
+// tag fetches it would then skip) must produce a finding.
+func TestKeySoundnessCatchesSabotage(t *testing.T) {
+	w, err := workloadByName("hpc-micro0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := func(cfg gpusim.Config, job runner.Job) (string, bool) {
+		if job.Mode == gpusim.ModeCarveOut && job.Carve == gpusim.CarveOutLow {
+			job.Mode, job.Carve = gpusim.ModeNone, gpusim.CarveOut{}
+		}
+		return runner.CacheKeyFor(cfg, job)
+	}
+	f := checkKeySoundness(w, merged)
+	if f == nil {
+		t.Fatal("a key merging carve-low into none passed: the invariant is vacuous")
+	}
+	if !strings.Contains(f.Detail, "none and carve-") {
+		t.Errorf("finding %q does not name the merged cells", f.Detail)
 	}
 }

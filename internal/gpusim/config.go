@@ -12,7 +12,7 @@ const (
 	// so the memory system behaves identically to ModeNone — the paper's
 	// "no storage or memory traffic overheads" claim is structural, and
 	// the simulator treats it as such (ECC encode/decode latency is part
-	// of the baseline pipeline either way).
+	// of the baseline pipeline either way; see Config.Canonical).
 	ModeIMT
 	// ModeECCSteal: tags stored in stolen ECC check bits. Also traffic-
 	// free; the cost is reliability, not performance (see reliability).
@@ -160,6 +160,40 @@ type Config struct {
 	// installing a hook does not perturb runner cache keys, manifests or
 	// conformance digests.
 	OnSample func(Sample) `json:"-"`
+}
+
+// Canonical returns c with every field the simulator does not read
+// cleared, so two configs whose canonical forms are equal simulate
+// identically. It is the one place the tagging-mode equivalences are
+// written down:
+//
+//   - ModeIMT and ModeECCSteal become ModeNone. Both keep tags in the
+//     ECC check bits, so neither adds storage, memory traffic or
+//     check latency: ECC encode/decode is in the baseline pipeline
+//     either way, and what the modes trade away (nothing for IMT,
+//     correction strength for ECC-stealing) is a reliability property
+//     modelled by package reliability, not a timing one.
+//   - Carve is cleared unless Mode is ModeCarveOut: only the carve-out
+//     fetches tags from a separate region whose geometry sets the
+//     tag-sector span.
+//   - BoundsCk is cleared unless Mode is ModeBoundsTable: only the
+//     bounds-table check adds per-access issue cycles.
+//
+// gpusim.New simulates the canonical form and the runner's cache key
+// hashes it, so a future mode-specific timing effect must change
+// Canonical first, and the key follows it.
+func (c Config) Canonical() Config {
+	switch c.Mode {
+	case ModeIMT, ModeECCSteal:
+		c.Mode = ModeNone
+	}
+	if c.Mode != ModeCarveOut {
+		c.Carve = CarveOut{}
+	}
+	if c.Mode != ModeBoundsTable {
+		c.BoundsCk = 0
+	}
+	return c
 }
 
 // DefaultConfig returns the quarter-GV100 model used by the experiments.

@@ -266,11 +266,14 @@ func (s *Sim) popEvent() event {
 }
 
 // New builds a simulator for the configuration with one trace per SM
-// (traces[i] drives SM i; missing entries idle the SM).
+// (traces[i] drives SM i; missing entries idle the SM). It simulates
+// cfg.Canonical(), so the simulator cannot tell apart two configs whose
+// canonical forms (and runner cache keys) are equal.
 func New(cfg Config, traces []Trace) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.Canonical()
 	s := &Sim{cfg: cfg}
 	s.interleave = newFastDivMod(uint64(cfg.InterleaveSectors))
 	s.sliceMod = newFastDivMod(uint64(cfg.NumSlices))

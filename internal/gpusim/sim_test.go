@@ -130,6 +130,35 @@ func TestIMTMatchesBaselineExactly(t *testing.T) {
 	}
 }
 
+// TestConfigCanonical pins what Canonical drops: the traffic-free modes
+// fold into none, and Carve/BoundsCk survive only in the mode that
+// reads them.
+func TestConfigCanonical(t *testing.T) {
+	base := DefaultConfig()
+	base.Carve = CarveOutHigh
+	base.BoundsCk = 3
+	for _, tc := range []struct {
+		mode     TagMode
+		wantMode TagMode
+		carve    CarveOut
+		boundsCk int
+	}{
+		{ModeNone, ModeNone, CarveOut{}, 0},
+		{ModeIMT, ModeNone, CarveOut{}, 0},
+		{ModeECCSteal, ModeNone, CarveOut{}, 0},
+		{ModeCarveOut, ModeCarveOut, CarveOutHigh, 0},
+		{ModeBoundsTable, ModeBoundsTable, CarveOut{}, 3},
+	} {
+		cfg := base
+		cfg.Mode = tc.mode
+		c := cfg.Canonical()
+		if c.Mode != tc.wantMode || c.Carve != tc.carve || c.BoundsCk != tc.boundsCk {
+			t.Errorf("%s: Canonical() = mode %s carve %+v boundsCk %d, want %s %+v %d",
+				tc.mode, c.Mode, c.Carve, c.BoundsCk, tc.wantMode, tc.carve, tc.boundsCk)
+		}
+	}
+}
+
 func TestCarveOutAddsTagTraffic(t *testing.T) {
 	base := DefaultConfig()
 	carve := base

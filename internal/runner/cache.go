@@ -18,19 +18,25 @@ import (
 //
 // v2: gpusim.Stats gained the phase-telemetry Samples series and
 // gpusim.Config gained SampleInterval.
-const cacheVersion = 2
+// v3: the key hashes gpusim.Config.Canonical(), so imt and ecc-steal
+// cells share their none twin's entry, and Carve/BoundsCk count only
+// in the mode that reads them.
+const cacheVersion = 3
 
 // Cache is the engine's content-addressed result store, also opened
 // directly (OpenCache) by callers that need cache access without a full
 // Engine, such as the serving layer's fast path. The key is SHA-256 over
-// a canonical JSON encoding of (cache version, full machine config with
-// the cell's mode and carve applied, the workload's complete parameter
-// set, the cycle cap, and any replay-trace identity). Any change to the
-// machine, workload, tagging mode or carve geometry therefore changes
-// the address and misses. Entries are JSON-encoded gpusim.Stats stored
-// at <dir>/<key[:2]>/<key>.json; writes are durable.FS commits, so
-// concurrent sweeps sharing a directory never observe torn entries and
-// a stored entry survives power loss.
+// a canonical JSON encoding of (cache version, the machine config with
+// the cell's mode and carve applied, in its gpusim.Config.Canonical
+// form, the workload's complete parameter set, the cycle cap, and any
+// replay-trace identity). A change to anything the simulator reads
+// (machine, workload, a carve-out cell's geometry, a bounds-table
+// cell's check latency) therefore changes the address and misses, while
+// cells with equal canonical configs, such as a workload's none, imt and
+// ecc-steal cells, share one entry. Entries are JSON-encoded
+// gpusim.Stats stored at <dir>/<key[:2]>/<key>.json; writes are
+// durable.FS commits, so concurrent sweeps sharing a directory never
+// observe torn entries and a stored entry survives power loss.
 type Cache struct {
 	dir string
 	fs  durable.FS // zero outside tests
@@ -57,11 +63,13 @@ type cacheID struct {
 // already carry the cell's Mode and Carve (see Engine.cellConfig and the
 // exported CacheKeyFor). It is the single key implementation shared by
 // the engine and the exported CacheKey/CacheKeyFor helpers, so key
-// equality is cache-hit behavior by construction.
+// equality is cache-hit behavior by construction. It hashes
+// cfg.Canonical(), the config gpusim.New simulates, so equal keys mean
+// equal simulations.
 func cacheKeyFor(cfg gpusim.Config, job Job) string {
 	id := cacheID{
 		Version:   cacheVersion,
-		Config:    cfg,
+		Config:    cfg.Canonical(),
 		MaxCycles: job.MaxCycles,
 	}
 	// A non-empty Key is a trace identity (e.g. "trace:<digest>" from

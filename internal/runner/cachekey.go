@@ -31,9 +31,11 @@ func CacheKeyFor(cfg gpusim.Config, job Job) (string, bool) {
 
 // CacheKey is the common-case CacheKeyFor: the cache identity of a
 // catalog workload under one tagging configuration with the default
-// cycle cap. Two cells simulate identically if and only if their keys
-// are equal (same machine, workload parameters, mode, carve geometry
-// and cache schema version).
+// cycle cap. Two cells have equal keys if and only if they agree on the
+// cache schema version, the workload parameters, the cycle cap and the
+// canonical machine config (gpusim.Config.Canonical) — the config the
+// simulator actually runs — so equal keys simulate identically. A
+// workload's none, imt and ecc-steal cells therefore share one key.
 func CacheKey(cfg gpusim.Config, w workload.Workload, mode gpusim.TagMode, carve gpusim.CarveOut) string {
 	key, _ := CacheKeyFor(cfg, Job{Workload: w, Mode: mode, Carve: carve})
 	return key

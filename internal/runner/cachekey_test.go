@@ -73,7 +73,8 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if k := CacheKey(cfg, w, gpusim.ModeNone, gpusim.CarveOut{}); k != base {
 		t.Error("identical cell produced a different key")
 	}
-	if k := CacheKey(cfg, w, gpusim.ModeIMT, gpusim.CarveOut{}); k == base {
+	bounds := CacheKey(cfg, w, gpusim.ModeBoundsTable, gpusim.CarveOut{})
+	if bounds == base {
 		t.Error("mode change did not change the key")
 	}
 	if k := CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutLow); k == base {
@@ -82,6 +83,34 @@ func TestCacheKeySensitivity(t *testing.T) {
 	low := CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutLow)
 	if k := CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutHigh); k == low {
 		t.Error("carve geometry did not change the key")
+	}
+	slowCheck := cfg
+	slowCheck.BoundsCk++
+	if k := CacheKey(slowCheck, w, gpusim.ModeBoundsTable, gpusim.CarveOut{}); k == bounds {
+		t.Error("bounds-check latency did not change a bounds-table key")
+	}
+
+	// The "only with that" half: fields the simulator does not read
+	// (gpusim.Config.Canonical) leave the key alone. IMT and ECC-stealing
+	// keep tags in the check bits, so they simulate as none.
+	for _, mode := range []gpusim.TagMode{gpusim.ModeIMT, gpusim.ModeECCSteal} {
+		if k := CacheKey(cfg, w, mode, gpusim.CarveOut{}); k != base {
+			t.Errorf("%s key differs from none's; the simulator cannot tell them apart", mode)
+		}
+	}
+	for _, mode := range []gpusim.TagMode{gpusim.ModeNone, gpusim.ModeIMT, gpusim.ModeECCSteal, gpusim.ModeBoundsTable} {
+		plain := CacheKey(cfg, w, mode, gpusim.CarveOut{})
+		if k := CacheKey(cfg, w, mode, gpusim.CarveOutHigh); k != plain {
+			t.Errorf("carve geometry moved a %s key", mode)
+		}
+	}
+	for _, mode := range []gpusim.TagMode{gpusim.ModeNone, gpusim.ModeIMT, gpusim.ModeECCSteal} {
+		if k := CacheKey(slowCheck, w, mode, gpusim.CarveOut{}); k != base {
+			t.Errorf("bounds-check latency moved a %s key", mode)
+		}
+	}
+	if k := CacheKey(slowCheck, w, gpusim.ModeCarveOut, gpusim.CarveOutLow); k != low {
+		t.Error("bounds-check latency moved a carve-out key")
 	}
 	bigger := cfg
 	bigger.L2SliceBytes *= 2
@@ -146,8 +175,15 @@ func TestCacheKeyTraceParity(t *testing.T) {
 	if k, _ := CacheKeyFor(cfg, Job{Key: "trace:cd34", Mode: gpusim.ModeIMT}); k == gateway {
 		t.Error("digest change did not change the key")
 	}
-	if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeNone}); k == gateway {
+	if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeBoundsTable}); k == gateway {
 		t.Error("mode change did not change the key")
+	}
+	// ...and only with that: a trace cell's none, imt and ecc-steal
+	// twins replay the same memory system.
+	for _, mode := range []gpusim.TagMode{gpusim.ModeNone, gpusim.ModeECCSteal} {
+		if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: mode, Traces: src}); k != gateway {
+			t.Errorf("%s trace key differs from imt's", mode)
+		}
 	}
 	if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeIMT, MaxCycles: 99}); k == gateway {
 		t.Error("cycle cap did not change the key")

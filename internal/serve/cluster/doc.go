@@ -16,8 +16,10 @@
 //
 // Every cell has a content-addressed cache key (runner.CacheKeyFor):
 // the hash of the simulated machine, the workload's parameters, and
-// the tagging configuration. The gateway consistent-hashes that key
-// onto a ring of virtual nodes (Ring), so
+// the tagging configuration, all in the canonical form the simulator
+// runs (gpusim.Config.Canonical — a workload's none, imt and ecc-steal
+// cells share one key). The gateway consistent-hashes that key onto a
+// ring of virtual nodes (Ring), so
 //
 //   - a cell always routes to the shard whose on-disk result cache
 //     already holds it — cache affinity with zero shard-local state;

@@ -506,6 +506,74 @@ func TestGatewayStatszAggregation(t *testing.T) {
 	}
 }
 
+// TestGatewayEquivalentModesShareShard: a workload's none, imt and
+// ecc-steal cells share one cache key (gpusim.Config.Canonical), so the
+// ring sends all three to one shard, which simulates once and answers
+// the other two from its cache or by coalescing — while every line
+// keeps its own requested mode.
+func TestGatewayEquivalentModesShareShard(t *testing.T) {
+	gw, _, urls := newFleet(t, 2)
+	modes := []string{"none", "imt", "ecc-steal"}
+	rec := gwPost(t, gw.Handler(), "/v1/sweep", `{"workloads":["hpc-micro0"],"modes":["none","imt","ecc-steal"]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep: %d: %s", rec.Code, rec.Body.String())
+	}
+	cells, summary := parseSweep(t, rec.Body)
+	if len(cells) != len(modes) || summary.Failed != 0 {
+		t.Fatalf("got %d cells (summary %+v), want %d clean cells", len(cells), summary, len(modes))
+	}
+	byMode := map[string]apitypes.CellResult{}
+	for _, c := range cells {
+		if c.Workload != "hpc-micro0" {
+			t.Errorf("line workload = %q", c.Workload)
+		}
+		byMode[c.Mode] = c
+	}
+	var want []byte
+	for _, mode := range modes {
+		c, ok := byMode[mode]
+		if !ok {
+			t.Fatalf("no line for mode %q", mode)
+		}
+		if c.Shard != cells[0].Shard {
+			t.Errorf("%s served by %s, %s by %s", mode, c.Shard, cells[0].Mode, cells[0].Shard)
+		}
+		got, err := json.Marshal(c.Stats)
+		if err != nil || c.Stats == nil {
+			t.Fatalf("%s: stats %v, %v", mode, c.Stats, err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s stats differ from %s's", mode, modes[0])
+		}
+	}
+
+	var total apitypes.StatsSnapshot
+	for _, url := range urls {
+		resp, err := http.Get(url + "/v1/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st apitypes.StatsSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cells != 0 && st.Cells != uint64(len(modes)) {
+			t.Errorf("shard %s served %d of the %d cells; they must not split", url, st.Cells, len(modes))
+		}
+		total.Cells += st.Cells
+		total.CacheHits += st.CacheHits
+		total.CoalesceHits += st.CoalesceHits
+	}
+	if sims := total.Cells - total.CacheHits - total.CoalesceHits; total.Cells != 3 || sims != 1 {
+		t.Errorf("fleet: %d cells, %d cache hits, %d coalesce hits; want 3 cells and exactly 1 simulation",
+			total.Cells, total.CacheHits, total.CoalesceHits)
+	}
+}
+
 // TestGatewayRejections is the one rejection table of the API both
 // front ends share: every case runs against an imtd handler and an
 // imtgw handler, and both must answer the same status, envelope code

@@ -132,6 +132,46 @@ func TestSimOK(t *testing.T) {
 	}
 }
 
+// TestSimEquivalentModesShareEntry: imt and ecc-steal keep tags in the
+// ECC check bits, so they key (gpusim.Config.Canonical) and simulate as
+// none. After a none cell, its imt and ecc-steal twins are answered
+// from the same cache entry, each under its own requested mode.
+func TestSimEquivalentModesShareEntry(t *testing.T) {
+	s := mustNew(t, Options{Workers: 2, CacheDir: t.TempDir()})
+	h := s.Handler()
+	sim := func(mode string) apitypes.CellResult {
+		t.Helper()
+		rec := post(t, h, "/v1/sim", `{"workload":"hpc-micro0","mode":"`+mode+`"}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", mode, rec.Code, rec.Body.String())
+		}
+		return decodeBody[apitypes.CellResult](t, rec)
+	}
+	none := sim("none")
+	if none.Cached {
+		t.Fatalf("cold none cell reported cached: %+v", none)
+	}
+	want, _ := json.Marshal(none.Stats)
+	for _, mode := range []string{"imt", "ecc-steal"} {
+		res := sim(mode)
+		if !res.Cached {
+			t.Errorf("%s after none: cached = false, want the none entry", mode)
+		}
+		if res.Mode != mode {
+			t.Errorf("response mode = %q, want %q", res.Mode, mode)
+		}
+		if res.CacheKey != none.CacheKey {
+			t.Errorf("%s cache_key %q, none's %q", mode, res.CacheKey, none.CacheKey)
+		}
+		if got, _ := json.Marshal(res.Stats); !bytes.Equal(got, want) {
+			t.Errorf("%s stats differ from none's", mode)
+		}
+	}
+	if st := s.Stats(); st.CacheHits != 2 || st.Cells != 3 {
+		t.Errorf("stats: %+v, want 3 cells with 2 cache hits", st)
+	}
+}
+
 // TestDeadlineExceeded504: a 1ms budget cannot simulate a 48MB
 // streaming workload; the deadline must surface as 504, not 500 and
 // not a hang.

@@ -10,9 +10,10 @@
 #      or documents a flag no serving binary defines;
 #   3. README.md / DESIGN.md / EXPERIMENTS.md / OPERATIONS.md mention
 #      a backticked `-flag` that no cmd/* binary defines;
-#   4. a required doc section or cross-link is missing, or an API
-#      error code (apitypes Code*) has no row in OPERATIONS.md's
-#      status table.
+#   4. a required doc section or cross-link is missing, an API error
+#      code (apitypes Code*) has no row in OPERATIONS.md's status
+#      table, or OPERATIONS.md does not name the runner cache schema
+#      version (cacheVersion) it carries an upgrade note for.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -78,6 +79,15 @@ for code in $codes; do
     grep -qE "^\| [0-9]{3} \| ${tick}${code}${tick} \|" OPERATIONS.md \
         || err "OPERATIONS.md status table has no row for error code $code"
 done
+# The runner cache schema version must appear in OPERATIONS.md as
+# "cache schema vN", so a key change cannot ship without its upgrade
+# note.
+cache_version=$(sed -nE 's/^const cacheVersion = ([0-9]+).*/\1/p' internal/runner/cache.go)
+if [ -z "$cache_version" ]; then
+    err "no cacheVersion constant found in internal/runner/cache.go"
+elif ! grep -qE "cache schema v${cache_version}([^0-9]|\$)" OPERATIONS.md; then
+    err "OPERATIONS.md does not name cache schema v$cache_version (add an upgrade note)"
+fi
 for series in serve_requests_total serve_jobs_submitted_total \
               serve_room_frames_total serve_gw_rerouted_total \
               serve_gw_trace_pushes_total tracestore_puts_total; do
