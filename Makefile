@@ -90,6 +90,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz='^FuzzJobWALReplay$$' -fuzztime=10s ./internal/serve/jobs
 	$(GO) test -run '^$$' -fuzz='^FuzzWatchFrameDecode$$' -fuzztime=10s ./internal/serve/apitypes
 	$(GO) test -run '^$$' -fuzz='^FuzzBitslicedDecode$$' -fuzztime=10s ./internal/ecc/bitslice
+	$(GO) test -run '^$$' -fuzz='^FuzzClassTable$$' -fuzztime=10s ./internal/reliability
 
 # The conformance gate: golden-result regression, differential ECC
 # oracles and metamorphic simulator invariants (see DESIGN.md

@@ -2,6 +2,7 @@ package reliability
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -264,6 +265,27 @@ func TestTagCorruptionsSampledDeterministic(t *testing.T) {
 	}
 	if a.Total != 20_000 || a.TMM != 20_000 {
 		t.Fatalf("IMT-16 sampled tag corruptions must be all-TMM: %+v", a)
+	}
+}
+
+// TestTagCorruptionsWorkerIndependent: the sampled tag campaign fans
+// out over GOMAXPROCS workers, and its tally does not depend on how
+// many. 20 001 trials end in a partial 64-lane batch.
+func TestTagCorruptionsWorkerIndependent(t *testing.T) {
+	const limit = 20_001
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []*core.Code{aftCode(t, 256, 16, 15), aliasingAFTCode(t, 256, 10, 9)} {
+		runtime.GOMAXPROCS(1)
+		want := TagCorruptions(c, limit, 42)
+		if want.Total != limit {
+			t.Fatalf("%s: total %d != limit %d", c, want.Total, limit)
+		}
+		for _, procs := range []int{3, 4} {
+			runtime.GOMAXPROCS(procs)
+			if got := TagCorruptions(c, limit, 42); got != want {
+				t.Errorf("%s: GOMAXPROCS=%d tally %+v != GOMAXPROCS=1 %+v", c, procs, got, want)
+			}
+		}
 	}
 }
 

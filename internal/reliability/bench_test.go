@@ -7,13 +7,11 @@ import (
 	"repro/internal/ecc"
 )
 
-// curveK64RandomInjections is the Monte-Carlo half of the K=64 Figure 9
-// campaign (the part the bitsliced engine accelerates; the exhaustive
-// 3-bit half is an incremental table loop in both engines): the random
-// corruption campaign of every R=1..12 curve code.
-func curveK64Targets(b *testing.B) []Target {
-	b.Helper()
-	var out []Target
+// curveK64Codes are the R=1..12 codes of the K=64 Figure 9 curve, as
+// SDCCurve builds them for seed 1234.
+func curveK64Codes(tb testing.TB) []*ecc.Code {
+	tb.Helper()
+	var out []*ecc.Code
 	for r := 1; r <= 12; r++ {
 		var (
 			code *ecc.Code
@@ -30,8 +28,21 @@ func curveK64Targets(b *testing.B) []Target {
 			code, err = ecc.NewDetectOnly(64, r, 1234+int64(r))
 		}
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		out = append(out, code)
+	}
+	return out
+}
+
+// curveK64Targets wraps the curve codes: their random corruption
+// campaigns are the Monte-Carlo half of the K=64 Figure 9 campaign (the
+// part the bitsliced engine accelerates; the exhaustive 3-bit half is an
+// incremental table loop in both engines).
+func curveK64Targets(b *testing.B) []Target {
+	b.Helper()
+	var out []Target
+	for _, code := range curveK64Codes(b) {
 		out = append(out, TargetECC(code))
 	}
 	return out
@@ -69,13 +80,18 @@ func BenchmarkInjectCurveK64Scalar(b *testing.B) {
 	b.ReportMetric(inj/b.Elapsed().Seconds(), "inj/s")
 }
 
-func imt16Target(b *testing.B) Target {
+func imt16Code(b *testing.B) *core.Code {
 	b.Helper()
 	code, err := core.NewCode(256, 16, 15, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return TargetAFT(code)
+	return code
+}
+
+func imt16Target(b *testing.B) Target {
+	b.Helper()
+	return TargetAFT(imt16Code(b))
 }
 
 const benchIMT16Trials = 100_000
@@ -102,4 +118,35 @@ func BenchmarkInjectRandomIMT16Scalar(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*benchIMT16Trials/b.Elapsed().Seconds(), "inj/s")
+}
+
+const benchTagTrials = 192_000
+
+// Sinks keep the compiler from dropping the measured calls.
+var (
+	tallySink  Tally
+	targetSink Target
+)
+
+// BenchmarkInjectTagIMT16 measures the sampled tag-corruption campaign
+// on IMT-16 at the fault-campaign round's size. Tag engine construction
+// is inside the loop because every TagCorruptions call pays for it.
+func BenchmarkInjectTagIMT16(b *testing.B) {
+	code := imt16Code(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tallySink = TagCorruptions(code, benchTagTrials, 42)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*benchTagTrials/b.Elapsed().Seconds(), "inj/s")
+}
+
+// BenchmarkTargetAFTIMT16 measures building the IMT-16 injection
+// target: its 2^16-entry class table and bitsliced engine.
+func BenchmarkTargetAFTIMT16(b *testing.B) {
+	code := imt16Code(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		targetSink = TargetAFT(code)
+	}
 }

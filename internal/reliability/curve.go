@@ -36,9 +36,11 @@ type CurvePoint struct {
 // redundancy). Random corruption uses `trials` samples; 3-bit errors are
 // exhaustive.
 //
-// The Monte-Carlo campaign fans out over GOMAXPROCS workers; since the
-// batched injector derives every 64-lane batch's stream from (seed,
-// batch index) alone, the result is identical for every worker count —
+// The Monte-Carlo campaign fans out over GOMAXPROCS workers through
+// RandomErrorsParallel's fanOutBatches, the batch-range splitter the
+// sampled TagCorruptions path shares; since the batched injector
+// derives every 64-lane batch's stream from (seed, batch index) alone,
+// the result is identical for every worker count —
 // SDCCurve(k, maxR, trials, seed) equals SDCCurveWorkers(..., w) for
 // all w. Callers that want explicit control of the fan-out (or CPU
 // budget) should still use SDCCurveWorkers.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -114,15 +115,11 @@ func TargetECC(c *ecc.Code) Target {
 	for i := range t.cols {
 		t.cols[i] = c.Column(i)
 	}
-	t.class = make([]bitslice.Class, 1<<uint(c.R()))
-	t.class[0] = bitslice.ClassZero
-	for s := uint64(1); s < uint64(len(t.class)); s++ {
-		if _, ok := c.CorrectableSyndrome(s); ok {
-			t.class[s] = bitslice.ClassCorrectable
-		} else {
-			t.class[s] = bitslice.ClassOther
-		}
+	var corr []uint64
+	if c.Kind() != ecc.DetectOnly {
+		corr = t.cols
 	}
+	t.class = classTable(t.R, nil, corr, bitslice.ClassCorrectable)
 	t.attachEngine()
 	return t
 }
@@ -130,37 +127,56 @@ func TargetECC(c *ecc.Code) Target {
 // TargetAFT wraps an AFT-ECC code for physical (data+check) injection.
 // Injections model data errors under matching key/lock tags, so the tag
 // contributions cancel and only the physical columns matter; syndromes in
-// the tag column space classify as TMM.
+// the tag column space classify as TMM. The class table is written from
+// the tag and physical column spaces by classTable, which reproduces
+// DecodeSyndrome's verdict on every syndrome without decoding any.
 func TargetAFT(c *core.Code) Target {
 	t := Target{Name: c.String(), NPhys: c.PhysicalBits(), R: c.R()}
-	t.cols = make([]uint64, t.NPhys)
-	for i := range t.cols {
-		t.cols[i] = c.Column(c.TS() + i)
-	}
-	t.class = make([]bitslice.Class, 1<<uint(c.R()))
-	t.class[0] = bitslice.ClassZero
-	for s := uint64(1); s < uint64(len(t.class)); s++ {
-		switch {
-		case correctableAFT(c, s):
-			t.class[s] = bitslice.ClassCorrectable
-		case isTagSyn(c, s):
-			t.class[s] = bitslice.ClassTag
-		default:
-			t.class[s] = bitslice.ClassOther
-		}
-	}
+	t.cols = columnRange(c, c.TS(), c.N())
+	t.class = classTable(t.R, columnRange(c, 0, c.TS()), t.cols, bitslice.ClassCorrectable)
 	t.attachEngine()
 	return t
 }
 
-func correctableAFT(c *core.Code, s uint64) bool {
-	res := c.DecodeSyndrome(s, 0)
-	return res.Status == core.StatusCorrected
+// columnRange returns the H columns of virtual codeword bits [lo, hi):
+// [0, TS) are the tag columns, [TS, N) the physical ones.
+func columnRange(c *core.Code, lo, hi int) []uint64 {
+	cols := make([]uint64, hi-lo)
+	for i := range cols {
+		cols[i] = c.Column(lo + i)
+	}
+	return cols
 }
 
-func isTagSyn(c *core.Code, s uint64) bool {
-	_, ok := c.IsTagSyndrome(s)
-	return ok
+// classTable writes the 2^r-entry syndrome class table of a code from
+// its column spaces, without decoding: every nonzero syndrome starts as
+// ClassOther; a Gray-code walk over the nonzero tag patterns (one XOR
+// per step) marks each nonzero tag syndrome ClassTag; then every
+// correctable column is marked corrClass. The columns go last because
+// core.(*Code).resolve tries them before the tag map, so the table
+// equals the decoder's verdict — also for aliasing tag matrices, whose
+// zero-syndrome patterns leave entry 0 alone. corrClass is
+// ClassCorrectable for injection targets and ClassZero for the tag
+// engine, where a "corrected" mismatch is silent corruption. Untagged
+// codes pass no tag columns, detect-only codes no correctable ones.
+func classTable(r int, tagCols, corrCols []uint64, corrClass bitslice.Class) []bitslice.Class {
+	class := make([]bitslice.Class, 1<<uint(r))
+	for s := 1; s < len(class); s++ {
+		class[s] = bitslice.ClassOther
+	}
+	var s uint64
+	for g := uint64(1); g < 1<<uint(len(tagCols)); g++ {
+		s ^= tagCols[bits.TrailingZeros64(g)]
+		if s != 0 {
+			class[s] = bitslice.ClassTag
+		}
+	}
+	for _, col := range corrCols {
+		if col != 0 { // resolve tests for the zero syndrome first
+			class[col] = corrClass
+		}
+	}
+	return class
 }
 
 // classify maps (syndrome, error weight) to an outcome.
@@ -514,7 +530,10 @@ func RandomErrorsScalar(t Target, trials int, seed int64) Tally {
 // nonzero difference d arises from exactly 2^TS ordered pairs — so
 // 2^TS−1 decodes with multiplicity 2^TS reproduce the pair enumeration
 // bit-identically (TagCorruptionsScalar is the reference). The sampled
-// path runs bitsliced over uniform nonzero tag differences.
+// path runs bitsliced over uniform nonzero tag differences, fanned out
+// over GOMAXPROCS workers by fanOutBatches; batch b draws only from
+// SeedForBatch(seed, b), so the tally is the same for every worker
+// count.
 func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
 	space := uint64(1) << uint(c.TS())
 	if total := space * (space - 1); limit <= 0 || uint64(limit) >= total {
@@ -532,29 +551,34 @@ func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
 		return tally
 	}
 	if eng := tagEngine(c); eng != nil {
-		batch := eng.NewBatch()
-		var counts bitslice.Counts
-		for done, bi := 0, uint64(0); done < limit; bi++ {
-			n := limit - done
-			if n > 64 {
-				n = 64
-			}
-			rng := bitslice.NewRand(bitslice.SeedForBatch(seed, bi))
-			batch.RandomNonzero(rng)
-			batch.SetLaneRange(0, n)
-			counts.Add(eng.Classify(batch))
-			done += n
-		}
-		// All lanes carry a nonzero tag difference, so aliased or
-		// miscorrecting (ClassZero) lanes classify as SDC via the
-		// engine's table-derived zero class; OK and CE cannot occur by
-		// construction (no empty lanes, no ClassCorrectable entries) but
-		// fold into SDC defensively so a table change can never drop
-		// silent-corruption events.
-		return Tally{Total: counts.Total, DUE: counts.DUE, TMM: counts.TMM,
-			SDC: counts.SDC + counts.OK + counts.CE}
+		return fanOutBatches(limit, runtime.GOMAXPROCS(0), func(lo, hi int) Tally {
+			return tagCorruptionsRange(eng, lo, hi, seed)
+		})
 	}
 	return TagCorruptionsScalar(c, limit, seed)
+}
+
+// tagCorruptionsRange classifies the sampled tag differences at
+// campaign positions [lo, hi), lo a multiple of 64: batch b holds
+// positions [64b, 64b+64) and draws 64 nonzero differences from
+// SeedForBatch(seed, b), of which the positions below hi are live.
+func tagCorruptionsRange(eng *bitslice.Engine, lo, hi int, seed int64) Tally {
+	batch := eng.NewBatch()
+	var counts bitslice.Counts
+	for pos := lo; pos < hi; pos += 64 {
+		rng := bitslice.NewRand(bitslice.SeedForBatch(seed, uint64(pos/64)))
+		batch.RandomNonzero(rng)
+		batch.SetLaneRange(0, min(hi-pos, 64))
+		counts.Add(eng.Classify(batch))
+	}
+	// All lanes carry a nonzero tag difference, so aliased or
+	// miscorrecting (ClassZero) lanes classify as SDC via the engine's
+	// table-derived zero class; OK and CE cannot occur by construction
+	// (no empty lanes, no ClassCorrectable entries) but fold into SDC
+	// defensively so a table change can never drop silent-corruption
+	// events.
+	return Tally{Total: counts.Total, DUE: counts.DUE, TMM: counts.TMM,
+		SDC: counts.SDC + counts.OK + counts.CE}
 }
 
 // TagCorruptionsScalar is the scalar pair-enumeration reference for
@@ -588,38 +612,25 @@ func TagCorruptionsScalar(c *core.Code, limit int, seed int64) Tally {
 }
 
 // tagEngine builds a bitsliced classifier over the TS tag columns with
-// a class table matching classifyTagOnly: corrected tag aliases count
-// as ClassZero — the engine's table-derived zero class puts every
-// nonzero-difference lane of that class in SDC (the data-corrupting
-// alias) — tag syndromes as TMM, the rest as DUE.
+// the class table tagClassTable writes.
 func tagEngine(c *core.Code) *bitslice.Engine {
-	cols := make([]uint64, c.TS())
-	for i := range cols {
-		cols[i] = c.Column(i)
-	}
 	if c.R() > 24 {
 		return nil
 	}
-	class := make([]bitslice.Class, 1<<uint(c.R()))
-	for s := uint64(1); s < uint64(len(class)); s++ {
-		switch {
-		case correctableAFT(c, s):
-			// StatusCorrected under a pure tag mismatch flips a data bit:
-			// silent corruption for every nonzero difference, which is
-			// exactly the aliasing-ClassZero semantics ClassifyMasks
-			// implements.
-			class[s] = bitslice.ClassZero
-		case isTagSyn(c, s):
-			class[s] = bitslice.ClassTag
-		default:
-			class[s] = bitslice.ClassOther
-		}
-	}
-	eng, err := bitslice.New(c.R(), cols, class)
+	eng, err := bitslice.New(c.R(), columnRange(c, 0, c.TS()), tagClassTable(c))
 	if err != nil {
 		return nil
 	}
 	return eng
+}
+
+// tagClassTable is the tag engine's class table, matching
+// classifyTagOnly: corrected tag aliases count as ClassZero — the
+// engine's table-derived zero class puts every nonzero-difference lane
+// of that class in SDC (the data-corrupting alias) — tag syndromes as
+// TMM, the rest as DUE.
+func tagClassTable(c *core.Code) []bitslice.Class {
+	return classTable(c.R(), columnRange(c, 0, c.TS()), columnRange(c, c.TS(), c.N()), bitslice.ClassZero)
 }
 
 func classifyTagOnly(c *core.Code, s uint64) Outcome {
@@ -641,28 +652,40 @@ func classifyTagOnly(c *core.Code, s uint64) Outcome {
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // RandomErrorsParallel splits a random-corruption campaign across
-// workers. Because RandomErrorsOffset seeds each 64-lane batch purely
-// from (seed, batch index), the contiguous chunks sum to exactly
-// RandomErrors(t, trials, seed) for every worker count — the same seed
-// gives the same tally on every machine, any parallelism. Use for
-// paper-scale (1e8) trial counts.
+// workers with fanOutBatches. Because RandomErrorsOffset seeds each
+// 64-lane batch purely from (seed, batch index), the ranges sum to
+// exactly RandomErrors(t, trials, seed) for every worker count — the
+// same seed gives the same tally on every machine, any parallelism. Use
+// for paper-scale (1e8) trial counts.
 func RandomErrorsParallel(t Target, trials, workers int, seed int64) Tally {
-	if workers < 2 || trials < workers {
-		return RandomErrors(t, trials, seed)
+	return fanOutBatches(trials, workers, func(lo, hi int) Tally {
+		return RandomErrorsOffset(t, hi-lo, seed, lo)
+	})
+}
+
+// fanOutBatches splits campaign positions [0, trials) into contiguous
+// runs of whole 64-lane batches, one run per worker and at most one
+// worker per batch, calls run(lo, hi) for each on its own goroutine and
+// sums the tallies. Each run starts on a batch boundary and only the
+// last may end inside a batch. A campaign whose batch b draws only from
+// SeedForBatch(seed, b) therefore gives the same sum for every worker
+// count.
+func fanOutBatches(trials, workers int, run func(lo, hi int) Tally) Tally {
+	batches := (trials + 63) / 64
+	workers = min(workers, batches)
+	if workers < 2 {
+		return run(0, trials)
 	}
 	tallies := make([]Tally, workers)
 	var wg sync.WaitGroup
-	per := trials / workers
-	for w := 0; w < workers; w++ {
-		n, off := per, per*w
-		if w == workers-1 {
-			n = trials - per*(workers-1)
-		}
+	for w := range tallies {
+		lo := batches * w / workers * 64
+		hi := min(batches*(w+1)/workers*64, trials)
 		wg.Add(1)
-		go func(w, n, off int) {
+		go func() {
 			defer wg.Done()
-			tallies[w] = RandomErrorsOffset(t, n, seed, off)
-		}(w, n, off)
+			tallies[w] = run(lo, hi)
+		}()
 	}
 	wg.Wait()
 	var sum Tally
