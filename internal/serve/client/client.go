@@ -143,7 +143,7 @@ func (c *Client) sweep(ctx context.Context, req apitypes.SweepRequest, onRoom fu
 // additionally exposes the per-shard breakdown.
 func (c *Client) Stats(ctx context.Context) (apitypes.StatsSnapshot, error) {
 	var snap apitypes.StatsSnapshot
-	err := c.getJSON(ctx, "/v1/statsz", &snap)
+	err := c.call(ctx, http.MethodGet, "/v1/statsz", &snap)
 	return snap, err
 }
 
@@ -152,33 +152,25 @@ func (c *Client) Stats(ctx context.Context) (apitypes.StatsSnapshot, error) {
 // Against a plain imtd shard, Gateway is nil and Shards empty.
 func (c *Client) GatewayStats(ctx context.Context) (apitypes.GatewaySnapshot, error) {
 	var snap apitypes.GatewaySnapshot
-	err := c.getJSON(ctx, "/v1/statsz", &snap)
+	err := c.call(ctx, http.MethodGet, "/v1/statsz", &snap)
 	return snap, err
 }
 
 // Workloads fetches the catalog listing.
 func (c *Client) Workloads(ctx context.Context) (apitypes.CatalogResponse, error) {
 	var cat apitypes.CatalogResponse
-	err := c.getJSON(ctx, "/v1/workloads", &cat)
+	err := c.call(ctx, http.MethodGet, "/v1/workloads", &cat)
 	return cat, err
 }
 
 // Health returns nil when the server answers healthy, an *APIError
 // when it is draining, and a transport error when it is unreachable.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/healthz", nil)
-	if err != nil {
-		return err
+	resp, err := c.send(ctx, http.MethodGet, "/v1/healthz")
+	if err == nil {
+		resp.Body.Close()
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	return nil
+	return err
 }
 
 // retry runs attempt until it succeeds, fails non-retryably, exhausts
@@ -268,19 +260,32 @@ func (c *Client) post(ctx context.Context, path string, body any) (*http.Respons
 	return c.httpClient().Do(req)
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+// send issues method on path without a body and returns the response
+// once its status is 200; any other status is the *APIError. The
+// caller closes the body.
+func (c *Client) send(ctx context.Context, method, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
+// call sends method on path and decodes the 200 JSON body into v.
+func (c *Client) call(ctx context.Context, method, path string, v any) error {
+	resp, err := c.send(ctx, method, path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
 	return json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(v)
 }
 

@@ -37,7 +37,7 @@ func (c *Client) SubmitJob(ctx context.Context, req apitypes.JobRequest) (apityp
 // Job polls one job's current snapshot.
 func (c *Client) Job(ctx context.Context, id string) (apitypes.JobInfo, error) {
 	var info apitypes.JobInfo
-	err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id), &info)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), &info)
 	return info, err
 }
 
@@ -48,7 +48,7 @@ func (c *Client) Jobs(ctx context.Context, tenant string) ([]apitypes.JobInfo, e
 		path += "?tenant=" + url.QueryEscape(tenant)
 	}
 	var list apitypes.JobListResponse
-	err := c.getJSON(ctx, path, &list)
+	err := c.call(ctx, http.MethodGet, path, &list)
 	return list.Jobs, err
 }
 
@@ -57,19 +57,7 @@ func (c *Client) Jobs(ctx context.Context, tenant string) ([]apitypes.JobInfo, e
 func (c *Client) CancelJob(ctx context.Context, id string) (apitypes.JobInfo, error) {
 	var info apitypes.JobInfo
 	err := c.retry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+url.PathEscape(id), nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		return json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(&info)
+		return c.call(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), &info)
 	})
 	return info, err
 }
@@ -83,19 +71,11 @@ func (c *Client) CancelJob(ctx context.Context, id string) (apitypes.JobInfo, er
 func (c *Client) StreamJob(ctx context.Context, id string, from int, fn func(apitypes.JobFrame) error) (apitypes.JobStreamSummary, error) {
 	var summary apitypes.JobStreamSummary
 	err := c.retry(ctx, func() error {
-		path := fmt.Sprintf("/v1/jobs/%s/stream?from=%d", url.PathEscape(id), from)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.httpClient().Do(req)
+		resp, err := c.send(ctx, http.MethodGet, fmt.Sprintf("/v1/jobs/%s/stream?from=%d", url.PathEscape(id), from))
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
 		summary = apitypes.JobStreamSummary{}
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64<<10), apitypes.MaxRequestBytes)

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -58,7 +57,7 @@ func (c *Client) UploadTraceFile(ctx context.Context, path string) (apitypes.Tra
 // listing is the digest-deduplicated union across reachable shards.
 func (c *Client) Traces(ctx context.Context) (apitypes.TraceListResponse, error) {
 	var out apitypes.TraceListResponse
-	err := c.getJSON(ctx, "/v1/traces", &out)
+	err := c.call(ctx, http.MethodGet, "/v1/traces", &out)
 	return out, err
 }
 
@@ -66,7 +65,7 @@ func (c *Client) Traces(ctx context.Context) (apitypes.TraceListResponse, error)
 // ErrTraceNotFound.
 func (c *Client) TraceStat(ctx context.Context, digest string) (apitypes.TraceInfo, error) {
 	var out apitypes.TraceInfo
-	err := c.getJSON(ctx, "/v1/traces/"+digest, &out)
+	err := c.call(ctx, http.MethodGet, "/v1/traces/"+digest, &out)
 	return out, err
 }
 
@@ -75,41 +74,19 @@ func (c *Client) TraceStat(ctx context.Context, digest string) (apitypes.TraceIn
 // queued job is ErrTraceInUse; an absent digest is ErrTraceNotFound.
 func (c *Client) DeleteTrace(ctx context.Context, digest string) (apitypes.TraceInfo, error) {
 	var out apitypes.TraceInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/traces/"+digest, nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, apiError(resp)
-	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(&out)
+	err := c.call(ctx, http.MethodDelete, "/v1/traces/"+digest, &out)
 	return out, err
 }
 
-// DownloadTrace streams a stored trace's raw IMTTRC bytes into w and
-// returns the byte count. The blob is written incrementally — a
-// multi-GB trace never materializes in memory on either side.
-func (c *Client) DownloadTrace(ctx context.Context, digest string, w io.Writer) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/traces/"+digest+"?raw=1", nil)
+// OpenTrace opens a stored trace's raw IMTTRC bytes for streaming: the
+// response body, returned only once the status says the blob is there
+// (an absent digest is ErrTraceNotFound). The caller closes it. The
+// blob is read incrementally — a multi-GB trace never materializes in
+// memory on either side.
+func (c *Client) OpenTrace(ctx context.Context, digest string) (io.ReadCloser, error) {
+	resp, err := c.send(ctx, http.MethodGet, "/v1/traces/"+digest+"?raw=1")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, apiError(resp)
-	}
-	n, err := io.Copy(w, resp.Body)
-	if err != nil {
-		return n, fmt.Errorf("client: trace download: %w", err)
-	}
-	return n, nil
+	return resp.Body, nil
 }

@@ -4,13 +4,14 @@
 //
 // Gateway is the ring executor behind the same serve.Frontend that
 // fronts a single imtd: request decoding, validation, sweep expansion,
-// deadlines, the error envelope, NDJSON streaming and /v1/workloads are
-// that one shared front end, so imtgw answers exactly as an imtd would.
-// This package adds only what differs — ring assignment, per-shard
-// scatter, the exactly-once merge, reroute and trace push-on-miss —
-// plus its own routes (the trace proxy, aggregated statsz and a
-// shards_up healthz). cmd/imtgw runs it through serve.Daemon like
-// cmd/imtd.
+// deadlines, the error envelope, NDJSON streaming and every route — the
+// trace routes, statsz and healthz included — are that one shared front
+// end, so imtgw answers exactly as an imtd would. This package adds
+// only what differs — ring assignment, per-shard scatter, the
+// exactly-once merge, reroute, the fleet as one trace store with
+// push-on-miss, the aggregated statsz snapshot and the "no healthy
+// shards" readiness verdict. cmd/imtgw runs it through serve.Daemon
+// like cmd/imtd.
 //
 // # Routing
 //

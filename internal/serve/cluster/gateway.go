@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -157,27 +156,12 @@ func (g *Gateway) Drain(context.Context) error {
 }
 
 // Handler returns the gateway's HTTP handler: the Frontend's shared
-// routes (POST /v1/sim, POST /v1/sweep, GET /v1/workloads and the
-// debug mux) plus imtgw's own:
-//
-//	POST   /v1/traces     stream the blob to the first routable shard
-//	GET    /v1/traces     digest-deduplicated union across the fleet
-//	GET    /v1/traces/{d} stat (or ?raw=1 stream) from whichever shard holds it
-//	DELETE /v1/traces/{d} fan-out delete (409 if any shard holds it in use)
-//	GET    /v1/statsz     GatewaySnapshot: aggregate + per-shard breakdown
-//	GET    /v1/healthz    200 while ≥1 shard is routable and not draining
-//
-// Jobs and telemetry rooms are shard-scoped resources (a WAL and a
-// broadcast live on one shard); their routes answer 404 with a hint to
-// address a shard directly.
+// routes (sim, sweep, workloads, traces over the fleet, statsz,
+// healthz and the debug mux). Jobs and telemetry rooms are
+// shard-scoped resources (a WAL and a broadcast live on one shard);
+// their routes answer 404 with a hint to address a shard directly.
 func (g *Gateway) Handler() http.Handler {
 	mux := g.Mux()
-	mux.HandleFunc("POST /v1/traces", g.handleTraceUpload)
-	mux.HandleFunc("GET /v1/traces", g.handleTraceList)
-	mux.HandleFunc("GET /v1/traces/{digest}", g.handleTraceGet)
-	mux.HandleFunc("DELETE /v1/traces/{digest}", g.handleTraceDelete)
-	mux.HandleFunc("GET /v1/statsz", g.handleStatsz)
-	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	scoped := g.Unserved(apitypes.CodeNotFound, "cluster: jobs and watch rooms are shard-scoped; address an imtd shard directly")
 	mux.HandleFunc("/v1/jobs", scoped)
 	mux.HandleFunc("/v1/jobs/", scoped)
@@ -532,29 +516,17 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 	return snap
 }
 
-func (g *Gateway) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	t0 := g.CountRequest()
-	defer g.ObserveLatency(t0, "statsz")
-	serve.WriteJSON(w, http.StatusOK, g.Stats(r.Context()))
-}
+// Statsz is Stats, the /v1/statsz body.
+func (g *Gateway) Statsz(ctx context.Context) any { return g.Stats(ctx) }
 
-func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	routable := 0
+// NotReady reports "no healthy shards" while every breaker is open.
+func (g *Gateway) NotReady() string {
 	for _, ss := range g.shards {
 		if ss.br.routable() {
-			routable++
+			return ""
 		}
 	}
-	if g.Draining() || routable == 0 {
-		status := "draining"
-		if routable == 0 {
-			status = "no healthy shards"
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds))
-		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": status, "shards_up": routable})
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards_up": routable})
+	return "no healthy shards"
 }
 
 // Manifest pins this gateway run: fleet identity plus current routing

@@ -622,6 +622,10 @@ func TestGatewayRejections(t *testing.T) {
 		{name: "job poll is shard-scoped", method: "GET", path: "/v1/jobs/j-1", wantStatus: 404, wantCode: "not_found"},
 		{name: "watch rooms are shard-scoped", method: "GET", path: "/v1/watch/abc", wantStatus: 404, wantCode: "not_found"},
 		{name: "draining", path: "/v1/sim", body: sim, wantStatus: 503, wantCode: "draining", wantInErr: "draining", draining: true},
+		{name: "trace stat malformed digest", method: "GET", path: "/v1/traces/abc123", wantInErr: "malformed trace digest"},
+		{name: "trace raw malformed digest", method: "GET", path: "/v1/traces/abc123?raw=1", wantInErr: "malformed trace digest"},
+		{name: "trace delete malformed digest", method: "DELETE", path: "/v1/traces/" + strings.Repeat("AB", 32), wantInErr: "malformed trace digest"},
+		{name: "trace digest with escaped query", method: "GET", path: "/v1/traces/" + strings.Repeat("ab", 32) + "%3Fraw=1", wantInErr: "malformed trace digest"},
 	}
 	for _, tc := range cases {
 		if tc.method == "" {

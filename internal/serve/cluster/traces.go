@@ -11,6 +11,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/serve/apitypes"
 	"repro/internal/serve/client"
+	"repro/internal/tracestore"
 )
 
 // Trace blobs are shard-scoped (each shard has its own -trace-dir), but
@@ -21,80 +22,68 @@ import (
 // missing the blob trigger a shard-to-shard push (ensureTrace) instead
 // of a client-visible failure.
 
-// handleTraceUpload: POST /v1/traces, streamed through to the first
-// routable shard. The body is consumed by the first attempt, so a
-// transport failure mid-upload cannot be retried here — the client
-// re-sends (its own UploadTraceFile does this).
-func (g *Gateway) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	t0 := g.CountRequest()
-	defer g.ObserveLatency(t0, "traces")
-	if g.RejectDraining(w) {
-		return
-	}
+// fleetTraces is the gateway's serve.TraceStore, served over its
+// shards' /v1/traces routes.
+type fleetTraces struct{ *Gateway }
+
+// Traces is the fleet's trace store.
+func (g *Gateway) Traces() serve.TraceStore { return fleetTraces{g} }
+
+// Put streams the upload through to the first routable shard. The body
+// is consumed by that one attempt, so a transport failure mid-upload
+// cannot be retried here — the client re-sends (its own
+// UploadTraceFile does this).
+func (g fleetTraces) Put(ctx context.Context, body io.Reader) (apitypes.TraceUploadResponse, error) {
 	for _, ss := range g.shards {
 		if !ss.br.routable() {
 			continue
 		}
-		up, err := g.pool.Raw(ss.url).UploadTrace(r.Context(), r.Body)
-		if err != nil {
-			var apiErr *client.APIError
-			if errors.As(err, &apiErr) {
-				g.WriteFailure(w, err)
-				return
-			}
+		up, err := g.pool.Raw(ss.url).UploadTrace(ctx, body)
+		var apiErr *client.APIError
+		if err != nil && !errors.As(err, &apiErr) {
 			g.shardFailed(ss)
-			g.WriteError(w, http.StatusBadGateway, apitypes.CodeInternal,
-				fmt.Errorf("cluster: upload to shard %s failed mid-stream: %v (re-send the upload)", ss.url, err))
-			return
+			return up, &client.APIError{
+				StatusCode: http.StatusBadGateway,
+				Code:       apitypes.CodeInternal,
+				Message:    fmt.Sprintf("cluster: upload to shard %s failed mid-stream: %v (re-send the upload)", ss.url, err),
+			}
 		}
-		status := http.StatusOK
-		if up.Created {
-			status = http.StatusCreated
-		}
-		serve.WriteJSON(w, status, up)
-		return
+		return up, err
 	}
-	g.WriteFailure(w, errNoShard)
+	return apitypes.TraceUploadResponse{}, errNoShard
 }
 
-// handleTraceList: GET /v1/traces — the digest-deduplicated union of
-// every routable shard's listing. TotalBytes counts each distinct blob
-// once; QuotaBytes sums the per-shard quotas (the fleet's capacity).
-func (g *Gateway) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	t0 := g.CountRequest()
-	defer g.ObserveLatency(t0, "traces")
-	type shardList struct {
-		url  string
-		resp apitypes.TraceListResponse
-		err  error
-	}
-	rows := make([]shardList, len(g.shards))
+// List is the digest-deduplicated union of every routable shard's
+// listing. TotalBytes counts each distinct blob once; QuotaBytes sums
+// the per-shard quotas (the fleet's capacity).
+func (g fleetTraces) List(ctx context.Context) apitypes.TraceListResponse {
+	rows := make([]*apitypes.TraceListResponse, len(g.shards))
 	var wg sync.WaitGroup
 	for i, ss := range g.shards {
 		if !ss.br.routable() {
-			rows[i].err = errors.New("unroutable")
 			continue
 		}
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(r.Context(), g.opts.StatszTimeout)
+			sctx, cancel := context.WithTimeout(ctx, g.opts.StatszTimeout)
 			defer cancel()
-			rows[i].url = url
-			rows[i].resp, rows[i].err = g.pool.Raw(url).Traces(sctx)
+			// Shards without -trace-dir answer 404; unreachable shards
+			// fail. Either way they hold no traces to merge.
+			if list, err := g.pool.Raw(url).Traces(sctx); err == nil {
+				rows[i] = &list
+			}
 		}(i, ss.url)
 	}
 	wg.Wait()
 	merged := apitypes.TraceListResponse{Traces: []apitypes.TraceInfo{}}
 	seen := make(map[string]bool)
 	for _, row := range rows {
-		if row.err != nil {
-			// Shards without -trace-dir answer 404; unreachable shards
-			// fail. Either way they hold no traces to merge.
+		if row == nil {
 			continue
 		}
-		merged.QuotaBytes += row.resp.QuotaBytes
-		for _, info := range row.resp.Traces {
+		merged.QuotaBytes += row.QuotaBytes
+		for _, info := range row.Traces {
 			if seen[info.Digest] {
 				continue
 			}
@@ -103,65 +92,57 @@ func (g *Gateway) handleTraceList(w http.ResponseWriter, r *http.Request) {
 			merged.TotalBytes += info.Bytes
 		}
 	}
-	serve.WriteJSON(w, http.StatusOK, merged)
+	return merged
 }
 
-// handleTraceGet: GET /v1/traces/{digest} — stat (or with ?raw=1
-// stream) the blob from the first shard that holds it.
-func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	t0 := g.CountRequest()
-	defer g.ObserveLatency(t0, "traces")
-	digest := r.PathValue("digest")
-	url, info, err := g.findTrace(r.Context(), digest)
+// Stat answers from the first routable shard holding the digest.
+func (g fleetTraces) Stat(ctx context.Context, digest string) (apitypes.TraceInfo, error) {
+	_, info, err := g.findTrace(ctx, digest)
+	return info, err
+}
+
+// Open streams the blob from the first routable shard holding it; the
+// gateway never spools the bytes.
+func (g fleetTraces) Open(ctx context.Context, digest string) (apitypes.TraceInfo, io.ReadCloser, error) {
+	url, info, err := g.findTrace(ctx, digest)
 	if err != nil {
-		g.WriteFailure(w, err)
-		return
+		return info, nil, err
 	}
-	if r.URL.Query().Get("raw") == "" {
-		serve.WriteJSON(w, http.StatusOK, info)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = g.pool.Raw(url).DownloadTrace(r.Context(), digest, w)
+	blob, err := g.pool.Raw(url).OpenTrace(ctx, digest)
+	return info, blob, err
 }
 
-// handleTraceDelete: DELETE /v1/traces/{digest}, fanned out to every
-// routable shard (the blob may be resident on several after pushes).
-// Any shard's in-use refusal wins with 409 — the trace still exists;
-// otherwise 200 if at least one shard deleted it, 404 if none held it.
-func (g *Gateway) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
-	t0 := g.CountRequest()
-	defer g.ObserveLatency(t0, "traces")
-	digest := r.PathValue("digest")
+// Delete fans out to every routable shard (the blob may be resident on
+// several after pushes). Any shard's in-use refusal wins — the trace
+// still exists; otherwise the delete succeeds if at least one shard
+// held the blob.
+func (g fleetTraces) Delete(ctx context.Context, digest string) (apitypes.TraceInfo, error) {
 	var deleted *apitypes.TraceInfo
-	var inUseErr error
+	var inUse error
 	for _, ss := range g.shards {
 		if !ss.br.routable() {
 			continue
 		}
-		info, err := g.pool.Raw(ss.url).DeleteTrace(r.Context(), digest)
+		info, err := g.pool.Raw(ss.url).DeleteTrace(ctx, digest)
 		switch {
 		case err == nil:
 			deleted = &info
 		case errors.Is(err, client.ErrTraceInUse):
-			inUseErr = fmt.Errorf("cluster: shard %s: %w", ss.url, err)
+			inUse = fmt.Errorf("cluster: shard %s: %w", ss.url, tracestore.ErrInUse)
 		}
 	}
 	switch {
-	case inUseErr != nil:
-		g.WriteError(w, http.StatusConflict, apitypes.CodeTraceInUse, inUseErr)
+	case inUse != nil:
+		return apitypes.TraceInfo{}, inUse
 	case deleted != nil:
-		serve.WriteJSON(w, http.StatusOK, *deleted)
-	default:
-		g.WriteError(w, http.StatusNotFound, apitypes.CodeTraceNotFound,
-			fmt.Errorf("cluster: trace %s not found on any shard", digest))
+		return *deleted, nil
 	}
+	return apitypes.TraceInfo{}, fmt.Errorf("cluster: trace %s not found on any shard: %w", digest, tracestore.ErrNotFound)
 }
 
 // findTrace locates the first routable shard holding digest.
 func (g *Gateway) findTrace(ctx context.Context, digest string) (string, apitypes.TraceInfo, error) {
-	var lastErr error
+	var lastErr error = errNoShard
 	for _, ss := range g.shards {
 		if !ss.br.routable() {
 			continue
@@ -172,16 +153,13 @@ func (g *Gateway) findTrace(ctx context.Context, digest string) (string, apitype
 		}
 		lastErr = err
 	}
-	if lastErr == nil {
-		lastErr = errNoShard
-	}
 	return "", apitypes.TraceInfo{}, lastErr
 }
 
 // ensureTrace makes digest resident on the target shard, copying the
-// blob over from whichever shard holds it (the gateway never spools the
-// bytes — a pipe couples the source's download stream to the target's
-// upload). Returns nil when the target already holds the blob. The
+// blob over from whichever shard holds it: the source's raw response
+// body is the target's upload body, so the gateway never spools the
+// bytes. Returns nil when the target already holds the blob. The
 // upload's returned digest must round-trip exactly: content addressing
 // makes corruption in transit a hard failure, not a silent cache entry.
 func (g *Gateway) ensureTrace(ctx context.Context, target, digest string) error {
@@ -195,17 +173,12 @@ func (g *Gateway) ensureTrace(ctx context.Context, target, digest string) error 
 		if ss.url == target || !ss.br.routable() {
 			continue
 		}
-		sc := g.pool.Raw(ss.url)
-		if _, err := sc.TraceStat(ctx, digest); err != nil {
+		blob, err := g.pool.Raw(ss.url).OpenTrace(ctx, digest)
+		if err != nil {
 			continue
 		}
-		pr, pw := io.Pipe()
-		go func() {
-			_, err := sc.DownloadTrace(ctx, digest, pw)
-			pw.CloseWithError(err)
-		}()
-		up, err := tc.UploadTrace(ctx, pr)
-		pr.Close()
+		up, err := tc.UploadTrace(ctx, blob)
+		blob.Close()
 		if err != nil {
 			return fmt.Errorf("cluster: pushing trace %.12s… from %s to %s: %w", digest, ss.url, target, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/gpusim"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/apitypes"
 	"repro/internal/serve/client"
@@ -216,6 +217,144 @@ func TestGatewayTraceSweepPushOnMiss(t *testing.T) {
 	}
 	if got := gw.mTracePushes.Value(); got != 1 {
 		t.Errorf("trace pushes = %d, want 1", got)
+	}
+}
+
+// TestGatewayTraceRawVanished: a blob that disappears between the
+// gateway's stat and its raw read is a 404 trace_not_found, not a 200
+// with an empty body — the status goes out only once the shard stream
+// is open.
+func TestGatewayTraceRawVanished(t *testing.T) {
+	s, err := serve.New(serve.Options{Workers: 1, TraceDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("raw") != "" {
+			serve.WriteJSON(w, http.StatusNotFound, apitypes.ErrorResponse{Error: apitypes.ErrorBody{
+				Code: apitypes.CodeTraceNotFound, Message: "evicted between stat and read",
+			}})
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	gw, err := New(Options{Shards: []string{ts.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	h := gw.Handler()
+	blob, digest := gwTraceBlob(t, 4)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(blob)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("upload: %d %s", rec.Code, rec.Body)
+	}
+	rec = gwGet(t, h, "/v1/traces/"+digest+"?raw=1")
+	var env apitypes.ErrorResponse
+	mustDecode(t, rec, &env)
+	if rec.Code != http.StatusNotFound || env.Error.Code != apitypes.CodeTraceNotFound {
+		t.Fatalf("raw read of a vanished blob: %d code %q, want 404 trace_not_found", rec.Code, env.Error.Code)
+	}
+}
+
+// TestTraceRoutesAcrossFrontEnds walks the trace lifecycle against an
+// imtd handler and an imtgw-over-one-shard handler: both must answer
+// every step with the same status and envelope code, count and time
+// every trace request under route="traces", and time statsz without
+// counting it as a request.
+func TestTraceRoutesAcrossFrontEnds(t *testing.T) {
+	single, err := serve.New(serve.Options{Workers: 1, TraceDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, _ := newTraceFleet(t, 1)
+	targets := []struct {
+		name, prefix string
+		h            http.Handler
+		fe           *serve.Frontend
+	}{{"imtd", "serve", single.Handler(), single.Frontend}, {"imtgw", "serve_gw", gw.Handler(), gw.Frontend}}
+
+	blob, digest := gwTraceBlob(t, 5)
+	steps := []struct {
+		name, method, path string
+		body               []byte
+		draining           bool
+		wantStatus         int
+		wantCode           string
+	}{
+		{name: "upload", method: "POST", path: "/v1/traces", body: blob, wantStatus: 201},
+		{name: "re-upload", method: "POST", path: "/v1/traces", body: blob, wantStatus: 200},
+		{name: "list", method: "GET", path: "/v1/traces", wantStatus: 200},
+		{name: "stat", method: "GET", path: "/v1/traces/" + digest, wantStatus: 200},
+		{name: "raw", method: "GET", path: "/v1/traces/" + digest + "?raw=1", wantStatus: 200},
+		{name: "corrupt upload", method: "POST", path: "/v1/traces", body: []byte("not a trace"), wantStatus: 400, wantCode: apitypes.CodeBadRequest},
+		{name: "upload while draining", method: "POST", path: "/v1/traces", body: blob, draining: true, wantStatus: 503, wantCode: apitypes.CodeDraining},
+		{name: "delete", method: "DELETE", path: "/v1/traces/" + digest, wantStatus: 200},
+		{name: "stat after delete", method: "GET", path: "/v1/traces/" + digest, wantStatus: 404, wantCode: apitypes.CodeTraceNotFound},
+		{name: "delete again", method: "DELETE", path: "/v1/traces/" + digest, wantStatus: 404, wantCode: apitypes.CodeTraceNotFound},
+	}
+	for _, tg := range targets {
+		for _, st := range steps {
+			tg.fe.SetDraining(st.draining)
+			rec := httptest.NewRecorder()
+			tg.h.ServeHTTP(rec, httptest.NewRequest(st.method, st.path, bytes.NewReader(st.body)))
+			tg.fe.SetDraining(false)
+			if rec.Code != st.wantStatus {
+				t.Fatalf("%s %s: status %d, want %d (body %s)", tg.name, st.name, rec.Code, st.wantStatus, rec.Body)
+			}
+			switch {
+			case st.wantCode != "":
+				var env apitypes.ErrorResponse
+				mustDecode(t, rec, &env)
+				if env.Error.Code != st.wantCode {
+					t.Errorf("%s %s: code %q, want %q", tg.name, st.name, env.Error.Code, st.wantCode)
+				}
+				if st.wantStatus == 503 && rec.Header().Get("Retry-After") == "" {
+					t.Errorf("%s %s: 503 without Retry-After", tg.name, st.name)
+				}
+			case st.name == "list":
+				var list apitypes.TraceListResponse
+				mustDecode(t, rec, &list)
+				if len(list.Traces) != 1 || list.Traces[0].Digest != digest || list.TotalBytes != int64(len(blob)) {
+					t.Errorf("%s list = %+v", tg.name, list)
+				}
+			case st.name == "raw":
+				if !bytes.Equal(rec.Body.Bytes(), blob) {
+					t.Errorf("%s raw read: %d bytes, want the %d uploaded", tg.name, rec.Body.Len(), len(blob))
+				}
+				if got, want := rec.Header().Get("Content-Length"), fmt.Sprint(len(blob)); got != want {
+					t.Errorf("%s raw read: Content-Length %q, want %q", tg.name, got, want)
+				}
+			default:
+				var info apitypes.TraceInfo
+				mustDecode(t, rec, &info)
+				if info.Digest != digest || info.Bytes != int64(len(blob)) {
+					t.Errorf("%s %s: info %+v", tg.name, st.name, info)
+				}
+			}
+		}
+
+		reg := tg.fe.Hub().Metrics
+		requests := reg.Counter(tg.prefix+"_requests_total", "")
+		latency := reg.HistogramVec(tg.prefix+"_request_seconds", "route", "", obs.DurationBuckets)
+		if got := latency.With("traces").Count(); got != uint64(len(steps)) {
+			t.Errorf("%s: %d requests timed under route=traces, want %d", tg.name, got, len(steps))
+		}
+		if got := requests.Value(); got != uint64(len(steps)) {
+			t.Errorf("%s: %d requests counted, want %d", tg.name, got, len(steps))
+		}
+		if rec := gwGet(t, tg.h, "/v1/statsz"); rec.Code != http.StatusOK {
+			t.Fatalf("%s statsz: %d", tg.name, rec.Code)
+		}
+		if got := requests.Value(); got != uint64(len(steps)) {
+			t.Errorf("%s: statsz counted as a request (%d, want %d)", tg.name, got, len(steps))
+		}
+		if got := latency.With("statsz").Count(); got != 1 {
+			t.Errorf("%s: %d requests timed under route=statsz, want 1", tg.name, got)
+		}
 	}
 }
 

@@ -99,6 +99,14 @@ type Executor interface {
 	// order and never concurrently; it returns after the last emit.
 	// sinkFor, when non-nil, supplies each cell's live-sample sink.
 	Sweep(ctx context.Context, req apitypes.SweepRequest, cells []Cell, sinkFor func(Cell) func(runner.LiveSample), emit func(apitypes.CellResult, error))
+	// Traces is the store behind /v1/traces*; nil answers those routes
+	// with 404 trace_not_found.
+	Traces() TraceStore
+	// Statsz is the /v1/statsz body.
+	Statsz(ctx context.Context) any
+	// NotReady is why the executor cannot take work right now ("" when
+	// it can); /v1/healthz reports it with a 503.
+	NotReady() string
 }
 
 // FrontendMetrics are the series a Frontend records into. Each
@@ -157,6 +165,9 @@ func (f *Frontend) Hub() *obs.Hub { return f.opts.Obs }
 //	POST /v1/sim        one cell → CellResult JSON
 //	POST /v1/sweep      grid → NDJSON CellResult stream + SweepSummary
 //	GET  /v1/workloads  catalog listing
+//	*    /v1/traces*    the executor's TraceStore (see handleTraces)
+//	GET  /v1/statsz     the executor's Statsz snapshot
+//	GET  /v1/healthz    200 ok / 503 draining or not ready
 //
 // plus, when Debug is set, the obs debug mux (/metrics,
 // /metrics.json, /debug/vars, /debug/pprof/).
@@ -165,6 +176,12 @@ func (f *Frontend) Mux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/sim", f.handleSim)
 	mux.HandleFunc("POST /v1/sweep", f.handleSweep)
 	mux.HandleFunc("GET /v1/workloads", f.handleWorkloads)
+	mux.HandleFunc("POST /v1/traces", f.handleTraces)
+	mux.HandleFunc("GET /v1/traces", f.handleTraces)
+	mux.HandleFunc("GET /v1/traces/{digest}", f.handleTraces)
+	mux.HandleFunc("DELETE /v1/traces/{digest}", f.handleTraces)
+	mux.HandleFunc("GET /v1/statsz", f.handleStatsz)
+	mux.HandleFunc("GET /v1/healthz", f.handleHealthz)
 	if f.opts.Debug {
 		dbg := obs.DebugMux(f.opts.Obs.Metrics)
 		mux.Handle("/debug/", dbg)
@@ -380,6 +397,30 @@ func (f *Frontend) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	}
 	sort.Slice(resp.Workloads, func(i, j int) bool { return resp.Workloads[i].Name < resp.Workloads[j].Name })
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// handleStatsz is timed but not counted as an API request, so polling
+// it leaves the counters it reports unchanged.
+func (f *Frontend) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(time.Now(), "statsz")
+	WriteJSON(w, http.StatusOK, f.exec.Statsz(r.Context()))
+}
+
+// handleHealthz answers {"status":"ok"}, or 503 + Retry-After with the
+// reason while draining or while the executor is not ready.
+func (f *Frontend) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	status := "ok"
+	if f.Draining() {
+		status = "draining"
+	} else if why := f.exec.NotReady(); why != "" {
+		status = why
+	}
+	code := http.StatusOK
+	if status != "ok" {
+		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
+		code = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, code, map[string]string{"status": status})
 }
 
 // resolveCell validates one cell against the catalog and mode table,

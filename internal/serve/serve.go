@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,20 +223,15 @@ func (s *Server) engineOptions() runner.Options {
 }
 
 // Handler returns the server's HTTP handler: the Frontend's shared
-// routes (POST /v1/sim, POST /v1/sweep, GET /v1/workloads and the
-// debug mux) plus imtd's own:
+// routes (sim, sweep, workloads, traces over the local store, statsz,
+// healthz and the debug mux) plus imtd's own:
 //
 //	POST   /v1/jobs             durable job submit → JobInfo (202)
 //	GET    /v1/jobs             job listing (?tenant= filters)
 //	GET    /v1/jobs/{id}        job poll → JobInfo
 //	GET    /v1/jobs/{id}/stream NDJSON JobFrame stream (?from=N resumes)
 //	DELETE /v1/jobs/{id}        cancel → JobInfo
-//	POST   /v1/traces           trace upload → TraceUploadResponse
-//	GET    /v1/traces[/{d}]     trace listing / stat (?raw=1 streams)
-//	DELETE /v1/traces/{d}       trace delete
 //	GET    /v1/watch/{room}     SSE telemetry stream (?from=N resumes)
-//	GET    /v1/statsz           StatsSnapshot (activity counters)
-//	GET    /v1/healthz          200 ok / 503 draining
 func (s *Server) Handler() http.Handler {
 	mux := s.Mux()
 	if s.jobs != nil {
@@ -251,24 +245,23 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/v1/jobs", off)
 		mux.HandleFunc("/v1/jobs/", off)
 	}
-	if s.traces != nil {
-		mux.HandleFunc("POST /v1/traces", s.handleTraceUpload)
-		mux.HandleFunc("GET /v1/traces", s.handleTraceList)
-		mux.HandleFunc("GET /v1/traces/{digest}", s.handleTraceGet)
-		mux.HandleFunc("DELETE /v1/traces/{digest}", s.handleTraceDelete)
-	} else {
-		// trace_not_found, so clients see one code for "this shard
-		// cannot serve this trace" whether the store is absent or the
-		// blob is.
-		off := s.Unserved(apitypes.CodeTraceNotFound, "serve: trace store disabled (start the daemon with -trace-dir)")
-		mux.HandleFunc("/v1/traces", off)
-		mux.HandleFunc("/v1/traces/", off)
-	}
 	mux.HandleFunc("GET /v1/watch/{room}", s.handleWatch)
-	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	return mux
 }
+
+// Traces is the local trace store, nil without -trace-dir.
+func (s *Server) Traces() TraceStore {
+	if s.traces == nil {
+		return nil
+	}
+	return localTraces{s.traces}
+}
+
+// Statsz is Stats, the /v1/statsz body.
+func (s *Server) Statsz(context.Context) any { return s.Stats() }
+
+// NotReady is always "": a running imtd can take work.
+func (s *Server) NotReady() string { return "" }
 
 // Check is the trace-store pre-check: a trace cell must name a blob
 // this daemon holds, recorded for no more SMs than the machine has.
@@ -277,7 +270,7 @@ func (s *Server) Check(cell Cell) error {
 		return nil
 	}
 	if s.traces == nil {
-		return fmt.Errorf("%w: trace store disabled (start the daemon with -trace-dir)", tracestore.ErrNotFound)
+		return errTracesDisabled
 	}
 	info, err := s.traces.Stat(cell.Digest)
 	if err != nil {
@@ -505,19 +498,6 @@ func (s *Server) Stats() apitypes.StatsSnapshot {
 		}
 	}
 	return snap
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.Draining() {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Manifest pins this server run: the construction-time identity plus

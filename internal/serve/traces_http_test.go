@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,11 +138,15 @@ func TestTraceUploadRejections(t *testing.T) {
 	}
 
 	disabled := mustNew(t, Options{Workers: 2}).Handler()
-	for _, path := range []string{"/v1/traces", "/v1/traces/" + "ab"} {
+	for _, path := range []string{"/v1/traces", "/v1/traces/" + strings.Repeat("ab", 32)} {
 		rec := get(t, disabled, path)
 		if rec.Code != http.StatusNotFound || errCode(t, rec) != apitypes.CodeTraceNotFound {
 			t.Errorf("disabled store %s: %d code %q", path, rec.Code, errCode(t, rec))
 		}
+	}
+	// A malformed digest is the client's mistake whatever the store.
+	if rec := get(t, disabled, "/v1/traces/ab"); rec.Code != http.StatusBadRequest || errCode(t, rec) != apitypes.CodeBadRequest {
+		t.Errorf("malformed digest: %d code %q", rec.Code, errCode(t, rec))
 	}
 }
 

@@ -13,7 +13,12 @@
 #   4. a required doc section or cross-link is missing, an API error
 #      code (apitypes Code*) has no row in OPERATIONS.md's status
 #      table, or OPERATIONS.md does not name the runner cache schema
-#      version (cacheVersion) it carries an upgrade note for.
+#      version (cacheVersion) it carries an upgrade note for;
+#   5. a "METHOD /v1/..." route pattern registered in non-test
+#      internal/serve code appears verbatim in neither OPERATIONS.md
+#      nor DESIGN.md (a route that only shows up as the prefix of a
+#      longer one — `GET /v1/jobs` inside `GET /v1/jobs/{id}` — does
+#      not count).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,6 +99,19 @@ for series in serve_requests_total serve_jobs_submitted_total \
     grep -q "$series" OPERATIONS.md \
         || err "OPERATIONS.md metrics reference is missing $series"
 done
+
+# ---- 5. every registered route is documented ------------------------
+routes=$(find internal/serve -name '*.go' ! -name '*_test.go' \
+        -exec grep -hoE '"(GET|POST|PUT|PATCH|DELETE) /v1/[^"]*"' {} + | tr -d '"' | sort -u)
+[ -n "$routes" ] || err "no /v1 route patterns found in internal/serve"
+while IFS= read -r route; do
+    [ -n "$route" ] || continue
+    re=$(printf '%s' "$route" | sed 's/[{}]/\\&/g')
+    grep -qE -- "${re}([^/{A-Za-z0-9_-]|\$)" OPERATIONS.md DESIGN.md \
+        || err "route '$route' is registered in internal/serve but documented in neither OPERATIONS.md nor DESIGN.md"
+done <<ROUTES
+$routes
+ROUTES
 
 [ "$fail" = 0 ] && echo "check-docs: PASS"
 exit "$fail"
