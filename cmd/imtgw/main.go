@@ -15,8 +15,10 @@
 // /v1/statsz and /v1/healthz API as a single imtd, so clients (imtload,
 // curl, internal/serve/client) point at it unchanged. /v1/statsz
 // answers the fleet-wide aggregate plus a per-shard breakdown with
-// breaker states. Jobs and watch rooms are shard-scoped; their routes
-// answer 404 with a hint to address a shard directly.
+// breaker states. Every route is the shared front end's, the same code
+// imtd serves. Jobs and watch rooms are shard-scoped: the gateway runs
+// no job queue and hosts no rooms, so the shared handlers answer
+// their routes with 404 not_found.
 //
 // Shard health is probed every -probe-interval; a failed probe or
 // request opens the shard's circuit breaker and traffic reroutes to

@@ -45,8 +45,12 @@ func newAdmission(workers, queue int, metrics *obs.Registry) *admission {
 // acquire blocks until an execution slot is free or ctx is done, and
 // returns an idempotent release function. Impatient callers are
 // rejected with ErrQueueFull instead of waiting when the queue is at
-// capacity.
+// capacity. A ctx already done gets no slot, so the cells a canceled
+// job or sweep has not started yet never reach the engine.
 func (a *admission) acquire(ctx context.Context, patient bool) (func(), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// Fast path: a free slot means no queueing at all.
 	select {
 	case a.slots <- struct{}{}:

@@ -54,9 +54,11 @@
 // Rerouted cells arrive flagged rerouted:true with their serving
 // shard in shard:, and the summary counts them.
 //
-// Jobs and telemetry rooms are shard-scoped resources (a WAL and an
-// in-memory broadcast live on exactly one shard); the gateway answers
-// their routes with 404 and a hint to address a shard directly.
+// The gateway declares no routes: it serves serve.Frontend's one route
+// table. Jobs and telemetry rooms are shard-scoped resources (a WAL and
+// an in-memory broadcast live on exactly one shard), so the gateway
+// installs no job manager and no room registry, and the shared handlers
+// answer their routes with 404 not_found, saying where they are served.
 //
 // See OPERATIONS.md at the repository root for the operator's
 // handbook: topologies, flag reference, failure modes, and drain

@@ -63,7 +63,8 @@ func (o Options) withDefaults() Options {
 // across the fleet on their runner cache keys, scatters sweep grids as
 // per-shard POST /v1/sweep cell lists, merges the shards' NDJSON
 // streams in completion order, and reroutes cells off shards that fail
-// mid-flight. Construct with New, mount Handler, stop with Close.
+// mid-flight. Construct with New, serve the Frontend's Handler, stop
+// with Close.
 type Gateway struct {
 	*serve.Frontend
 	opts   Options
@@ -153,20 +154,6 @@ func (g *Gateway) Close() {
 func (g *Gateway) Drain(context.Context) error {
 	g.Close()
 	return nil
-}
-
-// Handler returns the gateway's HTTP handler: the Frontend's shared
-// routes (sim, sweep, workloads, traces over the fleet, statsz,
-// healthz and the debug mux). Jobs and telemetry rooms are
-// shard-scoped resources (a WAL and a broadcast live on one shard);
-// their routes answer 404 with a hint to address a shard directly.
-func (g *Gateway) Handler() http.Handler {
-	mux := g.Mux()
-	scoped := g.Unserved(apitypes.CodeNotFound, "cluster: jobs and watch rooms are shard-scoped; address an imtd shard directly")
-	mux.HandleFunc("/v1/jobs", scoped)
-	mux.HandleFunc("/v1/jobs/", scoped)
-	mux.HandleFunc("/v1/watch/", scoped)
-	return mux
 }
 
 // Check accepts every resolved cell: trace blobs live on the shards,

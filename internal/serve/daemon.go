@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Service is what a Daemon serves: a Frontend with its executor's
-// routes mounted (serve.Server for imtd, cluster.Gateway for imtgw).
+// Service is what a Daemon serves: a Frontend over its executor
+// (serve.Server for imtd, cluster.Gateway for imtgw).
 type Service interface {
 	Handler() http.Handler
 	SetDraining(bool)

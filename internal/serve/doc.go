@@ -11,9 +11,12 @@
 // refusal, cell resolution (catalog workload or trace digest, tag mode,
 // carve, runner.CacheKeyFor computed once), (workload, mode)-
 // deduplicated sweep expansion, deadline clamping, the error envelope
-// and failure table, NDJSON streaming, GET /v1/workloads and latency
-// metrics. Behind it sits an Executor; Server is the local one and
-// cluster.Gateway the ring one. Daemon gives both binaries the same
+// and failure table, NDJSON streaming, and every route both binaries
+// serve — sim, sweep, workloads, traces, statsz, healthz, jobs and
+// watch — with their request accounting. Behind it sits an Executor;
+// Server is the local one and cluster.Gateway the ring one. Jobs and
+// watch rooms are front-end state only Server installs; without them
+// those routes answer 404. Daemon gives both binaries the same
 // Listen/Run lifecycle.
 //
 // Server adds, on top of internal/runner, the production-shape layers

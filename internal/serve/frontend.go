@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/serve/apitypes"
 	"repro/internal/serve/client"
+	"repro/internal/serve/jobs"
 	"repro/internal/serve/rooms"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
@@ -81,6 +83,10 @@ type Cell struct {
 	SampleInterval uint64
 	// Digest is the trace store digest of a trace:<digest> cell.
 	Digest string
+	// Timeout, when non-zero, bounds this cell alone: a job's
+	// timeout_ms is per cell. Interactive cells leave it zero and run
+	// under their request's deadline.
+	Timeout time.Duration
 	// Key is runner.CacheKeyFor of the cell: the coalescing key on a
 	// shard, the ring position on a gateway.
 	Key string
@@ -131,11 +137,21 @@ type Frontend struct {
 	draining atomic.Bool
 	started  time.Time
 
-	// rooms hosts watch:true telemetry; nil refuses watch requests (a
-	// gateway: rooms are shard-scoped). watchSample is the sampling
-	// interval forced onto watch requests that set none.
+	// rooms hosts watch:true telemetry; nil refuses watch requests and
+	// answers /v1/watch with 404 (a gateway: rooms are shard-scoped).
+	// watchSample is the sampling interval forced onto watch requests
+	// that set none.
 	rooms       *rooms.Registry
 	watchSample uint64
+
+	// jobs runs /v1/jobs over its WAL; nil answers the job routes with
+	// 404 (imtd without -jobs-dir, and imtgw). jobRooms maps job ID →
+	// telemetry room for watch:true jobs. The mapping is in-memory like
+	// the rooms themselves: resumed jobs get a fresh room on their first
+	// post-restart cell.
+	jobs       *jobs.Manager
+	jobRoomsMu sync.Mutex
+	jobRooms   map[string]*rooms.Room
 }
 
 // NewFrontend builds the front end over exec. opts must already carry
@@ -148,6 +164,7 @@ func NewFrontend(opts FrontendOptions, exec Executor, m FrontendMetrics, manifes
 		manifest: manifest,
 		byName:   make(map[string]workload.Workload),
 		started:  time.Now(),
+		jobRooms: make(map[string]*rooms.Room),
 	}
 	for _, w := range workload.Catalog() {
 		f.byName[w.Name] = w
@@ -159,19 +176,26 @@ func NewFrontend(opts FrontendOptions, exec Executor, m FrontendMetrics, manifes
 // cell log).
 func (f *Frontend) Hub() *obs.Hub { return f.opts.Obs }
 
-// Mux returns a mux carrying the shared routes; the executor adds its
-// own before serving it:
+// Handler returns the one route table imtd and imtgw both serve:
 //
-//	POST /v1/sim        one cell → CellResult JSON
-//	POST /v1/sweep      grid → NDJSON CellResult stream + SweepSummary
-//	GET  /v1/workloads  catalog listing
-//	*    /v1/traces*    the executor's TraceStore (see handleTraces)
-//	GET  /v1/statsz     the executor's Statsz snapshot
-//	GET  /v1/healthz    200 ok / 503 draining or not ready
+//	POST   /v1/sim              one cell → CellResult JSON
+//	POST   /v1/sweep            grid → NDJSON CellResult stream + SweepSummary
+//	GET    /v1/workloads        catalog listing
+//	*      /v1/traces*          the executor's TraceStore (see handleTraces)
+//	GET    /v1/statsz           the executor's Statsz snapshot
+//	GET    /v1/healthz          200 ok / 503 draining or not ready
+//	POST   /v1/jobs             durable job submit → JobInfo (202)
+//	GET    /v1/jobs             job listing (?tenant= filters)
+//	GET    /v1/jobs/{id}        job poll → JobInfo
+//	GET    /v1/jobs/{id}/stream NDJSON JobFrame stream (?from=N resumes)
+//	DELETE /v1/jobs/{id}        cancel → JobInfo
+//	GET    /v1/watch/{room}     SSE telemetry stream (?from=N resumes)
 //
 // plus, when Debug is set, the obs debug mux (/metrics,
-// /metrics.json, /debug/vars, /debug/pprof/).
-func (f *Frontend) Mux() *http.ServeMux {
+// /metrics.json, /debug/vars, /debug/pprof/). Without a job manager
+// every /v1/jobs route, and without rooms every /v1/watch route,
+// answers 404 not_found saying where they are served.
+func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sim", f.handleSim)
 	mux.HandleFunc("POST /v1/sweep", f.handleSweep)
@@ -182,6 +206,22 @@ func (f *Frontend) Mux() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/traces/{digest}", f.handleTraces)
 	mux.HandleFunc("GET /v1/statsz", f.handleStatsz)
 	mux.HandleFunc("GET /v1/healthz", f.handleHealthz)
+	if f.jobs != nil {
+		mux.HandleFunc("POST /v1/jobs", f.handleJobSubmit)
+		mux.HandleFunc("GET /v1/jobs", f.handleJobList)
+		mux.HandleFunc("GET /v1/jobs/{id}", f.handleJobGet)
+		mux.HandleFunc("GET /v1/jobs/{id}/stream", f.handleJobStream)
+		mux.HandleFunc("DELETE /v1/jobs/{id}", f.handleJobCancel)
+	} else {
+		off := f.unserved("serve: no job queue here (jobs run on an imtd started with -jobs-dir)")
+		mux.HandleFunc("/v1/jobs", off)
+		mux.HandleFunc("/v1/jobs/", off)
+	}
+	if f.rooms != nil {
+		mux.HandleFunc("GET /v1/watch/{room}", f.handleWatch)
+	} else {
+		mux.HandleFunc("/v1/watch/", f.unserved("serve: no watch rooms here (a room lives on the imtd shard that ran the watched request)"))
+	}
 	if f.opts.Debug {
 		dbg := obs.DebugMux(f.opts.Obs.Metrics)
 		mux.Handle("/debug/", dbg)
@@ -246,7 +286,7 @@ func (f *Frontend) handleSim(w http.ResponseWriter, r *http.Request) {
 		f.writeInvalid(w, err)
 		return
 	}
-	ctx, cancel := f.requestContext(r.Context(), req.TimeoutMs, f.opts.DefaultTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), f.timeout(req.TimeoutMs, f.opts.DefaultTimeout))
 	defer cancel()
 	var sink func(runner.LiveSample)
 	var room *rooms.Room
@@ -291,7 +331,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 		f.writeInvalid(w, err)
 		return
 	}
-	ctx, cancel := f.requestContext(r.Context(), req.TimeoutMs, f.opts.MaxTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), f.timeout(req.TimeoutMs, f.opts.MaxTimeout))
 	defer cancel()
 
 	var room *rooms.Room
@@ -314,18 +354,11 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	shards := make(map[string]bool)
 	clientGone := false
 	f.exec.Sweep(ctx, req, cells, sinkFor, func(res apitypes.CellResult, err error) {
-		if err != nil {
-			res.Error = err.Error()
-			res.Stats = nil
-			f.countError(err)
-		}
+		f.settleCell(room, &res, err)
 		if res.Error != "" {
 			summary.Failed++
-		} else {
-			count(f.metrics.Cells)
 		}
 		if room != nil {
-			publishCellDone(room, res, nil)
 			res.WatchRoom = room.Code()
 		}
 		if res.Cached {
@@ -362,6 +395,23 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(summary)
 	if flusher != nil {
 		flusher.Flush()
+	}
+}
+
+// settleCell does a finished sweep or job cell's accounting: an error
+// becomes the result's Error, the cell counts as served or as its
+// failure class, and a watched cell's done frame is published.
+func (f *Frontend) settleCell(room *rooms.Room, res *apitypes.CellResult, err error) {
+	if err != nil {
+		res.Error = err.Error()
+		res.Stats = nil
+		f.countError(err)
+	}
+	if res.Error == "" {
+		count(f.metrics.Cells)
+	}
+	if room != nil {
+		publishCellDone(room, *res, nil)
 	}
 }
 
@@ -538,17 +588,14 @@ func (f *Frontend) ExpandSweep(req apitypes.SweepRequest) ([]Cell, error) {
 	return cells, nil
 }
 
-// requestContext derives the cell-execution context: the request's
-// timeout_ms clamped to MaxTimeout, or fallback when unset.
-func (f *Frontend) requestContext(parent context.Context, timeoutMs int64, fallback time.Duration) (context.Context, context.CancelFunc) {
+// timeout is a request's deadline: its timeout_ms clamped to
+// MaxTimeout, or fallback when unset.
+func (f *Frontend) timeout(timeoutMs int64, fallback time.Duration) time.Duration {
 	d := fallback
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
-	if d > f.opts.MaxTimeout {
-		d = f.opts.MaxTimeout
-	}
-	return context.WithTimeout(parent, d)
+	return min(d, f.opts.MaxTimeout)
 }
 
 // CountRequest counts one API request and returns its start time for
@@ -575,14 +622,14 @@ func (f *Frontend) RejectDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-// Unserved answers a route this process does not serve with a 404
-// whose message says why, so a client pointed at the wrong process is
-// not left guessing.
-func (f *Frontend) Unserved(code, why string) http.HandlerFunc {
+// unserved answers a route this process does not serve with a 404
+// not_found whose message says why, so a client pointed at the wrong
+// process is not left guessing.
+func (f *Frontend) unserved(why string) http.HandlerFunc {
 	err := errors.New(why)
 	return func(w http.ResponseWriter, _ *http.Request) {
 		f.CountRequest()
-		f.WriteError(w, http.StatusNotFound, code, err)
+		f.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
 	}
 }
 

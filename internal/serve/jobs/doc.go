@@ -11,7 +11,10 @@
 // and GC tombstones. State transitions are fsynced; completion markers
 // are written straight through (durable against process death — only a
 // machine crash can lose the tail, and a lost marker merely costs one
-// cache-hit recompute on resume). On Open the log is replayed into the
+// cache-hit recompute on resume). An append that fails is cut back to
+// the last whole record before the error returns, so no later record
+// is written behind torn bytes; a log that cannot be cut back closes
+// the store. On Open the log is replayed into the
 // in-memory job table; a torn final record (the write the crash
 // interrupted) is detected and truncated away, while corruption
 // anywhere earlier is refused. Compaction rewrites the log from live
@@ -36,9 +39,10 @@
 // The Manager starts up to JobWorkers jobs concurrently, picking the
 // next job round-robin across tenants (lexicographic tenant order,
 // cursor after the last-served tenant) so one tenant's backlog cannot
-// starve another's. Within a job, up to CellParallel cells execute
-// concurrently through the callback the serving layer provides — which
-// routes them through the same admission control, coalescing and cache
-// as interactive requests. Finished jobs older than TTL are garbage
-// collected and the WAL compacted.
+// starve another's. A job's pending cells go to the serving layer's
+// RunCells callback in one call, which runs them as one executor sweep:
+// the sweep's worker pool bounds a job's cells, and they take the same
+// admission control, coalescing and cache as interactive requests. The
+// manager records each cell the callback emits as a frame. Finished
+// jobs older than TTL are garbage collected and the WAL compacted.
 package jobs

@@ -4,35 +4,33 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve/apitypes"
 )
 
-// RunCell executes one cell of a job and returns its result — possibly
-// a failed one (Error set), which still becomes a frame. A non-nil
-// error means the cell was *abandoned* (the manager is stopping or the
-// job was canceled): no frame is recorded and the cell stays pending
-// for a future resume.
-type RunCell func(ctx context.Context, job apitypes.JobInfo, cell apitypes.CellRef) (apitypes.CellResult, error)
+// RunCells executes a job's pending cells, calling emit once per
+// finished cell — never concurrently — and returning after the last
+// emit. A failed cell is emitted with Error set and still becomes a
+// frame. A cell the runner does not emit is *abandoned* (the manager is
+// stopping or the job was canceled): no frame is recorded and it stays
+// pending for a future resume.
+type RunCells func(ctx context.Context, job apitypes.JobInfo, cells []apitypes.CellRef, emit func(apitypes.CellResult))
 
 // ManagerOptions configures a Manager.
 type ManagerOptions struct {
-	// Run executes one cell (required).
-	Run RunCell
+	// Run executes a job's pending cells (required); it alone bounds
+	// their concurrency.
+	Run RunCells
 	// JobWorkers bounds concurrently running jobs (default 2).
 	JobWorkers int
-	// CellParallel bounds concurrently executing cells per job (default
-	// 2). Actual simulation concurrency is still governed by the serving
-	// layer's admission control.
-	CellParallel int
 	// TTL is how long finished jobs are retained before GC (default 1h).
 	TTL time.Duration
 	// GCInterval is how often the GC sweep runs (default 1m).
 	GCInterval time.Duration
-	// Registry receives serve_jobs_* metrics (nil = none).
+	// Registry receives serve_jobs_* metrics (nil = a private one, so
+	// Stats still counts).
 	Registry *obs.Registry
 	// Now is the clock (tests override it; default time.Now).
 	Now func() time.Time
@@ -41,9 +39,6 @@ type ManagerOptions struct {
 func (o ManagerOptions) withDefaults() ManagerOptions {
 	if o.JobWorkers <= 0 {
 		o.JobWorkers = 2
-	}
-	if o.CellParallel <= 0 {
-		o.CellParallel = 2
 	}
 	if o.TTL <= 0 {
 		o.TTL = time.Hour
@@ -54,11 +49,14 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 	if o.Now == nil {
 		o.Now = time.Now
 	}
+	if o.Registry == nil {
+		o.Registry = obs.NewRegistry()
+	}
 	return o
 }
 
 // Manager schedules the store's queued jobs: round-robin across
-// tenants, bounded job and per-job cell concurrency, TTL-based GC, and
+// tenants, bounded job concurrency, TTL-based GC, and
 // crash-consistent bookkeeping through the store's WAL.
 type Manager struct {
 	st   *Store
@@ -74,11 +72,7 @@ type Manager struct {
 	cursor  string // last tenant served (round-robin position)
 	cancels map[string]context.CancelFunc
 
-	// Lifetime totals (mirrored into the obs registry when present).
-	submitted, done, failed, canceled atomic.Uint64
-	resumedJobs                       atomic.Uint64
-	cells, cellsResumed, cellsFailed  atomic.Uint64
-
+	// Lifetime totals, read back by Stats.
 	mSubmitted, mDone, mFailed, mCanceled *obs.Counter
 	mResumedJobs, mCells, mCellsResumed   *obs.Counter
 	mCellsFailed                          *obs.Counter
@@ -99,21 +93,23 @@ func NewManager(st *Store, opts ManagerOptions) *Manager {
 		wake:    make(chan struct{}, 1),
 		cancels: make(map[string]context.CancelFunc),
 	}
-	if reg := opts.Registry; reg != nil {
-		m.mSubmitted = reg.Counter("serve_jobs_submitted_total", "jobs submitted")
-		m.mDone = reg.Counter("serve_jobs_done_total", "jobs completed")
-		m.mFailed = reg.Counter("serve_jobs_failed_total", "jobs failed (every cell failed)")
-		m.mCanceled = reg.Counter("serve_jobs_canceled_total", "jobs canceled")
-		m.mResumedJobs = reg.Counter("serve_jobs_resumed_total", "jobs resumed after a daemon restart")
-		m.mCells = reg.Counter("serve_jobs_cells_total", "job cells completed")
-		m.mCellsResumed = reg.Counter("serve_jobs_cells_resumed_total", "job cells recovered without recompute after a restart")
-		m.mCellsFailed = reg.Counter("serve_jobs_cells_failed_total", "job cells that finished with an error")
-		m.gQueued = reg.Gauge("serve_jobs_queued", "jobs waiting to run")
-		m.gRunning = reg.Gauge("serve_jobs_running", "jobs currently running")
-		m.gWALBytes = reg.Gauge("serve_jobs_wal_bytes", "job WAL size in bytes")
-	}
+	reg := opts.Registry
+	m.mSubmitted = reg.Counter("serve_jobs_submitted_total", "jobs submitted")
+	m.mDone = reg.Counter("serve_jobs_done_total", "jobs completed")
+	m.mFailed = reg.Counter("serve_jobs_failed_total", "jobs failed (every cell failed)")
+	m.mCanceled = reg.Counter("serve_jobs_canceled_total", "jobs canceled")
+	m.mResumedJobs = reg.Counter("serve_jobs_resumed_total", "jobs resumed after a daemon restart")
+	m.mCells = reg.Counter("serve_jobs_cells_total", "job cells completed")
+	m.mCellsResumed = reg.Counter("serve_jobs_cells_resumed_total", "job cells recovered without recompute after a restart")
+	m.mCellsFailed = reg.Counter("serve_jobs_cells_failed_total", "job cells that finished with an error")
+	m.gQueued = reg.Gauge("serve_jobs_queued", "jobs waiting to run")
+	m.gRunning = reg.Gauge("serve_jobs_running", "jobs currently running")
+	m.gWALBytes = reg.Gauge("serve_jobs_wal_bytes", "job WAL size in bytes")
 	return m
 }
+
+// Store is the job table the manager schedules from.
+func (m *Manager) Store() *Store { return m.st }
 
 // Start requeues crash-interrupted jobs and launches the scheduler and
 // GC loops.
@@ -123,16 +119,11 @@ func (m *Manager) Start() error {
 		return err
 	}
 	for _, id := range resumed {
-		m.resumedJobs.Add(1)
-		m.count(m.mResumedJobs)
+		m.mResumedJobs.Inc()
 		// Frames replayed from the WAL are cells recovered without
 		// recompute; account for them in this lifetime's counters.
 		if info, ok := m.st.Get(id); ok && info.ResumedCells > 0 {
-			n := uint64(info.ResumedCells)
-			m.cellsResumed.Add(n)
-			if m.mCellsResumed != nil {
-				m.mCellsResumed.Add(n)
-			}
+			m.mCellsResumed.Add(uint64(info.ResumedCells))
 		}
 	}
 	m.wg.Add(2)
@@ -148,8 +139,7 @@ func (m *Manager) Submit(tenant string, sweep apitypes.SweepRequest, cells []api
 	if err != nil {
 		return info, err
 	}
-	m.submitted.Add(1)
-	m.count(m.mSubmitted)
+	m.mSubmitted.Inc()
 	m.poke()
 	return info, nil
 }
@@ -172,8 +162,7 @@ func (m *Manager) Cancel(id string) (apitypes.JobInfo, error) {
 		cancel()
 	}
 	m.mu.Unlock()
-	m.canceled.Add(1)
-	m.count(m.mCanceled)
+	m.mCanceled.Inc()
 	info, _ = m.st.Get(id)
 	return info, nil
 }
@@ -220,19 +209,19 @@ func (m *Manager) Stats() apitypes.JobStats {
 	js := apitypes.JobStats{
 		Queued:       queued,
 		Running:      running,
-		Submitted:    m.submitted.Load(),
-		Done:         m.done.Load(),
-		Failed:       m.failed.Load(),
-		Canceled:     m.canceled.Load(),
-		ResumedJobs:  m.resumedJobs.Load(),
-		Cells:        m.cells.Load(),
-		CellsResumed: m.cellsResumed.Load(),
-		CellsFailed:  m.cellsFailed.Load(),
+		Submitted:    m.mSubmitted.Value(),
+		Done:         m.mDone.Value(),
+		Failed:       m.mFailed.Value(),
+		Canceled:     m.mCanceled.Value(),
+		ResumedJobs:  m.mResumedJobs.Value(),
+		Cells:        m.mCells.Value(),
+		CellsResumed: m.mCellsResumed.Value(),
+		CellsFailed:  m.mCellsFailed.Value(),
 		WALBytes:     m.st.WALBytes(),
 	}
-	m.gauge(m.gQueued, float64(queued))
-	m.gauge(m.gRunning, float64(running))
-	m.gauge(m.gWALBytes, float64(js.WALBytes))
+	m.gQueued.Set(float64(queued))
+	m.gRunning.Set(float64(running))
+	m.gWALBytes.Set(float64(js.WALBytes))
 	return js
 }
 
@@ -311,51 +300,26 @@ func (m *Manager) runJob(id string) {
 		return
 	}
 
-	pending := m.st.PendingCells(id)
-	sem := make(chan struct{}, m.opts.CellParallel)
-	var (
-		wg        sync.WaitGroup
-		abandoned atomic.Bool
-	)
-	for _, ref := range pending {
-		if jctx.Err() != nil {
-			abandoned.Store(true)
-			break
+	m.opts.Run(jctx, info, m.st.PendingCells(id), func(res apitypes.CellResult) {
+		resumed := info.Resumed && res.Cached
+		if _, err := m.st.AppendFrame(id, res, resumed); err != nil {
+			// Terminal (canceled underneath us) or closed: drop.
+			return
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(ref apitypes.CellRef) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := m.opts.Run(jctx, info, ref)
-			if err != nil {
-				abandoned.Store(true)
-				return
-			}
-			resumed := info.Resumed && res.Cached
-			if _, err := m.st.AppendFrame(id, res, resumed); err != nil {
-				// Terminal (canceled underneath us) or closed: drop.
-				return
-			}
-			m.cells.Add(1)
-			m.count(m.mCells)
-			if resumed {
-				m.cellsResumed.Add(1)
-				m.count(m.mCellsResumed)
-			}
-			if res.Error != "" {
-				m.cellsFailed.Add(1)
-				m.count(m.mCellsFailed)
-			}
-		}(ref)
-	}
-	wg.Wait()
+		m.mCells.Inc()
+		if resumed {
+			m.mCellsResumed.Inc()
+		}
+		if res.Error != "" {
+			m.mCellsFailed.Inc()
+		}
+	})
 
 	cur, ok := m.st.Get(id)
 	if !ok || cur.State.Terminal() {
 		return // canceled (or GC'd) while running
 	}
-	if abandoned.Load() || jctx.Err() != nil || cur.DoneCells < cur.Cells {
+	if jctx.Err() != nil || cur.DoneCells < cur.Cells {
 		// Stopping mid-job: stay "running" in the WAL so the next daemon
 		// requeues and resumes it.
 		return
@@ -366,14 +330,12 @@ func (m *Manager) runJob(id string) {
 			first = frames[0].Cell.Error
 		}
 		if m.st.SetState(id, apitypes.JobFailed, first) == nil {
-			m.failed.Add(1)
-			m.count(m.mFailed)
+			m.mFailed.Inc()
 		}
 		return
 	}
 	if m.st.SetState(id, apitypes.JobDone, "") == nil {
-		m.done.Add(1)
-		m.count(m.mDone)
+		m.mDone.Inc()
 	}
 }
 
@@ -396,16 +358,4 @@ func (m *Manager) gcLoop() {
 // GCNow runs one GC sweep immediately (tests and drain paths).
 func (m *Manager) GCNow() ([]string, error) {
 	return m.st.GC(m.opts.Now().Add(-m.opts.TTL))
-}
-
-func (m *Manager) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (m *Manager) gauge(g *obs.Gauge, v float64) {
-	if g != nil {
-		g.Set(v)
-	}
 }

@@ -10,6 +10,20 @@ import (
 	"repro/internal/serve/apitypes"
 )
 
+// perCell adapts a one-cell runner into RunCells: cells run in grid
+// order, and the first error abandons the rest.
+func perCell(run func(context.Context, apitypes.JobInfo, apitypes.CellRef) (apitypes.CellResult, error)) RunCells {
+	return func(ctx context.Context, job apitypes.JobInfo, cells []apitypes.CellRef, emit func(apitypes.CellResult)) {
+		for _, ref := range cells {
+			res, err := run(ctx, job, ref)
+			if err != nil {
+				return
+			}
+			emit(res)
+		}
+	}
+}
+
 // instantRun completes every cell immediately with deterministic stats.
 func instantRun(_ context.Context, _ apitypes.JobInfo, ref apitypes.CellRef) (apitypes.CellResult, error) {
 	return cellRes(ref, 100), nil
@@ -32,7 +46,7 @@ func waitState(t *testing.T, st *Store, id string, want apitypes.JobState) apity
 
 func TestManagerRunsJobToDone(t *testing.T) {
 	st := mustOpen(t, t.TempDir())
-	m := NewManager(st, ManagerOptions{Run: instantRun})
+	m := NewManager(st, ManagerOptions{Run: perCell(instantRun)})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +74,9 @@ func TestManagerRunsJobToDone(t *testing.T) {
 func TestManagerAllCellsFailedMeansJobFailed(t *testing.T) {
 	st := mustOpen(t, t.TempDir())
 	m := NewManager(st, ManagerOptions{
-		Run: func(_ context.Context, _ apitypes.JobInfo, ref apitypes.CellRef) (apitypes.CellResult, error) {
+		Run: perCell(func(_ context.Context, _ apitypes.JobInfo, ref apitypes.CellRef) (apitypes.CellResult, error) {
 			return apitypes.CellResult{Workload: ref.Workload, Mode: ref.Mode, Error: "sim exploded"}, nil
-		},
+		}),
 	})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
@@ -117,7 +131,7 @@ func waitStarted(t *testing.T, b *blockingRun) string {
 func TestTenantFairness(t *testing.T) {
 	st := mustOpen(t, t.TempDir())
 	hook := newBlockingRun()
-	m := NewManager(st, ManagerOptions{Run: hook.run, JobWorkers: 1})
+	m := NewManager(st, ManagerOptions{Run: perCell(hook.run), JobWorkers: 1})
 
 	sweep := apitypes.SweepRequest{Modes: []string{"imt"}}
 	// Submit before Start so the scheduler sees all four at once.
@@ -165,7 +179,7 @@ func TestKillAndResume(t *testing.T) {
 		}
 		return res, err
 	}
-	m := NewManager(st, ManagerOptions{Run: run, CellParallel: 1})
+	m := NewManager(st, ManagerOptions{Run: perCell(run)})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +214,7 @@ func TestKillAndResume(t *testing.T) {
 		}
 		return cellRes(ref, 100), nil
 	}
-	m2 := NewManager(st2, ManagerOptions{Run: run2})
+	m2 := NewManager(st2, ManagerOptions{Run: perCell(run2)})
 	if err := m2.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +253,7 @@ func TestKillAndResume(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	st := mustOpen(t, t.TempDir())
 	hook := newBlockingRun()
-	m := NewManager(st, ManagerOptions{Run: hook.run})
+	m := NewManager(st, ManagerOptions{Run: perCell(hook.run)})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +287,7 @@ func TestTTLGC(t *testing.T) {
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	st.now = clock
-	m := NewManager(st, ManagerOptions{Run: instantRun, TTL: time.Hour, Now: clock})
+	m := NewManager(st, ManagerOptions{Run: perCell(instantRun), TTL: time.Hour, Now: clock})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +317,7 @@ func TestDrainLeavesWorkDurable(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir)
 	hook := newBlockingRun()
-	m := NewManager(st, ManagerOptions{Run: hook.run})
+	m := NewManager(st, ManagerOptions{Run: perCell(hook.run)})
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +331,7 @@ func TestDrainLeavesWorkDurable(t *testing.T) {
 	}
 
 	st2 := mustOpen(t, dir)
-	m2 := NewManager(st2, ManagerOptions{Run: instantRun})
+	m2 := NewManager(st2, ManagerOptions{Run: perCell(instantRun)})
 	if err := m2.Start(); err != nil {
 		t.Fatal(err)
 	}

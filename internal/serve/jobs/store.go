@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,6 +30,15 @@ var errClosed = errors.New("jobs: store closed")
 // walName is the store's single log file inside its directory.
 const walName = "wal.log"
 
+// WAL is the append handle of a store's log: the *os.File outside
+// tests.
+type WAL interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Store is the durable job table: an in-memory map of jobs backed by
 // the append-only WAL. Every mutation appends its record before the
 // in-memory state changes; state transitions are additionally fsynced,
@@ -36,7 +46,7 @@ const walName = "wal.log"
 type Store struct {
 	mu     sync.Mutex
 	dir    string
-	f      *os.File
+	f      WAL
 	closed bool
 	bytes  int64
 	now    func() time.Time
@@ -69,23 +79,29 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if good < int64(len(data)) {
-		// Drop the torn tail durably before appending anything after it.
-		if err := f.Truncate(good); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return &Store{
+	s := &Store{
 		dir:   dir,
 		f:     f,
 		bytes: good,
 		now:   time.Now,
 		st:    st,
-	}, nil
+	}
+	if good < int64(len(data)) {
+		// Drop the torn tail durably before appending anything after it.
+		if err := s.rewind(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// WrapWAL replaces the log's append handle with wrap of it: a
+// fault-injection seam for tests, as durable.FS is for compaction. A
+// compaction reopens the log and drops the wrapper.
+func (s *Store) WrapWAL(wrap func(WAL) WAL) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.f = wrap(s.f)
 }
 
 // Close flushes and closes the WAL. Further mutations fail with
@@ -123,14 +139,35 @@ func (s *Store) append(rec *record, sync bool) error {
 		return err
 	}
 	blob = append(blob, '\n')
-	if _, err := s.f.Write(blob); err != nil {
-		return err
+	_, err = s.f.Write(blob)
+	if err == nil && sync {
+		err = s.f.Sync()
+	}
+	if err != nil {
+		// The log may now end in a torn record (a short write) or in one
+		// the disk never acknowledged (a failed fsync). Cut it back to
+		// the last whole record, so later appends are not buried behind
+		// bytes replay would stop at.
+		return errors.Join(err, s.rewind())
 	}
 	s.bytes += int64(len(blob))
-	if sync {
-		return s.f.Sync()
-	}
 	return nil
+}
+
+// rewind durably truncates the log to its last whole record (s.bytes).
+// A log that cannot be cut back is closed: appending past bytes of
+// unknown state could lose acknowledged records. Caller holds s.mu (or
+// owns the store, in Open).
+func (s *Store) rewind() error {
+	err := s.f.Truncate(s.bytes)
+	if err == nil {
+		err = s.f.Sync()
+	}
+	if err != nil {
+		s.closed = true
+		s.f.Close()
+	}
+	return err
 }
 
 // Submit records a new job and returns its snapshot. The grid must

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -225,6 +226,115 @@ func TestTornFinalRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// faultyWAL fails the real log once, with ENOSPC: a short write that
+// leaves half the record in the file, or an fsync after a whole write.
+// failTruncate also fails every truncate, so the torn bytes stay.
+type faultyWAL struct {
+	WAL
+	shortWrite, failSync, failTruncate bool
+}
+
+func (w *faultyWAL) Write(p []byte) (int, error) {
+	if !w.shortWrite {
+		return w.WAL.Write(p)
+	}
+	w.shortWrite = false
+	n, _ := w.WAL.Write(p[:len(p)/2])
+	return n, &os.PathError{Op: "write", Path: walName, Err: syscall.ENOSPC}
+}
+
+func (w *faultyWAL) Sync() error {
+	if !w.failSync {
+		return w.WAL.Sync()
+	}
+	w.failSync = false
+	return &os.PathError{Op: "sync", Path: walName, Err: syscall.ENOSPC}
+}
+
+func (w *faultyWAL) Truncate(size int64) error {
+	if w.failTruncate {
+		return &os.PathError{Op: "truncate", Path: walName, Err: syscall.EIO}
+	}
+	return w.WAL.Truncate(size)
+}
+
+// TestFailedAppendLeavesNoTornRecord: a failed append must cut the log
+// back to its last whole record. Records acknowledged after it would
+// otherwise sit behind torn bytes: replay stops at the torn record and
+// drops the next one, and refuses the log once a second follows. A log
+// that cannot be cut back closes the store instead.
+func TestFailedAppendLeavesNoTornRecord(t *testing.T) {
+	for _, fault := range []string{"short write", "fsync"} {
+		t.Run(fault, func(t *testing.T) {
+			dir := t.TempDir()
+			st := mustOpen(t, dir)
+			sweep := apitypes.SweepRequest{Modes: []string{"imt"}}
+			first, err := st.Submit("t", sweep, grid("w1/imt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.WrapWAL(func(w WAL) WAL {
+				return &faultyWAL{WAL: w, shortWrite: fault == "short write", failSync: fault == "fsync"}
+			})
+			if _, err := st.Submit("t", sweep, grid("w2/imt")); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("submit under %s: %v, want ENOSPC", fault, err)
+			}
+			want := []string{first.ID}
+			for _, cell := range []string{"w3/imt", "w4/imt"} {
+				info, err := st.Submit("t", sweep, grid(cell))
+				if err != nil {
+					t.Fatalf("submit after the failed append: %v", err)
+				}
+				want = append(want, info.ID)
+			}
+			fi, err := os.Stat(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.WALBytes() != fi.Size() {
+				t.Errorf("WALBytes = %d, log is %d bytes", st.WALBytes(), fi.Size())
+			}
+			st.Close()
+
+			st2, err := Open(dir)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer st2.Close()
+			var got []string
+			for _, info := range st2.List("") {
+				got = append(got, info.ID)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("jobs after reopen = %v, want the acknowledged %v", got, want)
+			}
+		})
+	}
+
+	t.Run("truncate fails too", func(t *testing.T) {
+		dir := t.TempDir()
+		st := mustOpen(t, dir)
+		sweep := apitypes.SweepRequest{Modes: []string{"imt"}}
+		first, err := st.Submit("t", sweep, grid("w1/imt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.WrapWAL(func(w WAL) WAL { return &faultyWAL{WAL: w, shortWrite: true, failTruncate: true} })
+		if _, err := st.Submit("t", sweep, grid("w2/imt")); !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, syscall.EIO) {
+			t.Fatalf("submit with a failed cut-back: %v, want ENOSPC and EIO", err)
+		}
+		if _, err := st.Submit("t", sweep, grid("w3/imt")); !errors.Is(err, errClosed) {
+			t.Fatalf("submit after a failed cut-back: %v, want the store closed", err)
+		}
+		// Open drops the torn tail the store could not.
+		st2 := mustOpen(t, dir)
+		defer st2.Close()
+		if list := st2.List(""); len(list) != 1 || list[0].ID != first.ID {
+			t.Fatalf("jobs after reopen = %+v, want only %s", list, first.ID)
+		}
+	})
 }
 
 // TestMidFileCorruption: damage followed by valid records is real

@@ -24,25 +24,24 @@ const drainPollInterval = 250 * time.Millisecond
 // synchronously (a bad sweep fails fast with 400); the job itself is
 // durably recorded and picked up by the scheduler, so the 202 response
 // is the JobInfo still in state queued.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	t0 := s.CountRequest()
-	defer s.ObserveLatency(t0, "jobs")
-	if s.RejectDraining(w) {
+func (f *Frontend) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(f.CountRequest(), "jobs")
+	if f.RejectDraining(w) {
 		return
 	}
 	req, err := DecodeJobRequest(r.Body)
 	if err == nil {
 		// The forced sample interval is persisted with the job, so cells
 		// resumed after a restart sample at the same interval.
-		err = s.prepareWatch(req.Watch, &req.SampleInterval)
+		err = f.prepareWatch(req.Watch, &req.SampleInterval)
 	}
 	if err != nil {
-		s.writeInvalid(w, err)
+		f.writeInvalid(w, err)
 		return
 	}
-	cells, err := s.ExpandSweep(req.SweepRequest)
+	cells, err := f.ExpandSweep(req.SweepRequest)
 	if err != nil {
-		s.writeInvalid(w, err)
+		f.writeInvalid(w, err)
 		return
 	}
 	refs := make([]apitypes.CellRef, len(cells))
@@ -53,50 +52,50 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	info, err := s.jobs.Submit(tenant, req.SweepRequest, refs)
+	info, err := f.jobs.Submit(tenant, req.SweepRequest, refs)
 	if err != nil {
-		s.WriteError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
+		f.WriteFailure(w, err)
 		return
 	}
 	if req.Watch {
-		info.WatchRoom = s.roomForJob(info.ID).Code()
+		info.WatchRoom = f.roomForJob(info.ID).Code()
 	}
 	WriteJSON(w, http.StatusAccepted, info)
 }
 
 // handleJobList: GET /v1/jobs[?tenant=], submission order.
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.CountRequest()
-	list := s.jobStore.List(r.URL.Query().Get("tenant"))
+func (f *Frontend) handleJobList(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(f.CountRequest(), "jobs")
+	list := f.jobs.Store().List(r.URL.Query().Get("tenant"))
 	for i := range list {
-		s.watchRoomForJob(&list[i])
+		f.watchRoomForJob(&list[i])
 	}
 	WriteJSON(w, http.StatusOK, apitypes.JobListResponse{Jobs: list})
 }
 
 // handleJobGet: GET /v1/jobs/{id} — the polling half of submit/poll.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.CountRequest()
-	info, ok := s.jobStore.Get(r.PathValue("id"))
+func (f *Frontend) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(f.CountRequest(), "jobs")
+	info, ok := f.jobs.Store().Get(r.PathValue("id"))
 	if !ok {
-		s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
+		f.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
 		return
 	}
-	s.watchRoomForJob(&info)
+	f.watchRoomForJob(&info)
 	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleJobCancel: DELETE /v1/jobs/{id}. Canceling a finished job is a
 // no-op that returns its terminal snapshot.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.CountRequest()
-	info, err := s.jobs.Cancel(r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, jobs.ErrNotFound) {
-			s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
-			return
-		}
-		s.WriteError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
+func (f *Frontend) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(f.CountRequest(), "jobs")
+	info, err := f.jobs.Cancel(r.PathValue("id"))
+	switch {
+	case errors.Is(err, jobs.ErrNotFound):
+		f.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
+		return
+	case err != nil:
+		f.WriteFailure(w, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, info)
@@ -107,22 +106,22 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // tails a running job until it finishes; when the daemon drains the
 // summary comes early with Done=false, Draining=true and NextSeq as the
 // resume point for the next attach.
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	t0 := s.CountRequest()
-	defer s.ObserveLatency(t0, "jobs")
+func (f *Frontend) handleJobStream(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(f.CountRequest(), "jobs")
 	id := r.PathValue("id")
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			s.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
+			f.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
 				errors.New("serve: from must be a non-negative integer"))
 			return
 		}
 		from = n
 	}
-	if _, ok := s.jobStore.Get(id); !ok {
-		s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
+	st := f.jobs.Store()
+	if _, ok := st.Get(id); !ok {
+		f.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
 		return
 	}
 
@@ -135,26 +134,26 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		// Grab the watch channel before reading frames: a mutation between
 		// the read and the select then leaves the channel already closed,
 		// so no update can slip through unobserved.
-		change, _ := s.jobStore.Watch(id)
-		frames, info, ok := s.jobStore.Frames(id, next)
+		change, _ := st.Watch(id)
+		frames, info, ok := st.Frames(id, next)
 		if !ok {
 			return // GC'd mid-stream; the client re-polls and gets 404
 		}
-		for _, f := range frames {
-			if err := enc.Encode(f); err != nil {
+		for _, fr := range frames {
+			if err := enc.Encode(fr); err != nil {
 				return // client hung up
 			}
-			next = f.Seq + 1
+			next = fr.Seq + 1
 		}
 		if len(frames) > 0 && flusher != nil {
 			flusher.Flush()
 		}
 		if info.State.Terminal() {
-			s.writeStreamSummary(enc, flusher, info, next, false)
+			f.writeStreamSummary(enc, flusher, info, next, false)
 			return
 		}
-		if s.Draining() {
-			s.writeStreamSummary(enc, flusher, info, next, true)
+		if f.Draining() {
+			f.writeStreamSummary(enc, flusher, info, next, true)
 			return
 		}
 		select {
@@ -168,7 +167,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info apitypes.JobInfo, next int, draining bool) {
+func (f *Frontend) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info apitypes.JobInfo, next int, draining bool) {
 	_ = enc.Encode(apitypes.JobStreamSummary{
 		Done:     info.State.Terminal(),
 		State:    info.State,
@@ -183,46 +182,42 @@ func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, inf
 	}
 }
 
-// runJobCell is the jobs.RunCell the manager drives: one grid cell
-// through the same resolve → cache → coalesce → admission → engine path
-// as an interactive request, under a per-cell deadline. Simulation
-// failures become failed frames (nil error, CellResult.Error set); a
-// non-nil error is reserved for abandonment — the manager is stopping
-// or the job was canceled — which leaves the cell pending for resume.
-func (s *Server) runJobCell(ctx context.Context, info apitypes.JobInfo, ref apitypes.CellRef) (apitypes.CellResult, error) {
-	cell, err := s.resolveCell(ref.Workload, ref.Mode, info.Sweep.MaxCycles, info.Sweep.SampleInterval)
-	if err != nil {
-		// The grid was validated at submit, so this means the catalog
-		// changed across a restart: a permanent, per-cell failure.
-		return apitypes.CellResult{Workload: ref.Workload, Mode: ref.Mode, Error: err.Error()}, nil
-	}
-	cctx, cancel := s.requestContext(ctx, info.Sweep.TimeoutMs, s.opts.MaxTimeout)
-	defer cancel()
-	var sink func(runner.LiveSample)
+// runJob is the jobs.RunCells the manager drives: the job's pending
+// cells run as one executor sweep, through the same resolve → cache →
+// coalesce → admission → engine path as an interactive sweep, each
+// under its own timeout_ms. A simulation failure becomes a failed frame
+// (CellResult.Error set); a failure after the job's context ended is
+// abandonment — the manager is stopping or the job was canceled — so
+// no frame is emitted and the cell stays pending for resume.
+func (f *Frontend) runJob(ctx context.Context, info apitypes.JobInfo, refs []apitypes.CellRef, emit func(apitypes.CellResult)) {
 	var room *rooms.Room
+	var sinkFor func(Cell) func(runner.LiveSample)
 	if info.Sweep.Watch {
-		room = s.roomForJob(info.ID)
-		sink = roomSink(room, cellName(cell))
+		room = f.roomForJob(info.ID)
+		sinkFor = func(c Cell) func(runner.LiveSample) { return roomSink(room, cellName(c)) }
 	}
-	res, err := s.runCell(cctx, cell, true, sink)
-	if room != nil {
-		done := res
+	timeout := f.timeout(info.Sweep.TimeoutMs, f.opts.MaxTimeout)
+	cells := make([]Cell, 0, len(refs))
+	for _, ref := range refs {
+		cell, err := f.resolveCell(ref.Workload, ref.Mode, info.Sweep.MaxCycles, info.Sweep.SampleInterval)
 		if err != nil {
-			done.Error = err.Error()
+			// The grid was validated at submit, so this means the catalog
+			// changed across a restart: a permanent, per-cell failure.
+			res := apitypes.CellResult{Workload: ref.Workload, Mode: ref.Mode}
+			f.settleCell(room, &res, err)
+			emit(res)
+			continue
 		}
-		publishCellDone(room, done, nil)
+		cell.Timeout = timeout
+		cells = append(cells, cell)
 	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return apitypes.CellResult{}, ctx.Err()
+	f.exec.Sweep(ctx, info.Sweep, cells, sinkFor, func(res apitypes.CellResult, err error) {
+		if err != nil && ctx.Err() != nil {
+			return
 		}
-		s.countError(err)
-		res.Error = err.Error()
-		res.Stats = nil
-		return res, nil
-	}
-	count(s.metrics.Cells)
-	return res, nil
+		f.settleCell(room, &res, err)
+		emit(res)
+	})
 }
 
 // Drain stops the job scheduler, waits (bounded by ctx) for in-flight

@@ -3,16 +3,22 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/gpusim"
 	"repro/internal/serve/apitypes"
+	"repro/internal/serve/jobs"
 )
 
 func del(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -254,6 +260,11 @@ func TestJobCancelOverHTTP(t *testing.T) {
 	if !summary.Done || summary.State != apitypes.JobCanceled {
 		t.Fatalf("summary = %+v", summary)
 	}
+	// A canceled job starts no more cells: the second never ran.
+	s.KillJobs() // waits for the job's runner to return
+	if n := hook.runs.Load(); n != 1 {
+		t.Fatalf("%d cells reached the engine, want 1", n)
+	}
 }
 
 // TestJobStreamEndsOnDrain: a stream attached to a running job ends
@@ -393,5 +404,136 @@ func TestJobCrashRestartByteIdentical(t *testing.T) {
 	want := canonicalJobLines(t, baseFrames)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed result set differs from uninterrupted baseline:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// fullDiskWAL fails the next append once armed, the way a full disk
+// does: half the record reaches the log, then ENOSPC.
+type fullDiskWAL struct {
+	jobs.WAL
+	armed atomic.Bool
+}
+
+func (w *fullDiskWAL) Write(p []byte) (int, error) {
+	if !w.armed.CompareAndSwap(true, false) {
+		return w.WAL.Write(p)
+	}
+	n, _ := w.WAL.Write(p[:len(p)/2])
+	return n, &os.PathError{Op: "write", Path: "wal.log", Err: syscall.ENOSPC}
+}
+
+// TestJobStorageErrors: a WAL append that fails for lack of space
+// answers submit and cancel with 507 storage_error, like a trace
+// upload, and the job table stays usable afterwards.
+func TestJobStorageErrors(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1, JobsDir: t.TempDir()})
+	defer s.KillJobs()
+	hook := newBlockingHook()
+	s.simHook = hook.hook
+	wal := &fullDiskWAL{}
+	s.jobs.Store().WrapWAL(func(w jobs.WAL) jobs.WAL { wal.WAL = w; return wal })
+	h := s.Handler()
+	const body = `{"workloads":["stream-copy-16MB"],"modes":["imt"]}`
+
+	wantStorage := func(step string, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusInsufficientStorage {
+			t.Fatalf("%s: status %d, want 507 (body %s)", step, rec.Code, rec.Body)
+		}
+		if e := decodeBody[apitypes.ErrorResponse](t, rec); e.Error.Code != apitypes.CodeStorage {
+			t.Fatalf("%s: code %q, want %q", step, e.Error.Code, apitypes.CodeStorage)
+		}
+	}
+	wal.armed.Store(true)
+	wantStorage("submit", post(t, h, "/v1/jobs", body))
+
+	info := decodeBody[apitypes.JobInfo](t, post(t, h, "/v1/jobs", body))
+	waitEntered(t, hook) // running: the cancel is the next append
+	wal.armed.Store(true)
+	wantStorage("cancel", del(t, h, "/v1/jobs/"+info.ID))
+	if got := decodeBody[apitypes.JobInfo](t, del(t, h, "/v1/jobs/"+info.ID)); got.State != apitypes.JobCanceled {
+		t.Fatalf("cancel retried after the failure: %+v", got)
+	}
+	close(hook.release)
+	if list := decodeBody[apitypes.JobListResponse](t, get(t, h, "/v1/jobs")); len(list.Jobs) != 1 {
+		t.Fatalf("jobs = %+v, want only the acknowledged one", list.Jobs)
+	}
+}
+
+// TestJobRouteAccounting: every job route is counted and timed under
+// route="jobs", and a watch attach under route="watch".
+func TestJobRouteAccounting(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1, JobsDir: t.TempDir()})
+	defer s.KillJobs()
+	h := s.Handler()
+
+	rec := post(t, h, "/v1/jobs", `{"workloads":["stream-copy-16MB"],"modes":["imt"],"watch":true,"max_cycles":100000}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	info := decodeBody[apitypes.JobInfo](t, rec)
+	// Wait on the store, not over HTTP, so the route counts stay exact.
+	deadline := time.Now().Add(30 * time.Second)
+	for cur, _ := s.jobs.Store().Get(info.ID); !cur.State.Terminal(); cur, _ = s.jobs.Store().Get(info.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %+v", cur)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	steps := []struct {
+		name, method, path string
+		want               int
+	}{
+		{"list", http.MethodGet, "/v1/jobs", http.StatusOK},
+		{"get", http.MethodGet, "/v1/jobs/" + info.ID, http.StatusOK},
+		{"stream", http.MethodGet, "/v1/jobs/" + info.ID + "/stream", http.StatusOK},
+		{"cancel", http.MethodDelete, "/v1/jobs/" + info.ID, http.StatusOK},
+		{"watch", http.MethodGet, "/v1/watch/" + info.WatchRoom, http.StatusOK},
+	}
+	for _, st := range steps {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(st.method, st.path, nil))
+		if rec.Code != st.want {
+			t.Fatalf("%s: status %d, want %d (body %s)", st.name, rec.Code, st.want, rec.Body)
+		}
+	}
+
+	for route, want := range map[string]uint64{"jobs": 5, "watch": 1} {
+		if got := s.metrics.Latency.With(route).Count(); got != want {
+			t.Errorf("%d requests timed under route=%s, want %d", got, route, want)
+		}
+	}
+	if got := s.metrics.Requests.Value(); got != 6 {
+		t.Errorf("%d requests counted, want 6", got)
+	}
+}
+
+// TestJobTimeoutPerCell: a job's timeout_ms bounds each cell, not the
+// whole job. Four sequential cells of about 30 ms each outlast an 80 ms
+// budget together but fit it one by one; a budget below one cell's
+// time fails every cell with a deadline error.
+func TestJobTimeoutPerCell(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1, JobsDir: t.TempDir()})
+	defer s.KillJobs()
+	s.simHook = func(ctx context.Context, _ Cell) outcome {
+		select {
+		case <-time.After(30 * time.Millisecond):
+			return outcome{stats: gpusim.Stats{Cycles: 42, WarpOps: 1}}
+		case <-ctx.Done():
+			return outcome{err: ctx.Err()}
+		}
+	}
+	h := s.Handler()
+	const grid = `"workloads":["stream-copy-16MB","stream-scale-16MB"],"modes":["none","carve-low"]`
+
+	ok := decodeBody[apitypes.JobInfo](t, post(t, h, "/v1/jobs", `{`+grid+`,"timeout_ms":80}`))
+	if final := waitJobState(t, h, ok.ID, apitypes.JobDone); final.DoneCells != 4 || final.FailedCells != 0 {
+		t.Fatalf("80 ms per cell: %+v", final)
+	}
+
+	short := decodeBody[apitypes.JobInfo](t, post(t, h, "/v1/jobs", `{`+grid+`,"timeout_ms":10}`))
+	final := waitJobState(t, h, short.ID, apitypes.JobFailed)
+	if final.FailedCells != 4 || !strings.Contains(final.Error, "deadline exceeded") {
+		t.Fatalf("10 ms per cell: %+v", final)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -80,25 +79,17 @@ func (o Options) withDefaults() Options {
 // Server is the local executor behind imtd's Frontend: it serves
 // simulation cells from the result cache, coalesces identical
 // in-flight cells, admits the rest into a bounded worker pool and runs
-// them on the runner engine. Construct with New, obtain the handler
-// with Handler (httptest-friendly), or bind a socket with Listen for
-// the daemon shape.
+// them on the runner engine. Construct with New, obtain the
+// Frontend's handler with Handler (httptest-friendly), or bind a
+// socket with Listen for the daemon shape.
 type Server struct {
 	*Frontend
-	opts     Options
-	eng      *runner.Engine
-	cache    *runner.Cache
-	adm      *admission
-	flights  flightGroup
-	jobStore *jobs.Store
-	jobs     *jobs.Manager
-	traces   *tracestore.Store
-
-	// jobRooms maps job ID → telemetry room for watch:true jobs. The
-	// mapping is in-memory like the rooms themselves: resumed jobs get a
-	// fresh room on their first post-restart cell.
-	jobRoomsMu sync.Mutex
-	jobRooms   map[string]*rooms.Room
+	opts    Options
+	eng     *runner.Engine
+	cache   *runner.Cache
+	adm     *admission
+	flights flightGroup
+	traces  *tracestore.Store
 
 	mCacheHits *obs.Counter
 	mCoalesce  *obs.Counter
@@ -151,19 +142,16 @@ func New(opts Options) (*Server, error) {
 		TTL:     opts.RoomTTL,
 	})
 	s.watchSample = opts.WatchSampleInterval
-	s.jobRooms = make(map[string]*rooms.Room)
 	if opts.JobsDir != "" {
 		st, err := jobs.Open(opts.JobsDir)
 		if err != nil {
 			return nil, err
 		}
-		s.jobStore = st
 		s.jobs = jobs.NewManager(st, jobs.ManagerOptions{
-			Run:          s.runJobCell,
-			JobWorkers:   opts.JobWorkers,
-			CellParallel: opts.Workers,
-			TTL:          opts.JobTTL,
-			Registry:     reg,
+			Run:        s.runJob,
+			JobWorkers: opts.JobWorkers,
+			TTL:        opts.JobTTL,
+			Registry:   reg,
 		})
 		if err := s.jobs.Start(); err != nil {
 			return nil, err
@@ -192,11 +180,11 @@ func New(opts Options) (*Server, error) {
 // the store's eviction/delete guard. Jobs name trace cells as
 // "trace:<digest>" in their sweep's Workloads or expanded Cells.
 func (s *Server) traceInUse(digest string) bool {
-	if s.jobStore == nil {
+	if s.jobs == nil {
 		return false
 	}
 	name := "trace:" + digest
-	for _, info := range s.jobStore.List("") {
+	for _, info := range s.jobs.Store().List("") {
 		if info.State.Terminal() {
 			continue
 		}
@@ -220,33 +208,6 @@ func (s *Server) traceInUse(digest string) bool {
 // slots.
 func (s *Server) engineOptions() runner.Options {
 	return runner.Options{Workers: 1, CacheDir: s.opts.CacheDir, Obs: s.opts.Obs}
-}
-
-// Handler returns the server's HTTP handler: the Frontend's shared
-// routes (sim, sweep, workloads, traces over the local store, statsz,
-// healthz and the debug mux) plus imtd's own:
-//
-//	POST   /v1/jobs             durable job submit → JobInfo (202)
-//	GET    /v1/jobs             job listing (?tenant= filters)
-//	GET    /v1/jobs/{id}        job poll → JobInfo
-//	GET    /v1/jobs/{id}/stream NDJSON JobFrame stream (?from=N resumes)
-//	DELETE /v1/jobs/{id}        cancel → JobInfo
-//	GET    /v1/watch/{room}     SSE telemetry stream (?from=N resumes)
-func (s *Server) Handler() http.Handler {
-	mux := s.Mux()
-	if s.jobs != nil {
-		mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-		mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-		mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-		mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
-		mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	} else {
-		off := s.Unserved(apitypes.CodeNotFound, "serve: job queue disabled (start the daemon with -jobs-dir)")
-		mux.HandleFunc("/v1/jobs", off)
-		mux.HandleFunc("/v1/jobs/", off)
-	}
-	mux.HandleFunc("GET /v1/watch/{room}", s.handleWatch)
-	return mux
 }
 
 // Traces is the local trace store, nil without -trace-dir.
@@ -293,7 +254,8 @@ func (s *Server) Sim(ctx context.Context, _ apitypes.SimRequest, cell Cell, sink
 // /v1/sim request, with patient admission: the sweep's concurrency
 // (Workers cells at a time) is its flow control, so its cells wait for
 // slots instead of tripping the interactive queue bound. Results are
-// emitted in completion order.
+// emitted in completion order. A job runs as one Sweep over its pending
+// cells, so this pool is also what bounds a job's cells.
 func (s *Server) Sweep(ctx context.Context, _ apitypes.SweepRequest, cells []Cell, sinkFor func(Cell) func(runner.LiveSample), emit func(apitypes.CellResult, error)) {
 	type finished struct {
 		res apitypes.CellResult
@@ -335,9 +297,14 @@ func (s *Server) Sweep(ctx context.Context, _ apitypes.SweepRequest, cells []Cel
 // the returned error to a status. sink, when non-nil, receives the
 // run's live telemetry samples; cached and coalesced-follower cells
 // emit none (nothing is re-simulated — the watcher sees their cell-done
-// frame only).
+// frame only). A non-zero cell.Timeout bounds the cell on top of ctx.
 func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func(runner.LiveSample)) (apitypes.CellResult, error) {
 	t0 := time.Now()
+	if cell.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cell.Timeout)
+		defer cancel()
+	}
 	res := apitypes.CellResult{Workload: cell.Ref.Workload, Mode: cell.Ref.Mode, CacheKey: shortKey(cell.Key)}
 
 	// Fast path: a warm cell costs one file read, no queue slot.

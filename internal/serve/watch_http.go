@@ -25,15 +25,14 @@ const watchKeepAliveEvery = 60
 // room closes or the daemon drains (Draining=true → re-attach at
 // next_seq); an eviction for falling behind ends the stream with no
 // summary — re-attaching replays the missed frames from history.
-func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	t0 := s.CountRequest()
-	defer s.ObserveLatency(t0, "watch")
+func (f *Frontend) handleWatch(w http.ResponseWriter, r *http.Request) {
+	defer f.ObserveLatency(f.CountRequest(), "watch")
 
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			s.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
+			f.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
 				errors.New("serve: from must be a non-negative integer"))
 			return
 		}
@@ -44,15 +43,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	room, err := s.rooms.Get(r.PathValue("room"))
+	room, err := f.rooms.Get(r.PathValue("room"))
 	if err != nil {
-		s.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
+		f.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
 		return
 	}
 	replay, sub, sum, err := room.Subscribe(from, 0)
 	if err != nil {
 		// Only ErrGone: the resume point fell out of history.
-		s.WriteError(w, http.StatusGone, apitypes.CodeGone, err)
+		f.WriteError(w, http.StatusGone, apitypes.CodeGone, err)
 		return
 	}
 	defer room.Unsubscribe(sub)
@@ -65,20 +64,20 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	var buf []byte // reused encode buffer: one allocation steady-state
 	next := from
-	writeFrame := func(f apitypes.WatchFrame) bool {
-		blob, err := json.Marshal(f)
+	writeFrame := func(fr apitypes.WatchFrame) bool {
+		blob, err := json.Marshal(fr)
 		if err != nil {
 			return false
 		}
 		buf = apitypes.AppendSSEEvent(buf[:0], apitypes.SSEEvent{
-			ID:    strconv.Itoa(f.Seq),
+			ID:    strconv.Itoa(fr.Seq),
 			Event: apitypes.WatchEventFrame,
 			Data:  blob,
 		})
 		if _, err := w.Write(buf); err != nil {
 			return false // client hung up
 		}
-		next = f.Seq + 1
+		next = fr.Seq + 1
 		return true
 	}
 	writeSummary := func(sum apitypes.WatchSummary) {
@@ -96,8 +95,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	for _, f := range replay {
-		if !writeFrame(f) {
+	for _, fr := range replay {
+		if !writeFrame(fr) {
 			return
 		}
 	}
@@ -115,46 +114,34 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	ticks := 0
 	for {
 		select {
-		case f, ok := <-sub.Ch():
-			if !ok {
-				if final := sub.Summary(); final != nil {
-					writeSummary(*final)
+		case fr, open := <-sub.Ch():
+			// Write the frame and any backlog, then flush once.
+			for backlog := true; open && backlog; {
+				if !writeFrame(fr) {
+					return
 				}
-				// Evicted (no summary): end the stream; the client
-				// re-attaches at ?from=next and heals from history.
-				return
-			}
-			if !writeFrame(f) {
-				return
-			}
-			// Drain any backlog before flushing once.
-			for more := true; more; {
 				select {
-				case f, ok := <-sub.Ch():
-					if !ok {
-						more = false
-						if flusher != nil {
-							flusher.Flush()
-						}
-						if final := sub.Summary(); final != nil {
-							writeSummary(*final)
-						}
-						return
-					}
-					if !writeFrame(f) {
-						return
-					}
+				case fr, open = <-sub.Ch():
 				default:
-					more = false
+					backlog = false
 				}
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
+			if !open {
+				// Closed with a summary, or evicted without one: end the
+				// stream; an evicted client re-attaches at ?from=next and
+				// heals from history.
+				if final := sub.Summary(); final != nil {
+					writeSummary(*final)
+				}
+				return
+			}
 		case <-r.Context().Done():
 			return
 		case <-time.After(drainPollInterval):
-			if s.Draining() {
+			if f.Draining() {
 				writeSummary(apitypes.WatchSummary{Frames: next, NextSeq: next, Draining: true})
 				return
 			}
@@ -175,35 +162,35 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // closer goroutine) on first use. Get-or-create keyed on the job ID
 // makes the submit-response/scheduler race benign and recreates rooms
 // for watch jobs resumed after a restart.
-func (s *Server) roomForJob(id string) *rooms.Room {
-	s.jobRoomsMu.Lock()
-	defer s.jobRoomsMu.Unlock()
-	if room, ok := s.jobRooms[id]; ok {
+func (f *Frontend) roomForJob(id string) *rooms.Room {
+	f.jobRoomsMu.Lock()
+	defer f.jobRoomsMu.Unlock()
+	if room, ok := f.jobRooms[id]; ok {
 		return room
 	}
-	room := s.rooms.Open()
-	s.jobRooms[id] = room
-	go s.closeRoomWhenJobDone(id, room)
+	room := f.rooms.Open()
+	f.jobRooms[id] = room
+	go f.closeRoomWhenJobDone(id, room)
 	return room
 }
 
 // watchRoomForJob decorates a JobInfo with its room code, when a room
 // exists and is still attachable (lookup only — a finished job must
 // not sprout a room).
-func (s *Server) watchRoomForJob(info *apitypes.JobInfo) {
-	s.jobRoomsMu.Lock()
-	room, ok := s.jobRooms[info.ID]
-	s.jobRoomsMu.Unlock()
+func (f *Frontend) watchRoomForJob(info *apitypes.JobInfo) {
+	f.jobRoomsMu.Lock()
+	room, ok := f.jobRooms[info.ID]
+	f.jobRoomsMu.Unlock()
 	if !ok {
 		return
 	}
-	if _, err := s.rooms.Get(room.Code()); err != nil {
+	if _, err := f.rooms.Get(room.Code()); err != nil {
 		// Expired and collected: drop the stale mapping.
-		s.jobRoomsMu.Lock()
-		if s.jobRooms[info.ID] == room {
-			delete(s.jobRooms, info.ID)
+		f.jobRoomsMu.Lock()
+		if f.jobRooms[info.ID] == room {
+			delete(f.jobRooms, info.ID)
 		}
-		s.jobRoomsMu.Unlock()
+		f.jobRoomsMu.Unlock()
 		return
 	}
 	info.WatchRoom = room.Code()
@@ -213,10 +200,11 @@ func (s *Server) watchRoomForJob(info *apitypes.JobInfo) {
 // terminal state, then seals its room so watchers get their summary.
 // If the daemon shuts down first the room simply dies with the
 // process — watch streams end via their own drain checks.
-func (s *Server) closeRoomWhenJobDone(id string, room *rooms.Room) {
+func (f *Frontend) closeRoomWhenJobDone(id string, room *rooms.Room) {
+	st := f.jobs.Store()
 	for {
-		change, ok := s.jobStore.Watch(id)
-		info, found := s.jobStore.Get(id)
+		change, ok := st.Watch(id)
+		info, found := st.Get(id)
 		if !ok || !found {
 			room.Close(apitypes.WatchSummary{Done: false})
 			return

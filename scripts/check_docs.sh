@@ -19,6 +19,9 @@
 #      nor DESIGN.md (a route that only shows up as the prefix of a
 #      longer one — `GET /v1/jobs` inside `GET /v1/jobs/{id}` — does
 #      not count).
+#   6. a route label passed as ObserveLatency(..., "<label>") in
+#      non-test internal/serve code does not appear as "<label>" in
+#      OPERATIONS.md, so every *_request_seconds series is documented.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -112,6 +115,16 @@ while IFS= read -r route; do
 done <<ROUTES
 $routes
 ROUTES
+
+# ---- 6. every timed route label is documented ----------------------
+labels=$(find internal/serve -name '*.go' ! -name '*_test.go' \
+        -exec grep -hoE 'ObserveLatency\([^"]*"[a-z_]+"' {} + \
+        | sed -E 's/.*"([a-z_]+)"$/\1/' | sort -u)
+[ -n "$labels" ] || err "no ObserveLatency route labels found in internal/serve"
+for label in $labels; do
+    grep -qF "\"$label\"" OPERATIONS.md \
+        || err "route label \"$label\" is timed in internal/serve but OPERATIONS.md never names it"
+done
 
 [ "$fail" = 0 ] && echo "check-docs: PASS"
 exit "$fail"
