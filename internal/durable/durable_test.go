@@ -117,3 +117,88 @@ func TestCommitFailureRemovesTemp(t *testing.T) {
 		t.Fatalf("Discard after Commit changed dst to %q", got)
 	}
 }
+
+// TestLogOps pins a Log's op sequence: opening a log with a torn tail
+// cuts it back (truncate → fsync), a synced append is append → fsync, an
+// unsynced one is a bare append, and a failed append is cut back
+// (truncate → fsync) to the last whole append. A log that cannot be cut
+// back closes.
+func TestLogOps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, []byte("rec1\ntor"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	var fail map[string]error // each fails its op once
+	fs := durable.FS{Hook: func(op, _ string) error {
+		ops = append(ops, op)
+		err := fail[op]
+		delete(fail, op)
+		return err
+	}}
+	step := func(name string, fn func() error, wantErr error, want ...string) {
+		t.Helper()
+		ops = nil
+		if err := fn(); !errors.Is(err, wantErr) {
+			t.Fatalf("%s: err = %v, want %v", name, err, wantErr)
+		}
+		if !reflect.DeepEqual(ops, want) {
+			t.Fatalf("%s: ops %q, want %q", name, ops, want)
+		}
+	}
+	var l *durable.Log
+	step("open", func() (err error) { l, err = fs.OpenLog(path, 5); return err }, nil, "truncate", "fsync")
+	step("synced append", func() error { return l.Append([]byte("rec2\n"), true) }, nil, "append", "fsync")
+	step("unsynced append", func() error { return l.Append([]byte("rec3\n"), false) }, nil, "append")
+	fail = map[string]error{"fsync": syscall.EIO}
+	step("failed fsync", func() error { return l.Append([]byte("rec4\n"), true) }, syscall.EIO, "append", "fsync", "truncate", "fsync")
+	fail = map[string]error{"append": syscall.ENOSPC}
+	step("failed append", func() error { return l.Append([]byte("rec4\n"), true) }, syscall.ENOSPC, "append", "truncate", "fsync")
+	if got, _ := os.ReadFile(path); string(got) != "rec1\nrec2\nrec3\n" || l.Size() != int64(len(got)) {
+		t.Fatalf("log = %q, Size %d after failed appends", got, l.Size())
+	}
+	fail = map[string]error{"append": syscall.ENOSPC, "truncate": syscall.EIO}
+	step("failed cut-back", func() error { return l.Append([]byte("rec4\n"), false) }, syscall.EIO, "append", "truncate")
+	step("closed", func() error { return l.Append([]byte("rec4\n"), false) }, durable.ErrClosed)
+	step("close", l.Close, nil)
+}
+
+// TestRemoveOps: Remove fsyncs the directory after the removal, also
+// for a path already gone; RemoveTemps removes only Create's temp
+// files, without a directory fsync.
+func TestRemoveOps(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"keep", ".tmp-123"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ops []string
+	fs := durable.FS{Hook: func(op, path string) error {
+		ops = append(ops, op+" "+path)
+		return nil
+	}}
+	if err := fs.RemoveTemps(dir); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(dir, "keep")
+	for i := 0; i < 2; i++ {
+		if err := fs.Remove(keep); err != nil {
+			t.Fatalf("Remove #%d: %v", i, err)
+		}
+	}
+	want := []string{
+		"remove " + filepath.Join(dir, ".tmp-123"),
+		"remove " + keep, "fsync-dir " + dir,
+		"remove " + keep, "fsync-dir " + dir,
+	}
+	if !reflect.DeepEqual(ops, want) {
+		t.Fatalf("ops:\n%q\nwant\n%q", ops, want)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("%d entries left", len(ents))
+	}
+	if err := fs.RemoveTemps(filepath.Join(dir, "missing")); err != nil {
+		t.Fatalf("RemoveTemps(missing): %v", err)
+	}
+}

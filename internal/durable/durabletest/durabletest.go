@@ -18,10 +18,11 @@ var errCrash = errors.New("durabletest: crashed")
 // and every later op with an error, as if the process had stopped just
 // before op k, and check(k, err) follows with run's error so the caller
 // can reopen its store and assert its invariants. The first run that
-// never reaches op k did not crash: it must succeed, and every rename
-// in it must directly follow an fsync of the file (directory creation
-// aside) and precede an fsync of the destination's directory. Its ops,
-// "<op> <path>" each, are returned.
+// never reaches op k did not crash: it must succeed, every rename in it
+// must directly follow an fsync of the file (directory creation aside)
+// and precede an fsync of the destination's directory, and every remove
+// of a file other than a temp file must precede an fsync of its
+// directory. Its ops, "<op> <path>" each, are returned.
 func Enumerate(t testing.TB, run func(durable.FS) error, check func(k int, err error)) []string {
 	t.Helper()
 	for k := 0; ; k++ {
@@ -42,6 +43,11 @@ func Enumerate(t testing.TB, run func(durable.FS) error, check func(k int, err e
 			t.Fatalf("uncrashed run: %v", err)
 		}
 		for i, op := range ops {
+			if path, ok := strings.CutPrefix(op, "remove "); ok && !strings.HasPrefix(filepath.Base(path), ".tmp-") {
+				if i+1 == len(ops) || ops[i+1] != "fsync-dir "+filepath.Dir(path) {
+					t.Errorf("op %d (%s) is not remove → fsync(dir): %q", i, op, ops)
+				}
+			}
 			dst, ok := strings.CutPrefix(op, "rename ")
 			if !ok {
 				continue

@@ -11,15 +11,15 @@
 // and GC tombstones. State transitions are fsynced; completion markers
 // are written straight through (durable against process death — only a
 // machine crash can lose the tail, and a lost marker merely costs one
-// cache-hit recompute on resume). An append that fails is cut back to
-// the last whole record before the error returns, so no later record
-// is written behind torn bytes; a log that cannot be cut back closes
-// the store. On Open the log is replayed into the
-// in-memory job table; a torn final record (the write the crash
-// interrupted) is detected and truncated away, while corruption
-// anywhere earlier is refused. Compaction rewrites the log from live
-// state (a durable.FS commit) whenever GC has removed jobs, so the WAL
-// does not grow without bound.
+// cache-hit recompute on resume). The log is a durable.Log: an append
+// that fails is cut back to the last whole record before the error
+// returns, so no later record lands behind torn bytes, and a log that
+// cannot be cut back closes the store. On Open the log is replayed into
+// the in-memory job table; a torn final record (the write the crash
+// interrupted) is truncated away, corruption anywhere earlier is
+// refused, and a crashed compaction's temp files are removed.
+// Compaction rewrites the log from live state (a durable.FS commit)
+// whenever GC has removed jobs, so the WAL does not grow without bound.
 //
 // # Resume semantics
 //

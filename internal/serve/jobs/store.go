@@ -1,12 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,33 +24,17 @@ var ErrNotFound = errors.New("jobs: no such job")
 // state.
 var ErrTerminal = errors.New("jobs: job already finished")
 
-// errClosed is returned for operations on a closed store.
-var errClosed = errors.New("jobs: store closed")
-
 // walName is the store's single log file inside its directory.
 const walName = "wal.log"
-
-// WAL is the append handle of a store's log: the *os.File outside
-// tests.
-type WAL interface {
-	io.Writer
-	Sync() error
-	Truncate(size int64) error
-	Close() error
-}
 
 // Store is the durable job table: an in-memory map of jobs backed by
 // the append-only WAL. Every mutation appends its record before the
 // in-memory state changes; state transitions are additionally fsynced,
 // so a job can never be observed in a state the disk does not know.
 type Store struct {
-	mu     sync.Mutex
-	dir    string
-	f      WAL
-	closed bool
-	bytes  int64
-	now    func() time.Time
-	fs     durable.FS // zero outside tests
+	mu  sync.Mutex
+	log *durable.Log
+	now func() time.Time
 
 	st *walState
 }
@@ -58,116 +42,60 @@ type Store struct {
 // Open replays dir's WAL (creating the log and directory when absent)
 // and returns the store positioned for appends. A torn final record —
 // the write a crash interrupted — is truncated away; corruption earlier
-// in the log is an error.
+// in the log is an error. Temp files a crashed compaction left behind
+// are removed.
 func Open(dir string) (*Store, error) {
+	if err := (durable.FS{}).RemoveTemps(dir); err != nil {
+		return nil, err
+	}
 	path := filepath.Join(dir, walName)
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		// Create the empty log through a durable commit so its directory
-		// entry survives power loss before the first record is
-		// acknowledged.
-		err = durable.WriteFile(path, nil)
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	st, good, err := replay(data)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := durable.FS{}.OpenLog(path, good)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:   dir,
-		f:     f,
-		bytes: good,
-		now:   time.Now,
-		st:    st,
-	}
-	if good < int64(len(data)) {
-		// Drop the torn tail durably before appending anything after it.
-		if err := s.rewind(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	return &Store{log: log, now: time.Now, st: st}, nil
 }
 
-// WrapWAL replaces the log's append handle with wrap of it: a
-// fault-injection seam for tests, as durable.FS is for compaction. A
-// compaction reopens the log and drops the wrapper.
-func (s *Store) WrapWAL(wrap func(WAL) WAL) {
+// UseFS routes the store's appends, cut-backs and compactions through
+// fs: a fault-injection seam for tests.
+func (s *Store) UseFS(fs durable.FS) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.f = wrap(s.f)
+	s.log.FS = fs
 }
 
 // Close flushes and closes the WAL. Further mutations fail with
-// errClosed; reads keep working on the replayed state.
+// durable.ErrClosed; reads keep working on the replayed state.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.log.Close()
 }
 
 // WALBytes reports the current log size.
 func (s *Store) WALBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes
+	return s.log.Size()
 }
 
 // append writes one record (and its newline) to the WAL, fsyncing when
 // sync is set. The caller holds s.mu and must only mutate the
 // in-memory state after a nil return.
 func (s *Store) append(rec *record, sync bool) error {
-	if s.closed {
-		return errClosed
-	}
 	blob, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	_, err = s.f.Write(blob)
-	if err == nil && sync {
-		err = s.f.Sync()
-	}
-	if err != nil {
-		// The log may now end in a torn record (a short write) or in one
-		// the disk never acknowledged (a failed fsync). Cut it back to
-		// the last whole record, so later appends are not buried behind
-		// bytes replay would stop at.
-		return errors.Join(err, s.rewind())
-	}
-	s.bytes += int64(len(blob))
-	return nil
-}
-
-// rewind durably truncates the log to its last whole record (s.bytes).
-// A log that cannot be cut back is closed: appending past bytes of
-// unknown state could lose acknowledged records. Caller holds s.mu (or
-// owns the store, in Open).
-func (s *Store) rewind() error {
-	err := s.f.Truncate(s.bytes)
-	if err == nil {
-		err = s.f.Sync()
-	}
-	if err != nil {
-		s.closed = true
-		s.f.Close()
-	}
-	return err
+	return s.log.Append(append(blob, '\n'), sync)
 }
 
 // Submit records a new job and returns its snapshot. The grid must
@@ -419,37 +347,13 @@ func (s *Store) GC(cutoff time.Time) ([]string, error) {
 	return removed, s.compactLocked()
 }
 
-// compactLocked rewrites the WAL from live state through a durable
-// commit and reopens the append handle on the result. Caller holds s.mu.
+// compactLocked rewrites the WAL from live state. Caller holds s.mu.
 func (s *Store) compactLocked() error {
-	if s.closed {
-		return errClosed
-	}
-	path := filepath.Join(s.dir, walName)
-	tmp, err := s.fs.Create(s.dir)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := encodeState(&buf, s.st); err != nil {
 		return err
 	}
-	if err := encodeState(tmp, s.st); err != nil {
-		tmp.Discard()
-		return err
-	}
-	cerr := tmp.Commit(path)
-	// Reopen whatever the log now is (the compacted file once the rename
-	// landed, even if the directory fsync after it failed; the old log
-	// otherwise), so appends do not go to an unlinked file.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return errors.Join(cerr, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return errors.Join(cerr, err)
-	}
-	old := s.f
-	s.f, s.bytes = f, fi.Size()
-	return errors.Join(cerr, old.Close())
+	return s.log.Replace(buf.Bytes())
 }
 
 // newJobID draws a random 16-hex-digit job id ("j-…"), unique across

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/gpusim"
 	"repro/internal/serve/apitypes"
 )
@@ -72,7 +73,8 @@ func TestSubmitGetList(t *testing.T) {
 }
 
 func TestStateMachineAndFrames(t *testing.T) {
-	st := mustOpen(t, t.TempDir())
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
 	defer st.Close()
 	cells := grid("w1/imt", "w2/imt")
 	job, _ := st.Submit("t", apitypes.SweepRequest{Modes: []string{"imt"}}, cells)
@@ -116,7 +118,6 @@ func TestStateMachineAndFrames(t *testing.T) {
 	}
 	// The duplicate attempt must not have landed in the log: a reopen
 	// replays cleanly.
-	dir := st.dir
 	st.Close()
 	st2 := mustOpen(t, dir)
 	defer st2.Close()
@@ -228,36 +229,35 @@ func TestTornFinalRecord(t *testing.T) {
 	}
 }
 
-// faultyWAL fails the real log once, with ENOSPC: a short write that
-// leaves half the record in the file, or an fsync after a whole write.
+// errClosed is what mutations of a closed store fail with.
+var errClosed = durable.ErrClosed
+
+// faultyFS fails the log once, with ENOSPC: a short write that leaves
+// half a record in the file (written through the hook's own handle, as
+// the real append is never made), or an fsync after a whole write.
 // failTruncate also fails every truncate, so the torn bytes stay.
-type faultyWAL struct {
-	WAL
-	shortWrite, failSync, failTruncate bool
-}
-
-func (w *faultyWAL) Write(p []byte) (int, error) {
-	if !w.shortWrite {
-		return w.WAL.Write(p)
-	}
-	w.shortWrite = false
-	n, _ := w.WAL.Write(p[:len(p)/2])
-	return n, &os.PathError{Op: "write", Path: walName, Err: syscall.ENOSPC}
-}
-
-func (w *faultyWAL) Sync() error {
-	if !w.failSync {
-		return w.WAL.Sync()
-	}
-	w.failSync = false
-	return &os.PathError{Op: "sync", Path: walName, Err: syscall.ENOSPC}
-}
-
-func (w *faultyWAL) Truncate(size int64) error {
-	if w.failTruncate {
-		return &os.PathError{Op: "truncate", Path: walName, Err: syscall.EIO}
-	}
-	return w.WAL.Truncate(size)
+func faultyFS(t *testing.T, shortWrite, failSync, failTruncate bool) durable.FS {
+	return durable.FS{Hook: func(op, path string) error {
+		switch {
+		case op == "append" && shortWrite:
+			shortWrite = false
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteString(`{"t":"job","job":{"id":"j-`); err != nil {
+				t.Fatal(err)
+			}
+			return &os.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
+		case op == "fsync" && failSync:
+			failSync = false
+			return &os.PathError{Op: "sync", Path: path, Err: syscall.ENOSPC}
+		case op == "truncate" && failTruncate:
+			return &os.PathError{Op: "truncate", Path: path, Err: syscall.EIO}
+		}
+		return nil
+	}}
 }
 
 // TestFailedAppendLeavesNoTornRecord: a failed append must cut the log
@@ -275,9 +275,7 @@ func TestFailedAppendLeavesNoTornRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.WrapWAL(func(w WAL) WAL {
-				return &faultyWAL{WAL: w, shortWrite: fault == "short write", failSync: fault == "fsync"}
-			})
+			st.UseFS(faultyFS(t, fault == "short write", fault == "fsync", false))
 			if _, err := st.Submit("t", sweep, grid("w2/imt")); !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("submit under %s: %v, want ENOSPC", fault, err)
 			}
@@ -321,7 +319,7 @@ func TestFailedAppendLeavesNoTornRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.WrapWAL(func(w WAL) WAL { return &faultyWAL{WAL: w, shortWrite: true, failTruncate: true} })
+		st.UseFS(faultyFS(t, true, false, true))
 		if _, err := st.Submit("t", sweep, grid("w2/imt")); !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, syscall.EIO) {
 			t.Fatalf("submit with a failed cut-back: %v, want ENOSPC and EIO", err)
 		}

@@ -16,9 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/gpusim"
 	"repro/internal/serve/apitypes"
-	"repro/internal/serve/jobs"
 )
 
 func del(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -407,19 +407,25 @@ func TestJobCrashRestartByteIdentical(t *testing.T) {
 	}
 }
 
-// fullDiskWAL fails the next append once armed, the way a full disk
-// does: half the record reaches the log, then ENOSPC.
-type fullDiskWAL struct {
-	jobs.WAL
-	armed atomic.Bool
-}
-
-func (w *fullDiskWAL) Write(p []byte) (int, error) {
-	if !w.armed.CompareAndSwap(true, false) {
-		return w.WAL.Write(p)
-	}
-	n, _ := w.WAL.Write(p[:len(p)/2])
-	return n, &os.PathError{Op: "write", Path: "wal.log", Err: syscall.ENOSPC}
+// fullDisk fails the job log's next append once armed, the way a full
+// disk does: half a record reaches the log (written through the hook's
+// own handle, as the real append is never made), then ENOSPC.
+func fullDisk(t *testing.T, armed *atomic.Bool) durable.FS {
+	return durable.FS{Hook: func(op, path string) error {
+		if op != "append" || !armed.CompareAndSwap(true, false) {
+			return nil
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Error(err)
+			return err
+		}
+		defer f.Close()
+		if _, err := f.WriteString(`{"t":"state","id":"j-`); err != nil {
+			t.Error(err)
+		}
+		return &os.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
+	}}
 }
 
 // TestJobStorageErrors: a WAL append that fails for lack of space
@@ -430,8 +436,8 @@ func TestJobStorageErrors(t *testing.T) {
 	defer s.KillJobs()
 	hook := newBlockingHook()
 	s.simHook = hook.hook
-	wal := &fullDiskWAL{}
-	s.jobs.Store().WrapWAL(func(w jobs.WAL) jobs.WAL { wal.WAL = w; return wal })
+	var armed atomic.Bool
+	s.jobs.Store().UseFS(fullDisk(t, &armed))
 	h := s.Handler()
 	const body = `{"workloads":["stream-copy-16MB"],"modes":["imt"]}`
 
@@ -444,12 +450,12 @@ func TestJobStorageErrors(t *testing.T) {
 			t.Fatalf("%s: code %q, want %q", step, e.Error.Code, apitypes.CodeStorage)
 		}
 	}
-	wal.armed.Store(true)
+	armed.Store(true)
 	wantStorage("submit", post(t, h, "/v1/jobs", body))
 
 	info := decodeBody[apitypes.JobInfo](t, post(t, h, "/v1/jobs", body))
 	waitEntered(t, hook) // running: the cancel is the next append
-	wal.armed.Store(true)
+	armed.Store(true)
 	wantStorage("cancel", del(t, h, "/v1/jobs/"+info.ID))
 	if got := decodeBody[apitypes.JobInfo](t, del(t, h, "/v1/jobs/"+info.ID)); got.State != apitypes.JobCanceled {
 		t.Fatalf("cancel retried after the failure: %+v", got)

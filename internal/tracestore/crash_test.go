@@ -43,9 +43,33 @@ func TestPutCrashPoints(t *testing.T) {
 	})
 }
 
-// checkStore reopens dir and asserts the store invariants after a crash
-// at op k.
-func checkStore(t *testing.T, k int, dir string, committed []string) {
+// TestDeleteCrashPoints stops a Delete at every filesystem operation,
+// then reopens the store. The trace is either absent or replays bytes
+// that hash to its digest, it is absent whenever Delete returned nil,
+// and no stray file survives.
+func TestDeleteCrashPoints(t *testing.T) {
+	var dir, digest string
+	durabletest.Enumerate(t, func(fs durable.FS) error {
+		dir = t.TempDir()
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest = mustPut(t, s, testBlob(t, 1, 8)).Digest
+		s.fs = fs
+		_, err = s.Delete(digest)
+		return err
+	}, func(k int, err error) {
+		s := checkStore(t, k, dir, nil)
+		if _, serr := s.Stat(digest); err == nil && serr == nil {
+			t.Fatalf("crash at op %d: Delete returned nil but the trace is resident", k)
+		}
+	})
+}
+
+// checkStore reopens dir, asserts the store invariants after a crash at
+// op k and returns the reopened store.
+func checkStore(t *testing.T, k int, dir string, committed []string) *Store {
 	t.Helper()
 	s, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -81,4 +105,5 @@ func checkStore(t *testing.T, k int, dir string, committed []string) {
 		}
 		return nil
 	})
+	return s
 }

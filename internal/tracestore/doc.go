@@ -13,13 +13,14 @@
 //	dir/blobs/<dg[:2]>/<dg>.trc   committed trace bytes
 //	dir/meta/<dg>.json            sidecar: byte-level TraceIndex + info
 //
-// Both files are committed through durable.FS, blob first, which makes
-// every crash state recoverable on the next Open: a temp file is
-// garbage (an upload or sidecar that never finished), a blob without
-// meta is a validated trace whose sidecar write was interrupted
-// (re-indexed and resurrected), and a meta without blob is the tail of
-// an interrupted delete (removed).
-// No partially written trace is ever visible under blobs/.
+// Every change to these files goes through durable.FS, blob first for
+// commits and deletes alike, and a delete fsyncs each directory it
+// removes from. Every crash state is recoverable on the next Open: a
+// temp file is garbage (an upload or sidecar that never finished), a
+// blob without meta is a validated trace whose sidecar write was
+// interrupted (re-indexed and resurrected), and a meta without blob is
+// an interrupted delete (removed). No partially written trace is ever
+// visible under blobs/, and a delete that returned survives power loss.
 //
 // Uploads stream: Put validates the bytes with gpusim.IndexTraceStream
 // while hashing and spilling them to the temp file, so a multi-GB trace

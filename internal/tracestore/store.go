@@ -152,7 +152,7 @@ func Open(opts Options) (*Store, error) {
 	s.gBytes = reg.Gauge("tracestore_bytes", "committed trace bytes resident in the store")
 
 	for _, d := range []string{s.tmpDir(), filepath.Join(s.dir, "blobs"), filepath.Join(s.dir, "meta")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+		if err := s.fs.MkdirAll(d); err != nil {
 			return nil, err
 		}
 	}
@@ -163,7 +163,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	for _, de := range tmps {
-		if err := os.Remove(filepath.Join(s.tmpDir(), de.Name())); err == nil {
+		if err := s.fs.Remove(filepath.Join(s.tmpDir(), de.Name())); err == nil {
 			s.mGCRemoved.Inc()
 		}
 	}
@@ -177,7 +177,7 @@ func Open(opts Options) (*Store, error) {
 		digest, ok := metaDigest(de.Name())
 		if !ok {
 			// A sidecar commit's temp file: never visible, safe to drop.
-			if os.Remove(filepath.Join(s.dir, "meta", de.Name())) == nil {
+			if s.fs.Remove(filepath.Join(s.dir, "meta", de.Name())) == nil {
 				s.mGCRemoved.Inc()
 			}
 			continue
@@ -185,8 +185,9 @@ func Open(opts Options) (*Store, error) {
 		mf, err := readMeta(s.metaPath(digest))
 		st, statErr := os.Stat(s.blobPath(digest))
 		if err != nil || mf.Digest != digest || statErr != nil || st.Size() != mf.Index.Bytes {
-			os.Remove(s.metaPath(digest))
-			s.mGCRemoved.Inc()
+			if s.fs.Remove(s.metaPath(digest)) == nil {
+				s.mGCRemoved.Inc()
+			}
 			continue
 		}
 		s.entries[digest] = &entry{
@@ -217,8 +218,7 @@ func Open(opts Options) (*Store, error) {
 			if !ok || s.entries[digest] != nil {
 				continue
 			}
-			if err := s.resurrect(digest); err != nil {
-				os.Remove(s.blobPath(digest))
+			if s.resurrect(digest) != nil && s.fs.Remove(s.blobPath(digest)) == nil {
 				s.mGCRemoved.Inc()
 			}
 		}
@@ -353,7 +353,9 @@ func (s *Store) Put(r io.Reader) (Info, bool, error) {
 		return s.infoLocked(digest, e), false, nil
 	}
 	if err := s.makeRoomLocked(idx.Bytes); err != nil {
-		s.mRejected.Inc()
+		if errors.Is(err, ErrOverQuota) {
+			s.mRejected.Inc()
+		}
 		return Info{}, false, err
 	}
 	// Commit: blob first, sidecar second. A crash between the two
@@ -400,7 +402,9 @@ func (s *Store) makeRoomLocked(need int64) error {
 		if victim == "" {
 			return fmt.Errorf("%w: %d bytes needed but every resident blob is referenced", ErrOverQuota, need)
 		}
-		s.removeLocked(victim)
+		if err := s.removeLocked(victim); err != nil {
+			return err
+		}
 		s.mEvictions.Inc()
 	}
 	return nil
@@ -411,15 +415,21 @@ func (s *Store) inUse(digest string) bool {
 }
 
 // removeLocked deletes a blob's files and entry. Blob first, meta
-// second: a crash in between leaves meta-without-blob, which Open
-// drops (the delete wins), never a resurrected half-deleted blob.
-func (s *Store) removeLocked(digest string) {
-	e := s.entries[digest]
-	os.Remove(s.blobPath(digest))
-	os.Remove(s.metaPath(digest))
+// second, each removal fsynced: a crash in between leaves
+// meta-without-blob, which Open drops (the delete wins), never a
+// resurrected half-deleted blob. A blob that cannot be removed keeps
+// its entry resident and fails the call.
+func (s *Store) removeLocked(digest string) error {
+	if err := s.fs.Remove(s.blobPath(digest)); err != nil {
+		return err
+	}
+	s.usage -= s.entries[digest].idx.Bytes
 	delete(s.entries, digest)
-	s.usage -= e.idx.Bytes
 	s.updateGauges()
+	// The delete is durable once the blob is gone; a sidecar left
+	// behind is the meta-without-blob that the next Open drops.
+	_ = s.fs.Remove(s.metaPath(digest))
+	return nil
 }
 
 func (s *Store) touchLocked(digest string, e *entry, now time.Time) {
@@ -477,13 +487,16 @@ func (s *Store) Delete(digest string) (Info, error) {
 		return Info{}, fmt.Errorf("%w: %s is referenced by a queued job", ErrInUse, digest)
 	}
 	info := s.infoLocked(digest, e)
-	s.removeLocked(digest)
+	if err := s.removeLocked(digest); err != nil {
+		return Info{}, err
+	}
 	s.mDeletes.Inc()
 	return info, nil
 }
 
 // GC runs a TTL sweep: unpinned, unclaimed blobs unused for longer
-// than Options.TTL are removed. Returns how many were removed.
+// than Options.TTL are removed. Returns how many were removed; a blob
+// whose removal fails stays resident for the next sweep.
 func (s *Store) GC(now time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -494,20 +507,14 @@ func (s *Store) gcLocked(now time.Time) int {
 	if s.opts.TTL <= 0 {
 		return 0
 	}
-	var expired []string
+	n := 0
 	for digest, e := range s.entries {
-		if e.refs > 0 || s.inUse(digest) {
-			continue
-		}
-		if now.Sub(e.lastUsed) > s.opts.TTL {
-			expired = append(expired, digest)
+		if e.refs == 0 && !s.inUse(digest) && now.Sub(e.lastUsed) > s.opts.TTL && s.removeLocked(digest) == nil {
+			s.mGCRemoved.Inc()
+			n++
 		}
 	}
-	for _, digest := range expired {
-		s.removeLocked(digest)
-		s.mGCRemoved.Inc()
-	}
-	return len(expired)
+	return n
 }
 
 // Stats snapshots usage and lifetime counters.
