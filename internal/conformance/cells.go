@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -117,6 +118,96 @@ func simCell(name string) Cell {
 					baseline = st
 				}
 				out[m.Label] = newSimMetrics(st, cfg, baseline)
+			}
+			return out, nil
+		},
+	}
+}
+
+// familyWorkloads are the smallest catalog workloads (fewest ops per
+// SM, then smallest footprint) of the access-pattern families the
+// sim-* cells above leave unpinned: stream, random-fine and the
+// hpc-micro kernels already have a cell each.
+var familyWorkloads = []string{"mlperf-dlrm-l3", "hpc-stencil22", "sla-spmv31", "md-neigh11"}
+
+// replayWorkload is the family cell's recorded trace: the smallest
+// graph kernel, the only catalog family that issues atomics.
+const replayWorkload = "graph-bfs9"
+
+// canonicalModes are the four distinct machines behind the six tag
+// modes (imt and ecc-steal canonicalize to none); the first two also
+// drive the starved machine and the replay.
+var canonicalModes = []string{"none", "carve-low", "carve-high", "bounds-table"}
+
+// familiesSimCell pins the simulator on the workload families the
+// per-workload cells miss, on an MSHR-starved machine whose SMs spend
+// most cycles blocked on L1 MSHRs, and on one recorded trace replayed
+// through OpenTraceAt. Keys are "<workload>/<config>"; SlowdownVsNone
+// compares against the same traces and machine under mode none.
+func familiesSimCell() Cell {
+	return Cell{
+		Name:  "sim-families",
+		About: "gpusim counters for one workload per unpinned pattern family, an MSHR-starved machine and a replayed recorded trace",
+		Run: func() (any, error) {
+			out := map[string]SimMetrics{}
+			// runModes simulates fresh traces under each mode on the
+			// machine base, keying results "<prefix><mode>".
+			runModes := func(prefix string, modes []string, base gpusim.Config, traces func() []gpusim.Trace) error {
+				var baseline gpusim.Stats
+				for _, mode := range modes {
+					cfg := base
+					var err error
+					if cfg.Mode, cfg.Carve, err = gpusim.ParseTagMode(mode); err != nil {
+						return err
+					}
+					sim, err := gpusim.New(cfg, traces())
+					if err != nil {
+						return fmt.Errorf("%s%s: %w", prefix, mode, err)
+					}
+					st, err := sim.Run(0)
+					if err != nil {
+						return fmt.Errorf("%s%s: %w", prefix, mode, err)
+					}
+					if mode == "none" {
+						baseline = st
+					}
+					out[prefix+mode] = newSimMetrics(st, cfg, baseline)
+				}
+				return nil
+			}
+			cfg := gpusim.DefaultConfig()
+			starved := cfg
+			starved.L1MSHRs = 4
+			starved.MaxOutstandingOps = 2
+			for _, name := range familyWorkloads {
+				w, err := workloadByName(name)
+				if err != nil {
+					return nil, err
+				}
+				generate := func() []gpusim.Trace { return w.Traces(cfg.NumSMs) }
+				if err := runModes(name+"/", canonicalModes, cfg, generate); err != nil {
+					return nil, err
+				}
+				if err := runModes(name+"/starved-", canonicalModes[:2], starved, generate); err != nil {
+					return nil, err
+				}
+			}
+
+			w, err := workloadByName(replayWorkload)
+			if err != nil {
+				return nil, err
+			}
+			var blob bytes.Buffer
+			if err := gpusim.WriteTraces(&blob, w.Traces(cfg.NumSMs)); err != nil {
+				return nil, err
+			}
+			idx, err := gpusim.IndexTraceStream(bytes.NewReader(blob.Bytes()))
+			if err != nil {
+				return nil, err
+			}
+			replay := func() []gpusim.Trace { return gpusim.OpenTraceAt(bytes.NewReader(blob.Bytes()), idx) }
+			if err := runModes("replay-"+replayWorkload+"/", canonicalModes[:2], cfg, replay); err != nil {
+				return nil, err
 			}
 			return out, nil
 		},

@@ -29,6 +29,7 @@ func Cells() []Cell {
 		simCell("stream-copy-16MB"),
 		simCell("mlperf-ssd-l0"),
 		simCell("hpc-micro0"),
+		familiesSimCell(),
 		sampledSimCell("stream-copy-16MB"),
 		eccConstructionsCell(),
 		afteccConstructionCell(),
