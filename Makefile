@@ -27,8 +27,10 @@ bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_results.json
 
 # Perf-regression gate over the gpusim hot path and the bitsliced
-# fault-injection engine: reruns the steady-state simulator benchmarks
-# plus the injections-per-second pairs (bitsliced vs scalar; 6
+# fault-injection engine: reruns the steady-state simulator benchmarks,
+# the generated-trace per-cell benchmarks (New + Run over
+# Workload.Traces, the runner's path), the trace decoder, plus the
+# injections-per-second pairs (bitsliced vs scalar; 6
 # repetitions; the gate compares min ns/op on both sides, so transient
 # scheduler noise must survive every repetition to trip it) and fails
 # if any benchmark regressed beyond tolerance against the committed
@@ -42,7 +44,7 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchjson -out BENCH_results.json -gate BENCH_results.json \
 		-gate-tolerance 0.15 \
-		-bench 'BenchmarkSimSteady|BenchmarkInject|BenchmarkTraceDecodeStream' -benchtime 5x -count 6 \
+		-bench 'BenchmarkSimSteady|BenchmarkSimGenerated|BenchmarkInject|BenchmarkTraceDecodeStream' -benchtime 5x -count 6 \
 		-pkg './internal/gpusim ./internal/reliability'
 
 # Regenerate every paper table/figure into results/ (paper scale, ~3 min).

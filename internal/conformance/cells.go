@@ -17,27 +17,16 @@ import (
 	"repro/internal/workload"
 )
 
-// simModes are the tagging configurations every sim cell pins: all tag
-// modes through the simulator, with both carve-out geometries since
-// they share a TagMode but diverge in traffic.
-func simModes() []struct {
-	Label string
-	Mode  gpusim.TagMode
-	Carve gpusim.CarveOut
-} {
-	return []struct {
-		Label string
-		Mode  gpusim.TagMode
-		Carve gpusim.CarveOut
-	}{
-		{"none", gpusim.ModeNone, gpusim.CarveOut{}},
-		{"imt", gpusim.ModeIMT, gpusim.CarveOut{}},
-		{"ecc-steal", gpusim.ModeECCSteal, gpusim.CarveOut{}},
-		{"carve-low", gpusim.ModeCarveOut, gpusim.CarveOutLow},
-		{"carve-high", gpusim.ModeCarveOut, gpusim.CarveOutHigh},
-		{"bounds-table", gpusim.ModeBoundsTable, gpusim.CarveOut{}},
-	}
-}
+// simModes are the tagging configurations every per-workload sim cell
+// pins (gpusim.ParseTagMode spellings): all tag modes through the
+// simulator, with both carve-out geometries since they share a TagMode
+// but diverge in traffic.
+var simModes = []string{"none", "imt", "ecc-steal", "carve-low", "carve-high", "bounds-table"}
+
+// canonicalModes are the four distinct machines behind simModes (imt
+// and ecc-steal canonicalize to none); the first two also drive the
+// family cell's starved machine and replay.
+var canonicalModes = []string{"none", "carve-low", "carve-high", "bounds-table"}
 
 // SimMetrics pins one (workload, mode) simulation: every aggregate
 // counter plus every derived ratio the reports consume, so a refactor
@@ -86,11 +75,39 @@ func workloadByName(name string) (workload.Workload, error) {
 }
 
 func runWorkload(w workload.Workload, cfg gpusim.Config) (gpusim.Stats, error) {
-	sim, err := gpusim.New(cfg, w.Traces(cfg.NumSMs))
+	return runTraces(cfg, w.Traces(cfg.NumSMs))
+}
+
+func runTraces(cfg gpusim.Config, traces []gpusim.Trace) (gpusim.Stats, error) {
+	sim, err := gpusim.New(cfg, traces)
 	if err != nil {
 		return gpusim.Stats{}, err
 	}
 	return sim.Run(0)
+}
+
+// runModes simulates fresh traces under each mode on machine base and
+// stores the results in out under "<prefix><mode>". SlowdownVsNone
+// compares against the same traces and machine under mode none, which
+// must come first.
+func runModes(out map[string]SimMetrics, prefix string, modes []string, base gpusim.Config, traces func() []gpusim.Trace) error {
+	var baseline gpusim.Stats
+	for _, mode := range modes {
+		cfg := base
+		var err error
+		if cfg.Mode, cfg.Carve, err = gpusim.ParseTagMode(mode); err != nil {
+			return err
+		}
+		st, err := runTraces(cfg, traces())
+		if err != nil {
+			return fmt.Errorf("%s%s: %w", prefix, mode, err)
+		}
+		if mode == "none" {
+			baseline = st
+		}
+		out[prefix+mode] = newSimMetrics(st, cfg, baseline)
+	}
+	return nil
 }
 
 // simCell pins one catalog workload across every tagging mode on the
@@ -104,22 +121,10 @@ func simCell(name string) Cell {
 			if err != nil {
 				return nil, err
 			}
-			var baseline gpusim.Stats
+			cfg := gpusim.DefaultConfig()
 			out := map[string]SimMetrics{}
-			for _, m := range simModes() {
-				cfg := gpusim.DefaultConfig()
-				cfg.Mode = m.Mode
-				cfg.Carve = m.Carve
-				st, err := runWorkload(w, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", name, m.Label, err)
-				}
-				if m.Mode == gpusim.ModeNone {
-					baseline = st
-				}
-				out[m.Label] = newSimMetrics(st, cfg, baseline)
-			}
-			return out, nil
+			err = runModes(out, "", simModes, cfg, func() []gpusim.Trace { return w.Traces(cfg.NumSMs) })
+			return out, err
 		},
 	}
 }
@@ -134,11 +139,6 @@ var familyWorkloads = []string{"mlperf-dlrm-l3", "hpc-stencil22", "sla-spmv31", 
 // graph kernel, the only catalog family that issues atomics.
 const replayWorkload = "graph-bfs9"
 
-// canonicalModes are the four distinct machines behind the six tag
-// modes (imt and ecc-steal canonicalize to none); the first two also
-// drive the starved machine and the replay.
-var canonicalModes = []string{"none", "carve-low", "carve-high", "bounds-table"}
-
 // familiesSimCell pins the simulator on the workload families the
 // per-workload cells miss, on an MSHR-starved machine whose SMs spend
 // most cycles blocked on L1 MSHRs, and on one recorded trace replayed
@@ -150,31 +150,6 @@ func familiesSimCell() Cell {
 		About: "gpusim counters for one workload per unpinned pattern family, an MSHR-starved machine and a replayed recorded trace",
 		Run: func() (any, error) {
 			out := map[string]SimMetrics{}
-			// runModes simulates fresh traces under each mode on the
-			// machine base, keying results "<prefix><mode>".
-			runModes := func(prefix string, modes []string, base gpusim.Config, traces func() []gpusim.Trace) error {
-				var baseline gpusim.Stats
-				for _, mode := range modes {
-					cfg := base
-					var err error
-					if cfg.Mode, cfg.Carve, err = gpusim.ParseTagMode(mode); err != nil {
-						return err
-					}
-					sim, err := gpusim.New(cfg, traces())
-					if err != nil {
-						return fmt.Errorf("%s%s: %w", prefix, mode, err)
-					}
-					st, err := sim.Run(0)
-					if err != nil {
-						return fmt.Errorf("%s%s: %w", prefix, mode, err)
-					}
-					if mode == "none" {
-						baseline = st
-					}
-					out[prefix+mode] = newSimMetrics(st, cfg, baseline)
-				}
-				return nil
-			}
 			cfg := gpusim.DefaultConfig()
 			starved := cfg
 			starved.L1MSHRs = 4
@@ -185,10 +160,10 @@ func familiesSimCell() Cell {
 					return nil, err
 				}
 				generate := func() []gpusim.Trace { return w.Traces(cfg.NumSMs) }
-				if err := runModes(name+"/", canonicalModes, cfg, generate); err != nil {
+				if err := runModes(out, name+"/", canonicalModes, cfg, generate); err != nil {
 					return nil, err
 				}
-				if err := runModes(name+"/starved-", canonicalModes[:2], starved, generate); err != nil {
+				if err := runModes(out, name+"/starved-", canonicalModes[:2], starved, generate); err != nil {
 					return nil, err
 				}
 			}
@@ -206,7 +181,7 @@ func familiesSimCell() Cell {
 				return nil, err
 			}
 			replay := func() []gpusim.Trace { return gpusim.OpenTraceAt(bytes.NewReader(blob.Bytes()), idx) }
-			if err := runModes("replay-"+replayWorkload+"/", canonicalModes[:2], cfg, replay); err != nil {
+			if err := runModes(out, "replay-"+replayWorkload+"/", canonicalModes[:2], cfg, replay); err != nil {
 				return nil, err
 			}
 			return out, nil

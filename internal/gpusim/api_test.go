@@ -63,8 +63,8 @@ func TestTagModeNamesAllParse(t *testing.T) {
 }
 
 func streamTrace(n int) *FuncTrace {
-	return &FuncTrace{N: n, Gen: func(i int) WarpOp {
-		return WarpOp{Addrs: []uint64{uint64(i) * 32}}
+	return &FuncTrace{N: n, Gen: func(i int, addrs []uint64) WarpOp {
+		return WarpOp{Addrs: append(addrs, uint64(i)*32)}
 	}}
 }
 

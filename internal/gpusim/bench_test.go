@@ -3,7 +3,7 @@ package gpusim_test
 // Hot-path benchmarks over the three conformance workloads × all six
 // tagging modes — the exact cells cmd/conformance pins, so the perf
 // trajectory in BENCH_results.json and the bit-identity gate cover the
-// same ground. Two families:
+// same ground. Three families:
 //
 //   - BenchmarkSimCold: one fresh Sim per iteration (New + Run), the
 //     runner's per-cell usage pattern. Allocations include simulator
@@ -12,9 +12,13 @@ package gpusim_test
 //     the steady-state hot path with construction amortized away. This
 //     is the family `make bench-gate` tracks: its allocs/op must stay
 //     near zero and its ns/op must not regress.
+//   - BenchmarkSimGenerated: New + Run over Workload.Traces, exactly the
+//     runner's per-cell path, so trace generation (the address arena)
+//     is inside the measurement; also tracked by `make bench-gate`.
 //
-// Both report ns/warp-op (wall nanoseconds of host time per simulated
-// warp instruction), the per-cell unit the runner telemetry exposes.
+// All three report ns/warp-op (wall nanoseconds of host time per
+// simulated warp instruction), the per-cell unit the runner telemetry
+// exposes.
 
 import (
 	"bytes"
@@ -40,29 +44,33 @@ var benchModes = []struct {
 	{"bounds-table", gpusim.ModeBoundsTable, gpusim.CarveOut{}},
 }
 
+func catalogWorkload(tb testing.TB, name string) workload.Workload {
+	tb.Helper()
+	for _, w := range workload.Catalog() {
+		if w.Name == name {
+			return w
+		}
+	}
+	tb.Fatalf("workload %q not in the catalog", name)
+	return workload.Workload{}
+}
+
 // benchOps drains a catalog workload's generator traces into plain op
 // slices once per benchmark, so iterations replay identical streams
 // without re-running the generators.
 func benchOps(tb testing.TB, name string, numSMs int) [][]gpusim.WarpOp {
 	tb.Helper()
-	for _, w := range workload.Catalog() {
-		if w.Name != name {
-			continue
-		}
-		out := make([][]gpusim.WarpOp, numSMs)
-		for i, tr := range w.Traces(numSMs) {
-			for {
-				op, ok := tr.Next()
-				if !ok {
-					break
-				}
-				out[i] = append(out[i], op)
+	out := make([][]gpusim.WarpOp, numSMs)
+	for i, tr := range catalogWorkload(tb, name).Traces(numSMs) {
+		for {
+			op, ok := tr.Next()
+			if !ok {
+				break
 			}
+			out[i] = append(out[i], op)
 		}
-		return out
 	}
-	tb.Fatalf("workload %q not in the catalog", name)
-	return nil
+	return out
 }
 
 func benchConfig(m struct {
@@ -196,6 +204,33 @@ func BenchmarkSimCold(b *testing.B) {
 						traces[j] = &gpusim.SliceTrace{Ops: ops[j]}
 					}
 					sim, err := gpusim.New(cfg, traces)
+					if err != nil {
+						b.Fatal(err)
+					}
+					st, err := sim.Run(0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					warpOps = st.WarpOps
+				}
+				b.StopTimer()
+				reportWarpOp(b, warpOps)
+			})
+		}
+	}
+}
+
+func BenchmarkSimGenerated(b *testing.B) {
+	for _, name := range benchWorkloads {
+		w := catalogWorkload(b, name)
+		for _, m := range benchModes {
+			b.Run(fmt.Sprintf("%s/%s", name, m.label), func(b *testing.B) {
+				cfg := benchConfig(m)
+				var warpOps uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sim, err := gpusim.New(cfg, w.Traces(cfg.NumSMs))
 					if err != nil {
 						b.Fatal(err)
 					}

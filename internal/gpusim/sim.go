@@ -3,7 +3,7 @@ package gpusim
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"time"
 )
 
@@ -25,8 +25,9 @@ const tagRegionSector = uint64(1) << 44
 // files are open-addressed tables with recycled waiter lists, queues are
 // rings, events live in a slice-backed heap, op/miss bookkeeping comes
 // from per-Sim arenas and free lists, and trace decoding is batched into
-// a reusable buffer. All of it is behavior-preserving — cmd/conformance
-// pins bit-identity against the committed goldens.
+// a reusable buffer whose ops' addresses live in one reused arena per
+// trace. All of it is behavior-preserving — cmd/conformance pins
+// bit-identity against the committed goldens.
 type Sim struct {
 	cfg    Config
 	sms    []smState    // value array: one pointer hop fewer, better locality
@@ -65,7 +66,12 @@ type smState struct {
 	// too (a linear scan over L1MSHRs sectors lost to it in profiles).
 	mshr *pendTable[*opState]
 	// blocked marks pi as the remainder of an op that ran out of MSHRs.
+	// A blocked SM retries only once filled is set: only l1Fill adds L1
+	// lines or frees this SM's MSHRs, so a retry between two fills would
+	// fail exactly as the last one did (its one side effect, an L1 clock
+	// tick, never reorders the LRU stamps). Blocking clears filled.
 	blocked bool
+	filled  bool
 	pi      pendingIssue
 	done    bool
 	scratch []uint64
@@ -218,51 +224,52 @@ func (e event) kind() eventKind { return eventKind(e.meta & 0xff) }
 func (e event) unit() int       { return int(uint32(e.meta>>8) & 0xffffff) }
 func (e event) opIdx() int32    { return int32(e.meta >> 32) }
 
-// pushEvent and popEvent implement exactly container/heap's sift
-// algorithms (Less is cycle-order only), inlined over []event so pushes
-// stop boxing each event into an interface (one heap allocation per
-// event in the seed). Equal-cycle pop order depends on the heap's
-// internal swap sequence, so the algorithm is replicated verbatim to
-// keep delivery order — and therefore every golden — bit-identical.
+// pushEvent and popEvent leave exactly the array container/heap's up
+// and down sifts would (Less is cycle-order only), inlined over []event
+// so pushes stop boxing each event into an interface. Equal-cycle pop
+// order depends on that array, so it must match to keep delivery order
+// — and therefore every golden — bit-identical. Where container/heap
+// swaps the sifted element one level at a time, these move each
+// displaced element into a hole and write the sifted one once at the
+// end: the same comparisons, the same final array, fewer copies.
 func (s *Sim) pushEvent(e event) {
 	h := append(s.events, e)
 	j := len(h) - 1
-	for {
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || h[j].cycle >= h[i].cycle {
+		if e.cycle >= h[i].cycle {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = e
 	s.events = h
 }
 
 func (s *Sim) popEvent() event {
 	h := s.events
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	// down(0, n), as in container/heap.
+	top, e := h[0], h[n]
+	// down(0, n) of the last element moved to the root.
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].cycle < h[j1].cycle {
+		if j2 := j + 1; j2 < n && h[j2].cycle < h[j].cycle {
 			j = j2
 		}
-		if h[j].cycle >= h[i].cycle {
+		if h[j].cycle >= e.cycle {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	e := h[n]
-	h[n] = event{} // drop the op pointer
+	h[i] = e
 	s.events = h[:n]
-	return e
+	return top
 }
 
 // New builds a simulator for the configuration with one trace per SM
@@ -285,7 +292,7 @@ func New(cfg Config, traces []Trace) (*Sim, error) {
 		sm := &s.sms[i]
 		sm.id = i
 		sm.l1 = newCache(cfg.L1SizeBytes, cfg.SectorSize, cfg.L1Assoc)
-		sm.mshr = newPendTable[*opState]()
+		sm.mshr = newPendTable[*opState](4 * cfg.L1MSHRs)
 		sm.scratch = make([]uint64, 0, 64)
 	}
 	s.slices = make([]sliceState, cfg.NumSlices)
@@ -293,8 +300,8 @@ func New(cfg Config, traces []Trace) (*Sim, error) {
 		sl := &s.slices[i]
 		sl.id = i
 		sl.l2 = newCache(cfg.L2SliceBytes, cfg.SectorSize, cfg.L2Assoc)
-		sl.pendingData = newPendTable[*l2Miss]()
-		sl.pendingTag = newPendTable[*l2Miss]()
+		sl.pendingData = newPendTable[*l2Miss](0)
+		sl.pendingTag = newPendTable[*l2Miss](0)
 	}
 	s.attachTraces(traces)
 	if cfg.SampleInterval > 0 {
@@ -340,6 +347,7 @@ func (s *Sim) Reset(traces []Trace) {
 		sm.nextReady = 0
 		sm.outstanding = 0
 		sm.blocked = false
+		sm.filled = false
 		sm.pi = pendingIssue{sectors: sm.pi.sectors[:0]}
 		sm.boundsToggle = 0
 	}
@@ -450,17 +458,14 @@ func (s *Sim) Run(maxCycles uint64) (Stats, error) {
 // (Stats.HostNsPerOp / Stats.HostAllocsPerOp); see their field docs for
 // what they do and do not mean.
 func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (st Stats, err error) {
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	m0 := heapAllocs()
 	t0 := time.Now()
 	defer func() {
 		if st.WarpOps == 0 {
 			return
 		}
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
 		st.HostNsPerOp = float64(time.Since(t0).Nanoseconds()) / float64(st.WarpOps)
-		st.HostAllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(st.WarpOps)
+		st.HostAllocsPerOp = float64(heapAllocs()-m0) / float64(st.WarpOps)
 	}()
 	if maxCycles == 0 {
 		maxCycles = 2_000_000_000
@@ -493,6 +498,20 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (st Stats, err e
 			return s.stats, fmt.Errorf("gpusim: exceeded %d cycles (deadlock or runaway workload)", maxCycles)
 		}
 	}
+}
+
+// heapAllocs is the process's cumulative heap allocation count, the
+// runtime.MemStats.Mallocs sum (tiny objects included) read through
+// runtime/metrics, which unlike runtime.ReadMemStats does not stop the
+// world. It counts an allocation once its span leaves a P's cache, so
+// a read can trail the exact count by part of a span per size class.
+func heapAllocs() uint64 {
+	samples := [...]metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+	}
+	metrics.Read(samples[:])
+	return samples[0].Value.Uint64() + samples[1].Value.Uint64()
 }
 
 // step performs one cycle of work; it reports whether anything happened
@@ -550,9 +569,13 @@ func (s *Sim) step() bool {
 	return progressed
 }
 
-// issue advances one SM by at most one op (or one blocked-op retry).
+// issue advances one SM by at most one op (or one blocked-op retry,
+// made only after an L1 fill; see smState.filled).
 func (s *Sim) issue(sm *smState) bool {
 	if sm.blocked {
+		if !sm.filled {
+			return false
+		}
 		return s.issueSectors(sm)
 	}
 	if sm.done || s.now < sm.nextReady || sm.outstanding >= s.cfg.MaxOutstandingOps {
@@ -642,7 +665,7 @@ func (s *Sim) issueSectors(sm *smState) bool {
 			continue
 		}
 		if sm.mshr.count >= s.cfg.L1MSHRs {
-			sm.blocked = true
+			sm.blocked, sm.filled = true, false
 			return progressed
 		}
 		s.stats.L1Misses++
@@ -832,6 +855,7 @@ func (s *Sim) opSectorDone(op *opState) {
 func (s *Sim) l1Fill(smID int, sector uint64) {
 	sm := &s.sms[smID]
 	sm.l1.insert(sector, false) // write-through L1: evictions are silent
+	sm.filled = true
 	waiters := sm.mshr.take(sector)
 	if waiters == nil {
 		return

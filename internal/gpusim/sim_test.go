@@ -12,9 +12,9 @@ func streamTraces(n, ops int, writeFrac float64, seed int64) []Trace {
 	for sm := 0; sm < n; sm++ {
 		sm := sm
 		rng := rand.New(rand.NewSource(seed + int64(sm)))
-		out[sm] = &FuncTrace{N: ops, Gen: func(i int) WarpOp {
+		out[sm] = &FuncTrace{N: ops, Gen: func(i int, addrs []uint64) WarpOp {
 			base := (uint64(i)*uint64(n) + uint64(sm)) * 128
-			op := WarpOp{Store: rng.Float64() < writeFrac}
+			op := WarpOp{Store: rng.Float64() < writeFrac, Addrs: addrs}
 			for t := 0; t < 4; t++ {
 				op.Addrs = append(op.Addrs, base+uint64(t)*32)
 			}
@@ -28,8 +28,8 @@ func randomTraces(n, ops int, footprint uint64, seed int64) []Trace {
 	out := make([]Trace, n)
 	for sm := 0; sm < n; sm++ {
 		rng := rand.New(rand.NewSource(seed + int64(sm)))
-		out[sm] = &FuncTrace{N: ops, Gen: func(i int) WarpOp {
-			var op WarpOp
+		out[sm] = &FuncTrace{N: ops, Gen: func(i int, addrs []uint64) WarpOp {
+			op := WarpOp{Addrs: addrs}
 			for t := 0; t < 16; t++ {
 				op.Addrs = append(op.Addrs, uint64(rng.Int63n(int64(footprint/4)))*4)
 			}
@@ -235,8 +235,8 @@ func TestBoundsTableSmallOverhead(t *testing.T) {
 func TestL1CapturesReuse(t *testing.T) {
 	// A tiny working set must hit in L1 after warmup.
 	cfg := DefaultConfig()
-	traces := []Trace{&FuncTrace{N: 2000, Gen: func(i int) WarpOp {
-		return WarpOp{Addrs: []uint64{uint64(i%64) * 32}}
+	traces := []Trace{&FuncTrace{N: 2000, Gen: func(i int, addrs []uint64) WarpOp {
+		return WarpOp{Addrs: append(addrs, uint64(i%64)*32)}
 	}}}
 	st := run(t, cfg, traces)
 	if st.L1HitRate() < 0.9 {
@@ -277,7 +277,7 @@ func TestTraceAdapters(t *testing.T) {
 	if _, ok := st.Next(); ok {
 		t.Fatal("SliceTrace should be exhausted")
 	}
-	ft := &FuncTrace{N: 1, Gen: func(i int) WarpOp { return WarpOp{Compute: i + 5} }}
+	ft := &FuncTrace{N: 1, Gen: func(i int, addrs []uint64) WarpOp { return WarpOp{Compute: i + 5, Addrs: addrs} }}
 	if op, ok := ft.Next(); !ok || op.Compute != 5 {
 		t.Fatal("FuncTrace wrong")
 	}
@@ -335,8 +335,8 @@ func TestAtomicsServicedAtL2(t *testing.T) {
 	cfg := DefaultConfig()
 	// A stream of atomics to a small set of counters: after warm-up they
 	// hit in the L2 and never touch the L1.
-	traces := []Trace{&FuncTrace{N: 2000, Gen: func(i int) WarpOp {
-		return WarpOp{Atomic: true, Addrs: []uint64{uint64(i%16) * 32}}
+	traces := []Trace{&FuncTrace{N: 2000, Gen: func(i int, addrs []uint64) WarpOp {
+		return WarpOp{Atomic: true, Addrs: append(addrs, uint64(i%16)*32)}
 	}}}
 	st := run(t, cfg, traces)
 	if st.Atomics != 2000 {
@@ -361,8 +361,8 @@ func TestAtomicsNeedTagsUnderCarveOut(t *testing.T) {
 	carve.Carve = CarveOutLow
 	mk := func() []Trace {
 		rng := rand.New(rand.NewSource(9))
-		return []Trace{&FuncTrace{N: 1500, Gen: func(i int) WarpOp {
-			return WarpOp{Atomic: true, Addrs: []uint64{uint64(rng.Int63n(1<<20)) &^ 31}}
+		return []Trace{&FuncTrace{N: 1500, Gen: func(i int, addrs []uint64) WarpOp {
+			return WarpOp{Atomic: true, Addrs: append(addrs, uint64(rng.Int63n(1<<20))&^31)}
 		}}}
 	}
 	s0 := run(t, base, mk())
@@ -385,8 +385,8 @@ func TestAtomicMixCompletes(t *testing.T) {
 			cfg.Carve = CarveOutHigh
 		}
 		rng := rand.New(rand.NewSource(11))
-		traces := []Trace{&FuncTrace{N: 1200, Gen: func(i int) WarpOp {
-			op := WarpOp{Addrs: []uint64{uint64(rng.Int63n(1<<18)) &^ 31, uint64(rng.Int63n(1<<18)) &^ 31}}
+		traces := []Trace{&FuncTrace{N: 1200, Gen: func(i int, addrs []uint64) WarpOp {
+			op := WarpOp{Addrs: append(addrs, uint64(rng.Int63n(1<<18))&^31, uint64(rng.Int63n(1<<18))&^31)}
 			switch i % 3 {
 			case 0:
 				op.Atomic = true
@@ -423,13 +423,13 @@ func TestCoalescerSplitsDifferingKeyTags(t *testing.T) {
 
 func TestMixedTagWarpSimulates(t *testing.T) {
 	cfg := DefaultConfig()
-	traces := []Trace{&FuncTrace{N: 500, Gen: func(i int) WarpOp {
+	traces := []Trace{&FuncTrace{N: 500, Gen: func(i int, addrs []uint64) WarpOp {
 		base := uint64(i) * 128
-		return WarpOp{Addrs: []uint64{
-			uint64(1)<<TagShift | base,
-			uint64(2)<<TagShift | base, // same sector, different tag
-			uint64(1)<<TagShift | base + 64,
-		}}
+		return WarpOp{Addrs: append(addrs,
+			uint64(1)<<TagShift|base,
+			uint64(2)<<TagShift|base, // same sector, different tag
+			uint64(1)<<TagShift|base+64,
+		)}
 	}}}
 	st := run(t, cfg, traces)
 	if st.WarpOps != 500 {
@@ -448,8 +448,8 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		for sm := range out {
 			sm := sm
 			r2 := rand.New(rand.NewSource(int64(sm)))
-			out[sm] = &FuncTrace{N: 200 + sm*10, Gen: func(i int) WarpOp {
-				op := WarpOp{Compute: r2.Intn(8)}
+			out[sm] = &FuncTrace{N: 200 + sm*10, Gen: func(i int, addrs []uint64) WarpOp {
+				op := WarpOp{Compute: r2.Intn(8), Addrs: addrs}
 				switch i % 4 {
 				case 0:
 					op.Store = true

@@ -32,8 +32,10 @@ type Stats struct {
 	// them out of the conformance goldens, the runner's disk cache and
 	// every canonical-JSON comparison. Both are 0 on a run that issued
 	// no warp ops; HostAllocsPerOp reads the process-wide allocation
-	// counter, so it is exact for a lone simulation and approximate when
-	// other goroutines allocate concurrently (e.g. parallel sweeps).
+	// counter (runtime.MemStats.Mallocs, through runtime/metrics so no
+	// read stops the world). That counter trails by part of a span per
+	// size class, and other goroutines allocating concurrently (e.g.
+	// parallel sweeps) land in it too, so the figure is approximate.
 	HostNsPerOp     float64 `json:"-"`
 	HostAllocsPerOp float64 `json:"-"`
 }

@@ -38,8 +38,43 @@ type Trace interface {
 // repeated Next calls would — the simulator's results are identical
 // either way (it only changes when the trace is decoded, not what it
 // decodes). SliceTrace, FuncTrace and OpenTraceAt replays implement it.
+//
+// Ops a NextBatch call delivers, and their Addrs, stay valid only until
+// the next NextBatch call on the same trace: generator and replay traces
+// write every batch's addresses into one reused addrArena. The
+// simulator copies an op's sectors out (coalesce) before it asks for
+// the next batch. Next keeps handing out ops the caller owns.
 type batchTrace interface {
 	NextBatch(dst []WarpOp) int
+}
+
+// arenaSlot is the address space addrArena reserves per op of a batch:
+// one per thread of a warp. A wider op still decodes, into its own
+// allocation, once the batch's arena is full.
+const arenaSlot = 32
+
+// addrArena is the reused address storage of one trace's batches. A
+// producer appends an op's addresses onto free(), then passes the
+// result to keep; addresses that outgrew the free space were
+// reallocated by append and are left to the op that holds them.
+type addrArena struct{ buf []uint64 }
+
+// reset empties the arena and sizes it for a batch of ops.
+func (a *addrArena) reset(ops int) {
+	if cap(a.buf) < ops*arenaSlot {
+		a.buf = make([]uint64, 0, ops*arenaSlot)
+	}
+	a.buf = a.buf[:0]
+}
+
+// free is the arena's unused tail as an empty slice to append onto.
+func (a *addrArena) free() []uint64 { return a.buf[len(a.buf):] }
+
+// keep marks addrs, appended onto the last free(), as in use.
+func (a *addrArena) keep(addrs []uint64) {
+	if len(addrs) <= cap(a.buf)-len(a.buf) {
+		a.buf = a.buf[:len(a.buf)+len(addrs)]
+	}
 }
 
 // SliceTrace adapts a materialized op list to the Trace interface.
@@ -107,30 +142,36 @@ func CloneTraces(traces []Trace) ([]Trace, error) {
 	return out, nil
 }
 
-// FuncTrace adapts a generator function yielding n ops.
+// FuncTrace adapts a generator function yielding n ops. Gen builds op i
+// and appends its addresses onto addrs, an empty slice whose backing
+// array the trace owns (nil from Next); it must not keep addrs.
 type FuncTrace struct {
-	N   int
-	Gen func(i int) WarpOp
-	pos int
+	N     int
+	Gen   func(i int, addrs []uint64) WarpOp
+	pos   int
+	arena addrArena
 }
 
-// Next implements Trace.
+// Next implements Trace. The op's Addrs are the caller's to keep.
 func (f *FuncTrace) Next() (WarpOp, bool) {
 	if f.pos >= f.N {
 		return WarpOp{}, false
 	}
-	op := f.Gen(f.pos)
+	op := f.Gen(f.pos, nil)
 	f.pos++
 	return op, true
 }
 
 // NextBatch fills dst by calling Gen on consecutive indices — the same
 // order Next would use, so generators whose closures carry state (an
-// RNG advancing call by call) observe an identical call sequence.
+// RNG advancing call by call) observe an identical call sequence. The
+// addresses land in the trace's arena (see batchTrace).
 func (f *FuncTrace) NextBatch(dst []WarpOp) int {
+	f.arena.reset(len(dst))
 	n := 0
 	for n < len(dst) && f.pos < f.N {
-		dst[n] = f.Gen(f.pos)
+		dst[n] = f.Gen(f.pos, f.arena.free())
+		f.arena.keep(dst[n].Addrs)
 		f.pos++
 		n++
 	}

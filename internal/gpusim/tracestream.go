@@ -263,40 +263,49 @@ type blobTrace struct {
 	length int64
 	ops    uint64
 
-	br   *bufio.Reader
-	left uint64
-	err  error
+	br    *bufio.Reader
+	left  uint64
+	err   error
+	arena addrArena
 }
 
-func (t *blobTrace) init() {
+// next decodes the following op, appending its addresses onto addrs
+// (reallocated when they do not fit).
+func (t *blobTrace) next(addrs []uint64) (WarpOp, bool) {
 	if t.br == nil {
 		t.br = bufio.NewReaderSize(io.NewSectionReader(t.ra, t.off, t.length), 32<<10)
 		t.left = t.ops
 	}
+	if t.left == 0 || t.err != nil {
+		return WarpOp{}, false
+	}
+	op, err := readTraceOp(t.br, addrs)
+	if err != nil {
+		t.err = err
+		return WarpOp{}, false
+	}
+	t.left--
+	return op, true
 }
 
-// Next implements Trace as a one-op NextBatch.
-func (t *blobTrace) Next() (WarpOp, bool) {
-	var op [1]WarpOp
-	n := t.NextBatch(op[:])
-	return op[0], n == 1
-}
+// Next implements Trace. The op's Addrs are freshly allocated, the
+// caller's to keep.
+func (t *blobTrace) Next() (WarpOp, bool) { return t.next(nil) }
 
-// NextBatch implements the simulator's batched fast path. Each op gets
-// freshly allocated Addrs (never reused), matching SliceTrace's
-// retention semantics: ops handed out stay valid indefinitely.
+// NextBatch implements the simulator's batched fast path, decoding the
+// addresses into the trace's arena (see batchTrace): the ops stay valid
+// until the next NextBatch call.
 func (t *blobTrace) NextBatch(dst []WarpOp) int {
-	t.init()
+	t.arena.reset(len(dst))
 	n := 0
-	for n < len(dst) && t.left > 0 && t.err == nil {
-		op, err := readTraceOp(t.br, nil)
-		if err != nil {
-			t.err = err
+	for n < len(dst) {
+		op, ok := t.next(t.arena.free())
+		if !ok {
 			break
 		}
+		t.arena.keep(op.Addrs)
 		dst[n] = op
 		n++
-		t.left--
 	}
 	return n
 }

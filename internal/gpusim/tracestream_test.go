@@ -98,7 +98,7 @@ func TestWriteTracesCloneDoesNotConsume(t *testing.T) {
 		t.Fatalf("WriteTraces left %d ops unconsumed, want 0", len(ops))
 	}
 	// FuncTrace inputs are not cloneable and must be rejected.
-	if _, err := CloneTraces([]Trace{&FuncTrace{N: 1, Gen: func(int) WarpOp { return WarpOp{} }}}); err == nil {
+	if _, err := CloneTraces([]Trace{&FuncTrace{N: 1, Gen: func(int, []uint64) WarpOp { return WarpOp{} }}}); err == nil {
 		t.Fatal("CloneTraces accepted a non-cloneable FuncTrace")
 	}
 }

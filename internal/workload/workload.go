@@ -109,8 +109,8 @@ func (w Workload) trace(sm, numSMs int) gpusim.Trace {
 		}
 		return uint64(rng.Int63n(int64(footprint/4))) * 4
 	}
-	gen := func(i int) gpusim.WarpOp {
-		op := gpusim.WarpOp{Compute: w.ComputePerOp}
+	gen := func(i int, addrs []uint64) gpusim.WarpOp {
+		op := gpusim.WarpOp{Compute: w.ComputePerOp, Addrs: addrs}
 		switch roll := rng.Float64(); {
 		case roll < w.AtomicFrac:
 			op.Atomic = true
