@@ -9,6 +9,7 @@ all: build test
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need gofmt -w:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) vet ./...

@@ -60,14 +60,14 @@
 //     coalesce onto its flight; later ones hit the result cache.
 //  2. Sweep (optional, -sweep-suite): one streaming NDJSON sweep,
 //     consumed cell by cell as the server completes them.
-//  2.5. Watch (optional, -watchers K): one watched sweep with K
+//  3. Watch (optional, -watchers K): one watched sweep with K
 //     concurrent /v1/watch subscribers. Every watcher must see the
 //     identical gapless frame sequence; watcher 0 is killed mid-stream
 //     and re-attaches at its last sequence, and with -min-drops a
 //     deliberately stalled watcher must be evicted (never allowed to
 //     slow the simulation) with the eviction visible in the server's
 //     drop counter.
-//  3. Overload (optional, -overload N): N simultaneous *distinct*
+//  4. Overload (optional, -overload N): N simultaneous *distinct*
 //     cells with retries disabled, deliberately exceeding the server's
 //     worker+queue capacity. Every rejection must be a 429 carrying
 //     Retry-After; a missing header or a hang fails the run.
@@ -230,7 +230,7 @@ func main() {
 		}
 	}
 
-	// Phase 2.5: live telemetry fan-out. One watched sweep, -watchers
+	// Phase 3: live telemetry fan-out. One watched sweep, -watchers
 	// concurrent subscribers; every watcher must see the identical
 	// gapless frame sequence even though one of them is killed and
 	// re-attached mid-run (and, with -min-drops, one is deliberately
@@ -250,7 +250,7 @@ func main() {
 		})
 	}
 
-	// Phase 3: induced overload. Distinct cells (different cycle caps →
+	// Phase 4: induced overload. Distinct cells (different cycle caps →
 	// different cache keys) so neither the cache nor coalescing can
 	// absorb the burst, and no retries so every 429 is observed raw.
 	if *overload > 0 {

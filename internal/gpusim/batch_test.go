@@ -4,7 +4,9 @@ import "testing"
 
 // fillDue reports whether an L1 fill for the SM is due this cycle.
 func fillDue(s *Sim, sm int) bool {
-	for _, e := range s.events {
+	r := s.l1Events
+	for i := 0; i < r.len(); i++ {
+		e := r.buf[(r.head+i)&(len(r.buf)-1)]
 		if e.kind() == evL1Fill && e.unit() == sm && e.cycle <= s.now {
 			return true
 		}

@@ -7,7 +7,8 @@ package gpusim
 // steady-state enqueue/dequeue is allocation-free and the hot loop walks
 // a contiguous block. Pop order is FIFO, identical to the slice queues
 // it replaces (bit-identity of the simulation does not depend on queue
-// representation, only on pop order).
+// representation, only on pop order). The two event rings use it too:
+// see Sim.nextEvent.
 type ring[T any] struct {
 	buf  []T
 	head int
@@ -23,6 +24,10 @@ func (r *ring[T]) push(v T) {
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
+
+// peek returns the oldest element without removing it; the ring must
+// not be empty.
+func (r *ring[T]) peek() T { return r.buf[r.head] }
 
 func (r *ring[T]) pop() T {
 	v := r.buf[r.head]

@@ -23,18 +23,25 @@ const tagRegionSector = uint64(1) << 44
 // The hot path is deliberately allocation-free in steady state: caches
 // and MSHRs are preallocated set/slot-indexed arrays, L2 miss-merge
 // files are open-addressed tables with recycled waiter lists, queues are
-// rings, events live in a slice-backed heap, op/miss bookkeeping comes
+// rings, events live in two FIFO rings, op/miss bookkeeping comes
 // from per-Sim arenas and free lists, and trace decoding is batched into
 // a reusable buffer whose ops' addresses live in one reused arena per
-// trace. All of it is behavior-preserving — cmd/conformance pins
-// bit-identity against the committed goldens.
+// trace. cmd/conformance pins all of it bit-identical against the
+// committed goldens; the order of events due in the same cycle is a
+// declared rule (see nextEvent).
 type Sim struct {
 	cfg    Config
 	sms    []smState    // value array: one pointer hop fewer, better locality
 	slices []sliceState // value array; elements never move after New
-	events []event      // binary min-heap on cycle (container/heap ordering)
 	stats  Stats
 	now    uint64
+
+	// Pending events, one FIFO ring per latency class. Every event is
+	// pushed at s.now plus its class's fixed latency and s.now never
+	// decreases, so each ring is already in cycle order; nextEvent
+	// merges the two heads under the tie rule documented there.
+	l1Events   ring[event] // evL1Fill, evAtomicDone at s.now+L1Latency
+	dramEvents ring[event] // evDRAMData, evDRAMTag at s.now+DRAMLatency
 
 	ops      opArena   // opState slab, reused across Reset
 	missFree []*l2Miss // l2Miss free list
@@ -200,12 +207,11 @@ const (
 	evAtomicDone
 )
 
-// event is kept to 24 pointer-free bytes: heap sift operations copy
+// event is kept to 24 pointer-free bytes: ring pushes and pops copy
 // whole events in one of the hottest loops, and a pointer field would
-// add a GC write barrier to every swap. meta packs the kind (low 8
+// add a GC write barrier to every copy. meta packs the kind (low 8
 // bits), the sm/slice index (bits 8..31) and, for evAtomicDone, the op's
-// arena index (bits 32..63); the payload encoding is a bijection, and
-// ordering compares only cycle, so pop order is unchanged.
+// arena index (bits 32..63).
 type event struct {
 	cycle  uint64
 	sector uint64
@@ -224,52 +230,22 @@ func (e event) kind() eventKind { return eventKind(e.meta & 0xff) }
 func (e event) unit() int       { return int(uint32(e.meta>>8) & 0xffffff) }
 func (e event) opIdx() int32    { return int32(e.meta >> 32) }
 
-// pushEvent and popEvent leave exactly the array container/heap's up
-// and down sifts would (Less is cycle-order only), inlined over []event
-// so pushes stop boxing each event into an interface. Equal-cycle pop
-// order depends on that array, so it must match to keep delivery order
-// — and therefore every golden — bit-identical. Where container/heap
-// swaps the sifted element one level at a time, these move each
-// displaced element into a hole and write the sifted one once at the
-// end: the same comparisons, the same final array, fewer copies.
-func (s *Sim) pushEvent(e event) {
-	h := append(s.events, e)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if e.cycle >= h[i].cycle {
-			break
+// nextEvent pops the earliest pending event due by s.now, reporting
+// false when none is due. Delivery order is the declared tie rule: by
+// cycle; on equal cycles the L1 ring (fills, atomic completions) goes
+// before the DRAM ring (data and tag arrivals); within a ring, events
+// leave in push order. TestEventTieRule pins it.
+func (s *Sim) nextEvent() (event, bool) {
+	if s.l1Events.len() > 0 {
+		c := s.l1Events.peek().cycle
+		if c <= s.now && (s.dramEvents.len() == 0 || c <= s.dramEvents.peek().cycle) {
+			return s.l1Events.pop(), true
 		}
-		h[j] = h[i]
-		j = i
 	}
-	h[j] = e
-	s.events = h
-}
-
-func (s *Sim) popEvent() event {
-	h := s.events
-	n := len(h) - 1
-	top, e := h[0], h[n]
-	// down(0, n) of the last element moved to the root.
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h[j2].cycle < h[j].cycle {
-			j = j2
-		}
-		if h[j].cycle >= e.cycle {
-			break
-		}
-		h[i] = h[j]
-		i = j
+	if s.dramEvents.len() > 0 && s.dramEvents.peek().cycle <= s.now {
+		return s.dramEvents.pop(), true
 	}
-	h[i] = e
-	s.events = h[:n]
-	return top
+	return event{}, false
 }
 
 // New builds a simulator for the configuration with one trace per SM
@@ -331,7 +307,7 @@ func (s *Sim) attachTraces(traces []Trace) {
 
 // Reset rewinds the simulator to its post-New state with fresh traces,
 // reusing every internal allocation (caches, MSHR files, miss-merge
-// tables, queues, the event heap and the op arena). A Reset+Run over the
+// tables, queues, the event rings and the op arena). A Reset+Run over the
 // same trace content is bit-identical to a fresh New+Run with the same
 // configuration; the steady-state benchmarks and any caller that sweeps
 // many trace sets over one machine configuration use it to amortize
@@ -360,8 +336,8 @@ func (s *Sim) Reset(traces []Trace) {
 		sl.pendingData.reset()
 		sl.pendingTag.reset()
 	}
-	clear(s.events)
-	s.events = s.events[:0]
+	s.l1Events.reset()
+	s.dramEvents.reset()
 	s.ops.reset()
 	s.stats = Stats{}
 	s.now = 0
@@ -520,19 +496,13 @@ func (s *Sim) step() bool {
 	progressed := false
 
 	// 1. Deliver due events.
-	for len(s.events) > 0 && s.events[0].cycle <= s.now {
-		e := s.popEvent()
-		progressed = true
-		switch e.kind() {
-		case evL1Fill:
-			s.l1Fill(e.unit(), e.sector)
-		case evDRAMData:
-			s.dataArrived(e.unit(), e.sector)
-		case evDRAMTag:
-			s.tagArrived(e.unit(), e.sector)
-		case evAtomicDone:
-			s.opSectorDone(s.ops.at(e.opIdx()))
+	for {
+		e, ok := s.nextEvent()
+		if !ok {
+			break
 		}
+		progressed = true
+		s.deliver(e)
 	}
 
 	// 2. Each L2 slice services one request and starts DRAM transfers.
@@ -552,10 +522,10 @@ func (s *Sim) step() bool {
 				s.stats.DRAMWrites++
 			case dramDataRead:
 				s.stats.DRAMDataReads++
-				s.pushEvent(event{cycle: s.now + uint64(s.cfg.DRAMLatency), sector: dr.sector, meta: evMeta(evDRAMData, dr.slice)})
+				s.dramEvents.push(event{cycle: s.now + uint64(s.cfg.DRAMLatency), sector: dr.sector, meta: evMeta(evDRAMData, dr.slice)})
 			case dramTagRead:
 				s.stats.DRAMTagReads++
-				s.pushEvent(event{cycle: s.now + uint64(s.cfg.DRAMLatency), sector: dr.sector, meta: evMeta(evDRAMTag, dr.slice)})
+				s.dramEvents.push(event{cycle: s.now + uint64(s.cfg.DRAMLatency), sector: dr.sector, meta: evMeta(evDRAMTag, dr.slice)})
 			}
 		}
 	}
@@ -567,6 +537,22 @@ func (s *Sim) step() bool {
 		}
 	}
 	return progressed
+}
+
+// deliver applies one event's effect. Every push it makes lies at least
+// one cycle past s.now (Validate requires both latencies ≥ 1), so no
+// event it creates is due in the cycle that delivers it.
+func (s *Sim) deliver(e event) {
+	switch e.kind() {
+	case evL1Fill:
+		s.l1Fill(e.unit(), e.sector)
+	case evDRAMData:
+		s.dataArrived(e.unit(), e.sector)
+	case evDRAMTag:
+		s.tagArrived(e.unit(), e.sector)
+	case evAtomicDone:
+		s.opSectorDone(s.ops.at(e.opIdx()))
+	}
 }
 
 // issue advances one SM by at most one op (or one blocked-op retry,
@@ -691,7 +677,7 @@ func (s *Sim) serviceL2(sl *sliceState, req request) {
 	if req.atomic {
 		if sl.l2.lookup(req.sector, true) {
 			s.stats.L2Hits++
-			s.pushEvent(event{cycle: s.now + uint64(s.cfg.L1Latency), meta: evOpMeta(evAtomicDone, req.op)})
+			s.l1Events.push(event{cycle: s.now + uint64(s.cfg.L1Latency), meta: evOpMeta(evAtomicDone, req.op)})
 			return
 		}
 		s.stats.L2Misses++
@@ -726,7 +712,7 @@ func (s *Sim) serviceL2(sl *sliceState, req request) {
 
 	if sl.l2.lookup(req.sector, false) {
 		s.stats.L2Hits++
-		s.pushEvent(event{cycle: s.now + uint64(s.cfg.L1Latency), sector: req.sector, meta: evMeta(evL1Fill, req.sm)})
+		s.l1Events.push(event{cycle: s.now + uint64(s.cfg.L1Latency), sector: req.sector, meta: evMeta(evL1Fill, req.sm)})
 		return
 	}
 	s.stats.L2Misses++
@@ -836,11 +822,11 @@ func (s *Sim) maybeCompleteMiss(miss *l2Miss) {
 		// The L2 performs the RMW: dirty the freshly filled line and
 		// return the old value to the SM without filling the L1.
 		s.slices[miss.slice].l2.lookup(miss.sector, true)
-		s.pushEvent(event{cycle: s.now + uint64(s.cfg.L1Latency), meta: evOpMeta(evAtomicDone, miss.op)})
+		s.l1Events.push(event{cycle: s.now + uint64(s.cfg.L1Latency), meta: evOpMeta(evAtomicDone, miss.op)})
 		s.freeMiss(miss)
 		return
 	}
-	s.pushEvent(event{cycle: s.now + uint64(s.cfg.L1Latency), sector: miss.sector, meta: evMeta(evL1Fill, miss.sm)})
+	s.l1Events.push(event{cycle: s.now + uint64(s.cfg.L1Latency), sector: miss.sector, meta: evMeta(evL1Fill, miss.sm)})
 	s.freeMiss(miss)
 }
 
@@ -870,7 +856,7 @@ func (s *Sim) l1Fill(smID int, sector uint64) {
 }
 
 func (s *Sim) finished() bool {
-	if len(s.events) > 0 {
+	if s.l1Events.len() > 0 || s.dramEvents.len() > 0 {
 		return false
 	}
 	for i := range s.slices {
@@ -891,8 +877,12 @@ func (s *Sim) finished() bool {
 func (s *Sim) fastForward() {
 	next := s.now + 1
 	best := ^uint64(0)
-	if len(s.events) > 0 && s.events[0].cycle > s.now {
-		best = s.events[0].cycle
+	// step delivered every due event, so each ring head lies past s.now.
+	if s.l1Events.len() > 0 {
+		best = s.l1Events.peek().cycle
+	}
+	if s.dramEvents.len() > 0 && s.dramEvents.peek().cycle < best {
+		best = s.dramEvents.peek().cycle
 	}
 	for i := range s.slices {
 		sl := &s.slices[i]

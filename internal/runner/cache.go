@@ -21,7 +21,10 @@ import (
 // v3: the key hashes gpusim.Config.Canonical(), so imt and ecc-steal
 // cells share their none twin's entry, and Carve/BoundsCk count only
 // in the mode that reads them.
-const cacheVersion = 3
+// v4: the simulator delivers equal-cycle events L1 ring first, then
+// DRAM ring (gpusim's two event rings replaced its heap), which moves
+// the statistics of a few cells.
+const cacheVersion = 4
 
 // Cache is the engine's content-addressed result store, also opened
 // directly (OpenCache) by callers that need cache access without a full

@@ -97,14 +97,14 @@ type CellResult struct {
 
 // SweepSummary is the final NDJSON line of a /v1/sweep stream.
 type SweepSummary struct {
-	Done      bool    `json:"done"`
-	Cells     int     `json:"cells"`
-	Failed    int     `json:"failed"`
-	Cached    int     `json:"cached"`
-	Coalesced int     `json:"coalesced"`
+	Done      bool `json:"done"`
+	Cells     int  `json:"cells"`
+	Failed    int  `json:"failed"`
+	Cached    int  `json:"cached"`
+	Coalesced int  `json:"coalesced"`
 	// Rerouted counts cells a gateway moved to another shard after
 	// their assigned shard failed mid-sweep (always 0 single-node).
-	Rerouted  int     `json:"rerouted,omitempty"`
+	Rerouted int `json:"rerouted,omitempty"`
 	// Shards counts the distinct shards that served cells of this sweep
 	// (0 on single-node responses).
 	Shards    int     `json:"shards,omitempty"`
@@ -134,17 +134,17 @@ type CatalogResponse struct {
 // cache-hit assertions. Jobs is present only when the job queue is
 // enabled.
 type StatsSnapshot struct {
-	Requests     uint64    `json:"requests"`
-	Cells        uint64    `json:"cells"`
-	CacheHits    uint64    `json:"cache_hits"`
-	CoalesceHits uint64    `json:"coalesce_hits"`
-	Rejected     uint64    `json:"rejected"`
-	Timeouts     uint64    `json:"timeouts"`
-	Errors       uint64    `json:"errors"`
-	Inflight     int64     `json:"inflight"`
-	QueueDepth   int64     `json:"queue_depth"`
-	Draining     bool      `json:"draining"`
-	UptimeMs     float64   `json:"uptime_ms"`
+	Requests     uint64  `json:"requests"`
+	Cells        uint64  `json:"cells"`
+	CacheHits    uint64  `json:"cache_hits"`
+	CoalesceHits uint64  `json:"coalesce_hits"`
+	Rejected     uint64  `json:"rejected"`
+	Timeouts     uint64  `json:"timeouts"`
+	Errors       uint64  `json:"errors"`
+	Inflight     int64   `json:"inflight"`
+	QueueDepth   int64   `json:"queue_depth"`
+	Draining     bool    `json:"draining"`
+	UptimeMs     float64 `json:"uptime_ms"`
 	// UptimeSeconds duplicates UptimeMs in seconds for human readers and
 	// dashboards that bucket on seconds.
 	UptimeSeconds float64 `json:"uptime_seconds"`

@@ -524,6 +524,12 @@ func TestJobTimeoutPerCell(t *testing.T) {
 	s.simHook = func(ctx context.Context, _ Cell) outcome {
 		select {
 		case <-time.After(30 * time.Millisecond):
+			// The context's deadline fires from a timer goroutine that a
+			// loaded host can run late, letting this timer win the select
+			// although the cell already overran its budget.
+			if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+				return outcome{err: context.DeadlineExceeded}
+			}
 			return outcome{stats: gpusim.Stats{Cycles: 42, WarpOps: 1}}
 		case <-ctx.Done():
 			return outcome{err: ctx.Err()}
