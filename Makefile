@@ -34,7 +34,8 @@ bench-json:
 # injections-per-second pairs (bitsliced vs scalar; 6
 # repetitions; the gate compares min ns/op on both sides, so transient
 # scheduler noise must survive every repetition to trip it) and fails
-# if any benchmark regressed beyond tolerance against the committed
+# if any benchmark regressed beyond tolerance, or grew its min
+# allocs/op by more than max(8, 5%), against the committed
 # BENCH_results.json baseline. On a pass it refreshes the baseline in
 # place, keeping the embedded before/after trajectory.
 # Tolerance is 15% rather than benchjson's 10% default: shared runners

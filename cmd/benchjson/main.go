@@ -24,6 +24,10 @@
 // its ns/op by more than -gate-tolerance (fractional; default 0.10).
 // Both sides compare their minimum ns/op across -count repetitions, so
 // scheduler noise must persist across every repetition to trip the gate.
+// The same run also fails when a benchmark's minimum allocs/op exceeds
+// the baseline's by more than max(8, 5%): allocation counts are close
+// to deterministic, so this catches a new per-op allocation that host
+// noise would hide in ns/op.
 package main
 
 import (
@@ -132,46 +136,58 @@ func parseBench(r io.Reader) (Report, error) {
 	return rep, sc.Err()
 }
 
-// minNsPerOp folds a report's records into benchmark name → minimum
-// ns/op across repetitions. The minimum is the least noise-contaminated
-// estimate of a deterministic benchmark's cost, and using it on both
-// sides means a -count N gate only trips when the slowdown survives
-// every repetition.
-func minNsPerOp(benchmarks []Benchmark) map[string]float64 {
+// minMetric folds a report's records into benchmark name → minimum
+// value of unit across repetitions. The minimum is the least
+// noise-contaminated estimate of a deterministic benchmark's cost, and
+// using it on both sides means a -count N gate only trips when the
+// slowdown survives every repetition.
+func minMetric(benchmarks []Benchmark, unit string) map[string]float64 {
 	min := map[string]float64{}
 	for _, b := range benchmarks {
-		ns, ok := b.Metrics["ns/op"]
+		v, ok := b.Metrics[unit]
 		if !ok {
 			continue
 		}
-		if cur, seen := min[b.Name]; !seen || ns < cur {
-			min[b.Name] = ns
+		if cur, seen := min[b.Name]; !seen || v < cur {
+			min[b.Name] = v
 		}
 	}
 	return min
 }
 
+func minNsPerOp(benchmarks []Benchmark) map[string]float64 {
+	return minMetric(benchmarks, "ns/op")
+}
+
 // gateCheck compares the fresh run against the committed baseline and
 // returns one message per benchmark whose ns/op regressed beyond the
-// tolerance. Benchmarks present in only one report are ignored (renames
-// and new benchmarks are not regressions).
+// tolerance, and one per benchmark whose allocs/op grew by more than
+// max(8, 5%). Benchmarks present in only one report are ignored
+// (renames and new benchmarks are not regressions).
 func gateCheck(current, baseline Report, tolerance float64) []string {
-	base := minNsPerOp(baseline.Benchmarks)
-	cur := minNsPerOp(current.Benchmarks)
-	var names []string
-	for name := range cur {
-		if _, ok := base[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	var regressions []string
-	for _, name := range names {
-		b, c := base[name], cur[name]
-		if b > 0 && c > b*(1+tolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
-					name, c, b, (c/b-1)*100, tolerance*100))
+	for _, unit := range []string{"ns/op", "allocs/op"} {
+		base := minMetric(baseline.Benchmarks, unit)
+		cur := minMetric(current.Benchmarks, unit)
+		var names []string
+		for name := range cur {
+			if _, ok := base[name]; ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			b, c := base[name], cur[name]
+			switch {
+			case unit == "ns/op" && b > 0 && c > b*(1+tolerance):
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
+						name, c, b, (c/b-1)*100, tolerance*100))
+			case unit == "allocs/op" && c > b+max(8, 0.05*b):
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (+%.0f, allowed +%.0f)",
+						name, c, b, c-b, max(8, 0.05*b)))
+			}
 		}
 	}
 	return regressions
@@ -276,10 +292,10 @@ func main() {
 			}
 			// Leave -out untouched: the committed baseline stays intact
 			// for inspection, and the gate's failure is the signal.
-			fatal(fmt.Errorf("%d benchmark(s) regressed beyond %.0f%% vs %s",
-				len(regressions), *gateTol*100, *gate))
+			fatal(fmt.Errorf("%d regression(s) vs %s (ns/op tolerance %.0f%%, allocs/op max(8, 5%%))",
+				len(regressions), *gate, *gateTol*100))
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: gate ok (%d benchmarks within %.0f%% of %s)\n",
+		fmt.Fprintf(os.Stderr, "benchjson: gate ok (%d benchmarks within %.0f%% ns/op and max(8, 5%%) allocs/op of %s)\n",
 			len(minNsPerOp(rep.Benchmarks)), *gateTol*100, *gate)
 		// A gated run refreshes the trajectory: keep the baseline's own
 		// "previous" records unless -prev supplied newer ones.

@@ -123,6 +123,43 @@ func TestGateCheck(t *testing.T) {
 	}
 }
 
+// TestGateCheckAllocs: allocs/op is gated on the min across
+// repetitions with max(8, 5%) slack, independently of ns/op.
+func TestGateCheckAllocs(t *testing.T) {
+	withAllocs := func(name string, ns, allocs float64) Benchmark {
+		b := mkBench(name, ns)
+		b.Metrics["allocs/op"] = allocs
+		return b
+	}
+	baseline := Report{Benchmarks: []Benchmark{
+		withAllocs("BenchmarkSim", 100, 240), withAllocs("BenchmarkSim", 100, 241),
+		withAllocs("BenchmarkTiny", 100, 1),
+	}}
+
+	// One more allocation per op (and a noisy repetition) passes.
+	ok := Report{Benchmarks: []Benchmark{
+		withAllocs("BenchmarkSim", 100, 241), withAllocs("BenchmarkSim", 100, 400),
+		withAllocs("BenchmarkTiny", 100, 9), // +8 is within the floor of 8
+	}}
+	if regs := gateCheck(ok, baseline, 0.10); len(regs) != 0 {
+		t.Errorf("unexpected regressions: %v", regs)
+	}
+
+	// Doubled allocations fail, with ns/op unchanged.
+	bad := Report{Benchmarks: []Benchmark{
+		withAllocs("BenchmarkSim", 100, 480), withAllocs("BenchmarkSim", 100, 481),
+		withAllocs("BenchmarkTiny", 100, 1),
+	}}
+	regs := gateCheck(bad, baseline, 0.10)
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkSim") || !strings.Contains(regs[0], "allocs/op") {
+		t.Errorf("regressions = %v, want exactly BenchmarkSim's allocs/op", regs)
+	}
+	// A looser ns/op tolerance does not loosen the allocs gate.
+	if regs := gateCheck(bad, baseline, 10); len(regs) != 1 {
+		t.Errorf("allocs/op regression passed under a loose ns/op tolerance: %v", regs)
+	}
+}
+
 func TestPreviousRoundTrip(t *testing.T) {
 	rep := Report{
 		CreatedAt:  "2026-08-05T00:00:00Z",

@@ -1,9 +1,11 @@
-// Command imtgw is the IMT cluster gateway: a stateless front for a
-// fleet of imtd shards. It consistent-hashes cells across the fleet on
-// their content-addressed cache keys (so a cell always lands on the
-// shard whose result cache already holds it), scatters sweeps as
-// per-shard cell lists, merges the shards' NDJSON streams into one
-// client stream, and reroutes cells off shards that fail mid-flight.
+// Command imtgw is the IMT cluster gateway: a front for a fleet of imtd
+// shards that holds no state that changes an answer — its only memory
+// is a bounded memo of immutable /v1/sim results. It consistent-hashes
+// cells across the fleet on their content-addressed cache keys (so a
+// cell always lands on the shard whose result cache already holds it),
+// scatters sweeps as per-shard cell lists, merges the shards' NDJSON
+// streams into one client stream, and reroutes cells off shards that
+// fail mid-flight.
 //
 // Usage:
 //

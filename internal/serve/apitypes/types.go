@@ -72,7 +72,9 @@ type CellResult struct {
 	Workload string `json:"workload"`
 	Mode     string `json:"mode"`
 	// Cached reports that the result came from the on-disk cache (either
-	// the server's pre-admission fast path or the engine's own lookup).
+	// the server's pre-admission fast path or the engine's own lookup),
+	// or, through imtgw, from the gateway's result memo without a shard
+	// hop.
 	Cached bool `json:"cached,omitempty"`
 	// Coalesced reports that this request shared another in-flight
 	// request's simulation instead of running its own.
@@ -87,7 +89,8 @@ type CellResult struct {
 	// watch:true (GET /v1/watch/{room} replays and follows it).
 	WatchRoom string `json:"watch_room,omitempty"`
 	// Shard is the imtd shard that served the cell, annotated by the
-	// imtgw gateway (absent on single-node responses).
+	// imtgw gateway (absent on single-node responses). On a gateway memo
+	// hit it names the shard that produced the kept answer.
 	Shard string `json:"shard,omitempty"`
 	// Rerouted marks a cell the gateway moved off its ring-preferred
 	// shard — because that shard's stream failed mid-sweep or its
@@ -359,6 +362,11 @@ type GatewayStats struct {
 	// stream/request failures that caused rerouting.
 	Rerouted    uint64 `json:"rerouted"`
 	ShardErrors uint64 `json:"shard_errors"`
+	// MemoHits counts /v1/sim requests the gateway answered from its
+	// result memo without a shard hop; MemoEntries is the memo's current
+	// size (at most two generations of 1024 answers).
+	MemoHits    uint64 `json:"memo_hits"`
+	MemoEntries int    `json:"memo_entries"`
 	// BreakerOpens counts closed/half-open → open transitions across the
 	// fleet since gateway start.
 	BreakerOpens uint64 `json:"breaker_opens"`

@@ -1,6 +1,7 @@
-// Package cluster is the multi-node layer of the serving stack: a
-// stateless imtgw gateway that shards work across a fleet of imtd
-// servers.
+// Package cluster is the multi-node layer of the serving stack: an
+// imtgw gateway that shards work across a fleet of imtd servers. The
+// gateway holds no state that changes an answer: its only memory is a
+// bounded memo of immutable /v1/sim results.
 //
 // Gateway is the ring executor behind the same serve.Frontend that
 // fronts a single imtd: request decoding, validation, sweep expansion,
@@ -42,6 +43,17 @@
 // the client sees every cell exactly once regardless of shard
 // failures.
 //
+// # Result memo
+//
+// Gateway.Sim answers a cell it has answered before from a bounded
+// in-memory memo keyed by the cell's cache key, without a shard hop.
+// The key is a content address and simulation is deterministic, so a
+// memo hit carries the bytes the shard would have sent, and gateways
+// still agree with no coordination. Trace cells (a deleted trace must
+// answer 404 from the shard's store) and sampled cells (their Samples
+// series is unbounded) always go to a shard; sweeps neither read nor
+// fill the memo. Two generations of 1024 entries bound it.
+//
 // # Failure handling
 //
 // Each shard has a circuit breaker (closed → open on any failure;
@@ -52,7 +64,9 @@
 // (4xx, 500, 504) never reroute — cells are deterministic, so another
 // shard would answer identically, and a 4xx must never be retried.
 // Rerouted cells arrive flagged rerouted:true with their serving
-// shard in shard:, and the summary counts them.
+// shard in shard:, and the summary counts them. With every shard
+// unroutable, a memoized cell still answers; any other cell gets 503
+// draining.
 //
 // The gateway declares no routes: it serves serve.Frontend's one route
 // table. Jobs and telemetry rooms are shard-scoped resources (a WAL and

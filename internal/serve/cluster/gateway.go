@@ -58,13 +58,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Gateway is the ring executor behind imtgw's Frontend: a stateless
-// sharding front for a fleet of imtd shards. It consistent-hashes cells
-// across the fleet on their runner cache keys, scatters sweep grids as
-// per-shard POST /v1/sweep cell lists, merges the shards' NDJSON
-// streams in completion order, and reroutes cells off shards that fail
-// mid-flight. Construct with New, serve the Frontend's Handler, stop
-// with Close.
+// Gateway is the ring executor behind imtgw's Frontend: a sharding
+// front for a fleet of imtd shards that holds no state that changes an
+// answer — its only memory is a bounded memo of immutable /v1/sim
+// results. It consistent-hashes cells across the fleet on their runner
+// cache keys, scatters sweep grids as per-shard POST /v1/sweep cell
+// lists, merges the shards' NDJSON streams in completion order, and
+// reroutes cells off shards that fail mid-flight. Construct with New,
+// serve the Frontend's Handler, stop with Close.
 type Gateway struct {
 	*serve.Frontend
 	opts   Options
@@ -72,6 +73,7 @@ type Gateway struct {
 	pool   *client.Pool
 	shards []*shardState
 	byURL  map[string]*shardState
+	memo   memo
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -81,6 +83,7 @@ type Gateway struct {
 	mCells         *obs.Counter
 	mTracePushes   *obs.Counter
 	mRerouted      *obs.Counter
+	mMemoHits      *obs.Counter
 	mShardErrors   *obs.Counter
 	mBreakerOpens  *obs.Counter
 	mProbes        *obs.Counter
@@ -115,6 +118,7 @@ func New(opts Options) (*Gateway, error) {
 		g.mCells = reg.Counter("serve_gw_cells_total", "cells delivered to clients through the gateway")
 		g.mTracePushes = reg.Counter("serve_gw_trace_pushes_total", "trace blobs pushed shard-to-shard after a trace_not_found miss")
 		g.mRerouted = reg.Counter("serve_gw_rerouted_total", "cells rerouted to another shard after a shard failure")
+		g.mMemoHits = reg.Counter("serve_gw_memo_hits_total", "/v1/sim requests answered from the gateway's result memo")
 		g.mShardErrors = reg.Counter("serve_gw_shard_errors_total", "shard request/stream failures observed by the gateway")
 		g.mBreakerOpens = reg.Counter("serve_gw_breaker_opens_total", "shard breaker transitions to open")
 		g.mProbes = reg.Counter("serve_gw_probes_total", "shard health probes sent")
@@ -189,10 +193,28 @@ var errNoShard = &client.APIError{
 	Message:    "cluster: no healthy shard available",
 }
 
-// Sim routes one cell to its ring owner, walking the ring order past
-// shards that fail. A shard's semantic verdict is returned as its
-// *client.APIError, which the Frontend relays unchanged.
+// Sim answers a memoized cell from the memo; any other cell goes to
+// its ring owner, walking the ring order past shards that fail, and a
+// memoizable answer is kept. A shard's semantic verdict is returned as
+// its *client.APIError, which the Frontend relays unchanged.
 func (g *Gateway) Sim(ctx context.Context, req apitypes.SimRequest, cell serve.Cell, _ func(runner.LiveSample)) (apitypes.CellResult, error) {
+	keep := memoizable(cell)
+	if keep {
+		t0 := time.Now()
+		if e, ok := g.memo.get(cell.Key); ok {
+			g.count(g.mMemoHits)
+			st := e.stats
+			return apitypes.CellResult{
+				Workload:  cell.Ref.Workload,
+				Mode:      cell.Ref.Mode,
+				Cached:    true,
+				CacheKey:  e.cacheKey,
+				ElapsedMs: float64(time.Since(t0)) / float64(time.Millisecond),
+				Stats:     &st,
+				Shard:     e.shard,
+			}, nil
+		}
+	}
 	hops := 0
 	ensured := false
 	order := g.ring.Order(cell.Key)
@@ -209,6 +231,9 @@ func (g *Gateway) Sim(ctx context.Context, req apitypes.SimRequest, cell serve.C
 			res.Rerouted = hops > 0
 			if hops > 0 {
 				g.count(g.mRerouted)
+			}
+			if keep && res.Stats != nil {
+				g.memo.put(cell.Key, memoEntry{stats: *res.Stats, shard: url, cacheKey: res.CacheKey})
 			}
 			return res, nil
 		}
@@ -460,7 +485,7 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 		}(i, ss)
 	}
 	wg.Wait()
-	gw := apitypes.GatewayStats{ShardsTotal: len(g.shards)}
+	gw := apitypes.GatewayStats{ShardsTotal: len(g.shards), MemoEntries: g.memo.entries()}
 	for _, row := range snap.Shards {
 		if row.Breaker != apitypes.BreakerOpen {
 			gw.ShardsUp++
@@ -496,6 +521,7 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 		gw.Requests = g.mRequests.Value()
 		gw.Cells = g.mCells.Value()
 		gw.Rerouted = g.mRerouted.Value()
+		gw.MemoHits = g.mMemoHits.Value()
 		gw.ShardErrors = g.mShardErrors.Value()
 		gw.BreakerOpens = g.mBreakerOpens.Value()
 	}
@@ -525,6 +551,7 @@ func (g *Gateway) Manifest() obs.Manifest {
 			"requests":      g.mRequests.Value(),
 			"cells":         g.mCells.Value(),
 			"rerouted":      g.mRerouted.Value(),
+			"memo_hits":     g.mMemoHits.Value(),
 			"shard_errors":  g.mShardErrors.Value(),
 			"breaker_opens": g.mBreakerOpens.Value(),
 		}

@@ -22,12 +22,14 @@ import (
 // makes the next /v1/sweep record its cell list, emit `emit` fake
 // lines, and abort the connection mid-stream (a shard dying with work
 // in flight); armSimFail makes every /v1/sim abort (a shard that is
-// probe-healthy but fails requests).
+// probe-healthy but fails requests). sims counts the /v1/sim requests
+// that reached the shard.
 type chaosShard struct {
 	inner      http.Handler
 	armKill    atomic.Bool
 	armSimFail atomic.Bool
 	emit       int
+	sims       atomic.Int64
 
 	mu  sync.Mutex
 	got []apitypes.CellRef
@@ -40,8 +42,11 @@ func (c *chaosShard) cells() []apitypes.CellRef {
 }
 
 func (c *chaosShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/sim" && c.armSimFail.Load() {
-		panic(http.ErrAbortHandler)
+	if r.URL.Path == "/v1/sim" {
+		c.sims.Add(1)
+		if c.armSimFail.Load() {
+			panic(http.ErrAbortHandler)
+		}
 	}
 	if r.URL.Path == "/v1/sweep" && c.armKill.CompareAndSwap(true, false) {
 		var req apitypes.SweepRequest
@@ -68,15 +73,16 @@ func (c *chaosShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.inner.ServeHTTP(w, r)
 }
 
-// newFleet starts n real imtd shards (each behind a chaosShard) and a
-// gateway over them with background probing effectively disabled —
-// tests drive breaker transitions with ProbeNow for determinism.
+// newFleet starts n real imtd shards (each behind a chaosShard, with a
+// result cache and a trace store) and a gateway over them with
+// background probing effectively disabled — tests drive breaker
+// transitions with ProbeNow for determinism.
 func newFleet(t *testing.T, n int) (*Gateway, []*chaosShard, []string) {
 	t.Helper()
 	var chaoses []*chaosShard
 	var urls []string
 	for i := 0; i < n; i++ {
-		s, err := serve.New(serve.Options{Workers: 2, CacheDir: t.TempDir()})
+		s, err := serve.New(serve.Options{Workers: 2, CacheDir: t.TempDir(), TraceDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,13 +392,16 @@ func TestGatewayBreakerProbeLifecycle(t *testing.T) {
 
 // TestGatewaySimReroute: a shard that passes probes but fails requests
 // must not lose the cell — the gateway walks the ring to the next
-// shard and flags the result rerouted.
+// shard and flags the result rerouted. With every shard failing, a
+// cell the gateway has answered before still answers from its memo;
+// any other cell gets 503 draining.
 func TestGatewaySimReroute(t *testing.T) {
 	gw, chaoses, urls := newFleet(t, 2)
 
 	// Find a cell owned by shard 0 — deterministic for whatever ports
 	// the fleet got.
-	var victimCell apitypes.CellRef
+	var victimCell, otherCell apitypes.CellRef
+	victimKey := ""
 	found := false
 	var req apitypes.SweepRequest
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {
@@ -404,12 +413,18 @@ func TestGatewaySimReroute(t *testing.T) {
 	}
 	for _, c := range cells {
 		if gw.ring.Owner(c.Key) == urls[0] {
-			victimCell, found = c.Ref, true
+			victimCell, victimKey, found = c.Ref, c.Key, true
 			break
 		}
 	}
 	if !found {
 		t.Fatal("shard 0 owns none of the 16-cell grid; ring is degenerate")
+	}
+	for _, c := range cells {
+		if c.Key != victimKey {
+			otherCell = c.Ref
+			break
+		}
 	}
 	chaoses[0].armSimFail.Store(true)
 
@@ -432,9 +447,10 @@ func TestGatewaySimReroute(t *testing.T) {
 		t.Errorf("rerouted cell came back without stats: %+v", res)
 	}
 
-	// With every shard failing, the gateway reports the fleet down.
+	// With every shard failing, the gateway reports the fleet down for
+	// a cell it has never answered.
 	chaoses[1].armSimFail.Store(true)
-	rec = gwPost(t, gw.Handler(), "/v1/sim", body)
+	rec = gwPost(t, gw.Handler(), "/v1/sim", fmt.Sprintf(`{"workload":%q,"mode":%q}`, otherCell.Workload, otherCell.Mode))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("sim with all shards failing = %d, want 503", rec.Code)
 	}
@@ -444,6 +460,24 @@ func TestGatewaySimReroute(t *testing.T) {
 	}
 	if e.Error.Code != apitypes.CodeDraining {
 		t.Errorf("code = %q, want draining", e.Error.Code)
+	}
+
+	// The victim cell's rerouted answer was memoized: it still answers,
+	// with the same stats bytes, and no shard is asked.
+	rec = gwPost(t, gw.Handler(), "/v1/sim", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("memoized sim with all shards failing = %d: %s", rec.Code, rec.Body.String())
+	}
+	var hit apitypes.CellResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &hit); err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Rerouted {
+		t.Errorf("memo hit: cached=%v rerouted=%v, want cached and not rerouted", hit.Cached, hit.Rerouted)
+	}
+	want, _ := json.Marshal(res.Stats)
+	if got, _ := json.Marshal(hit.Stats); !bytes.Equal(got, want) {
+		t.Errorf("memo hit stats differ from the rerouted answer:\n  hit:      %s\n  rerouted: %s", got, want)
 	}
 }
 

@@ -22,6 +22,10 @@
 #   6. a route label passed as ObserveLatency(..., "<label>") in
 #      non-test internal/serve code does not appear as "<label>" in
 #      OPERATIONS.md, so every *_request_seconds series is documented.
+#   7. a series name passed to a registry Counter/Gauge/Histogram/
+#      HistogramVec call in non-test internal/serve/..., internal/runner
+#      or internal/tracestore code does not appear in OPERATIONS.md, so
+#      the metrics reference lists every series the daemons export.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -124,6 +128,17 @@ labels=$(find internal/serve -name '*.go' ! -name '*_test.go' \
 for label in $labels; do
     grep -qF "\"$label\"" OPERATIONS.md \
         || err "route label \"$label\" is timed in internal/serve but OPERATIONS.md never names it"
+done
+
+# ---- 7. every exported metric series is documented -----------------
+# Trace-recorder counters (obs.Trace.Counter) are spans, not series.
+series=$(find internal/serve internal/runner internal/tracestore -name '*.go' ! -name '*_test.go' \
+        -exec grep -hoE '[A-Za-z_]+\.(Counter|Gauge|Histogram|HistogramVec)\("[a-z][a-z0-9_]*"' {} + \
+        | grep -v '^Trace\.' | sed -E 's/.*\("([a-z0-9_]+)"$/\1/' | sort -u)
+[ -n "$series" ] || err "no metric series registered in internal/serve, internal/runner or internal/tracestore"
+for s in $series; do
+    grep -qF "${tick}$s${tick}" OPERATIONS.md \
+        || err "metric series $s is registered but OPERATIONS.md's metrics reference never names it"
 done
 
 [ "$fail" = 0 ] && echo "check-docs: PASS"
