@@ -6,14 +6,19 @@ GO ?= go
 
 all: build test
 
+# perfbench is a module of its own (BENCHMARK.json runs it), so the root
+# ./... skips it; vetting it here keeps a runner or serve API change from
+# passing the build and breaking the benchmark.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt: these files need gofmt -w:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 	$(GO) test -race ./internal/durable ./internal/obs ./internal/runner ./internal/gpusim ./internal/serve ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability
 
 race:

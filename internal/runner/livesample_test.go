@@ -9,20 +9,20 @@ import (
 	"repro/internal/gpusim"
 )
 
-// TestOnSampleLiveForwarding: the engine forwards every recorded
-// sample of every simulated cell, live, tagged with the cell's name
-// and cache key, with a dense per-cell sequence — and the observer
-// changes no results.
+// TestOnSampleLiveForwarding: Engine.Cell forwards every recorded
+// sample of a simulated cell to its sink, live, tagged with the cell's
+// name and cache key, with a dense per-cell sequence — and the sink
+// changes no results. The jobs carry their own sampling interval, and
+// run concurrently, each with the same sink.
 func TestOnSampleLiveForwarding(t *testing.T) {
 	// Distinct workload names: live samples are demultiplexed by cell
 	// name, so the test cells must not collide.
 	jobs := []Job{
-		{Workload: tinyWorkload(100, "live-a"), Mode: gpusim.ModeNone},
-		{Workload: tinyWorkload(101, "live-b"), Mode: gpusim.ModeIMT},
-		{Workload: tinyWorkload(102, "live-c"), Mode: gpusim.ModeCarveOut, Carve: gpusim.CarveOutLow},
+		{Workload: tinyWorkload(100, "live-a"), Mode: gpusim.ModeNone, SampleInterval: 500},
+		{Workload: tinyWorkload(101, "live-b"), Mode: gpusim.ModeIMT, SampleInterval: 500},
+		{Workload: tinyWorkload(102, "live-c"), Mode: gpusim.ModeCarveOut, Carve: gpusim.CarveOutLow, SampleInterval: 500},
 	}
 	cfg := gpusim.DefaultConfig()
-	cfg.SampleInterval = 500
 
 	base, err := New(cfg, Options{Workers: 2}).Run(context.Background(), jobs)
 	if err != nil {
@@ -31,15 +31,22 @@ func TestOnSampleLiveForwarding(t *testing.T) {
 
 	var mu sync.Mutex
 	byCell := map[string][]LiveSample{}
-	eng := New(cfg, Options{Workers: 2, OnSample: func(ls LiveSample) {
+	sink := func(ls LiveSample) {
 		mu.Lock()
 		byCell[ls.Cell] = append(byCell[ls.Cell], ls)
 		mu.Unlock()
-	}})
-	observed, err := eng.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
 	}
+	eng := New(cfg, Options{})
+	observed := make([]Result, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			observed[i] = eng.Cell(context.Background(), job, sink)
+		}()
+	}
+	wg.Wait()
 
 	for i, res := range observed {
 		name := jobs[i].Name()
@@ -67,12 +74,12 @@ func TestOnSampleLiveForwarding(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(statsOf(t, base), statsOf(t, observed)) {
-		t.Error("an OnSample observer changed simulation results")
+		t.Error("a live-sample sink changed simulation results")
 	}
 }
 
 // TestOnSampleCachedCellsSilent: cache hits resolve without simulating
-// and must emit nothing.
+// and must emit nothing into Engine.Cell's sink.
 func TestOnSampleCachedCellsSilent(t *testing.T) {
 	jobs := tinyJobs(1)
 	cfg := gpusim.DefaultConfig()
@@ -83,17 +90,17 @@ func TestOnSampleCachedCellsSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := 0
-	eng := New(cfg, Options{Workers: 1, CacheDir: dir, OnSample: func(LiveSample) { fired++ }})
-	res, err := eng.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
+	eng := New(cfg, Options{CacheDir: dir})
+	for _, job := range jobs {
+		r := eng.Cell(context.Background(), job, func(LiveSample) { fired++ })
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
 		if !r.Cached {
 			t.Fatalf("warm run did not hit the cache: %+v", r)
 		}
 	}
 	if fired != 0 {
-		t.Fatalf("cached cells fired OnSample %d times, want 0", fired)
+		t.Fatalf("cached cells fired the live sink %d times, want 0", fired)
 	}
 }

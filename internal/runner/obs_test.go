@@ -75,7 +75,7 @@ func TestEngineEmitsSpansMetricsAndCells(t *testing.T) {
 		if r.Duration <= 0 {
 			t.Errorf("cell %s has no duration", r.Job.Name())
 		}
-		if r.NsPerOp <= 0 {
+		if r.Stats.HostNsPerOp <= 0 {
 			t.Errorf("cell %s has no host ns/op telemetry", r.Job.Name())
 		}
 	}

@@ -14,14 +14,17 @@ import (
 )
 
 // Job is one simulation cell: a workload under one tagging configuration.
-// The engine's base gpusim.Config supplies the machine; the job's Mode
-// and Carve are applied on top of it.
+// The engine's base gpusim.Config supplies the machine; the job's Mode,
+// Carve and a nonzero SampleInterval are applied on top of it.
 type Job struct {
 	Workload workload.Workload
 	Mode     gpusim.TagMode
 	Carve    gpusim.CarveOut
 	// MaxCycles caps the simulation (0 = gpusim's default guard).
 	MaxCycles uint64
+	// SampleInterval, when nonzero, replaces the machine config's phase
+	// telemetry interval for this cell (and so enters its cache key).
+	SampleInterval uint64
 
 	// Traces optionally overrides the workload's trace generator (e.g. a
 	// recorded trace replay); it is called once per simulation and must
@@ -63,12 +66,6 @@ type Result struct {
 	// Duration is the cell's wall time on its worker (0 for cells that
 	// never ran because the context was already cancelled).
 	Duration time.Duration
-	// NsPerOp and AllocsPerOp are the simulator's host-side cost per
-	// simulated warp op (gpusim.Stats host telemetry). Both are 0 for
-	// cached cells — the cache stores only the deterministic Stats — and
-	// for failed cells.
-	NsPerOp     float64
-	AllocsPerOp float64
 }
 
 // Progress is a snapshot delivered after every completed cell.
@@ -133,17 +130,6 @@ type Options struct {
 	// engine counter tracks in Obs.Trace, and the per-cell log consumed
 	// by run manifests.
 	Obs *obs.Hub
-	// OnSample, when non-nil, receives every phase-telemetry sample of
-	// every cell the engine actually simulates, live, tagged with the
-	// cell's name and cache key (the gpusim.Config.OnSample hook,
-	// plumbed). It fires only for cells run with a non-zero
-	// SampleInterval; cached cells resolve without simulating and emit
-	// nothing. The callback runs on the simulation goroutine — with
-	// Workers > 1 it is invoked concurrently from several goroutines
-	// and must be safe for that; a slow callback slows its cell, so
-	// live-streaming sinks hand off immediately (see
-	// internal/serve/rooms).
-	OnSample func(LiveSample)
 }
 
 // Engine runs simulation cells over a fixed machine configuration.
@@ -170,7 +156,7 @@ type Engine struct {
 var nsPerOpBuckets = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
 
 // New builds an engine for the machine configuration. Mode and Carve in
-// cfg are ignored — each job supplies its own.
+// cfg are ignored — each job supplies its own (see CacheKeyFor).
 func New(cfg gpusim.Config, opts Options) *Engine {
 	e := &Engine{cfg: cfg, opts: opts}
 	if opts.CacheDir != "" {
@@ -256,20 +242,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 				h.Trace.SetThreadName(worker, fmt.Sprintf("worker %d", worker))
 			}
 			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{Job: jobs[i], Err: err}
-					e.failed.Add(1)
-					e.observe(results[i], worker, time.Now())
-					report(results[i])
-					continue
-				}
-				t0 := time.Now()
-				results[i] = e.runJob(ctx, jobs[i])
-				results[i].Duration = time.Since(t0)
-				if results[i].Err != nil {
-					e.failed.Add(1)
-				}
-				e.observe(results[i], worker, t0)
+				results[i] = e.cell(ctx, jobs[i], nil, worker)
 				report(results[i])
 			}
 		}(w)
@@ -280,6 +253,45 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	close(idx)
 	wg.Wait()
 	return results, ctx.Err()
+}
+
+// Cell resolves one job on the calling goroutine: from the cache when
+// it holds the cell, else by simulating it and storing the result. It
+// is the body of every Run cell (panic isolation, counters, obs
+// recording), without Run's worker pool and progress tally, for callers
+// such as a server that schedule cells themselves. sink, when non-nil,
+// receives the cell's phase-telemetry samples live while it simulates
+// (the gpusim.Config.OnSample hook, tagged with the cell's name and
+// cache key); it fires only for a nonzero sampling interval, and a
+// cached cell emits nothing. The sink runs on the simulation goroutine,
+// so a slow sink slows its cell.
+func (e *Engine) Cell(ctx context.Context, job Job, sink func(LiveSample)) Result {
+	return e.cell(ctx, job, sink, 0)
+}
+
+// Lookup returns the cached stats for key without simulating or
+// counting: the fast path a caller may try before Cell. It misses when
+// the engine has no cache.
+func (e *Engine) Lookup(key string) (gpusim.Stats, bool) {
+	if e.cache == nil {
+		return gpusim.Stats{}, false
+	}
+	return e.cache.Lookup(key)
+}
+
+// cell is Cell recorded on a trace thread (Run's worker index).
+func (e *Engine) cell(ctx context.Context, job Job, sink func(LiveSample), worker int) Result {
+	t0 := time.Now()
+	res := Result{Job: job}
+	if res.Err = ctx.Err(); res.Err == nil {
+		res.Stats, res.Cached, res.Err = e.resolve(ctx, job, sink)
+		res.Duration = time.Since(t0)
+	}
+	if res.Err != nil {
+		e.failed.Add(1)
+	}
+	e.observe(res, worker, t0)
+	return res
 }
 
 // observe emits one completed cell into the attached obs.Hub: a trace
@@ -308,67 +320,58 @@ func (e *Engine) observe(r Result, worker int, started time.Time) {
 			"failed": float64(e.failed.Load()),
 		})
 	}
-	if r.NsPerOp > 0 && e.mCellNsPerOp != nil {
-		e.mCellNsPerOp.Observe(r.NsPerOp)
+	// Host telemetry describes a completed simulation: cached cells
+	// carry none (the cache stores only deterministic Stats), and a
+	// failed cell's partial run is not a cost per op.
+	var nsPerOp, allocsPerOp float64
+	if r.Err == nil {
+		nsPerOp, allocsPerOp = r.Stats.HostNsPerOp, r.Stats.HostAllocsPerOp
+	}
+	if nsPerOp > 0 && e.mCellNsPerOp != nil {
+		e.mCellNsPerOp.Observe(nsPerOp)
 	}
 	h.AddCell(obs.Cell{
 		Name:        name,
 		Cached:      r.Cached,
 		Failed:      r.Err != nil,
 		Millis:      float64(r.Duration) / float64(time.Millisecond),
-		NsPerOp:     r.NsPerOp,
-		AllocsPerOp: r.AllocsPerOp,
+		NsPerOp:     nsPerOp,
+		AllocsPerOp: allocsPerOp,
 	})
 }
 
-// runJob resolves one cell through the cache or a fresh simulation.
-func (e *Engine) runJob(ctx context.Context, job Job) Result {
-	res := Result{Job: job}
-	cacheable := e.cache != nil && (job.Traces == nil || job.Key != "")
-	var key string
-	if job.Traces == nil || job.Key != "" {
-		// The content identity exists whether or not a cache directory
-		// is configured; the live-sample sink tags frames with it.
-		key = cacheKeyFor(e.cellConfig(job), job)
-	}
+// resolve answers one cell from the cache or a fresh simulation, which
+// it then stores.
+func (e *Engine) resolve(ctx context.Context, job Job, sink func(LiveSample)) (gpusim.Stats, bool, error) {
+	// The content identity exists whether or not a cache directory is
+	// configured; the live-sample sink tags frames with it.
+	key, cacheable := CacheKeyFor(e.cfg, job)
+	cacheable = cacheable && e.cache != nil
 	if cacheable {
 		if st, ok := e.cache.Lookup(key); ok {
 			e.cacheHits.Add(1)
 			if e.mHits != nil {
 				e.mHits.Inc()
 			}
-			res.Stats, res.Cached = st, true
-			return res
+			return st, true, nil
 		}
 		e.cacheMisses.Add(1)
 		if e.mMisses != nil {
 			e.mMisses.Inc()
 		}
 	}
-	res.Stats, res.Err = e.simulate(ctx, job, key)
-	if res.Err == nil {
-		res.NsPerOp = res.Stats.HostNsPerOp
-		res.AllocsPerOp = res.Stats.HostAllocsPerOp
-		if cacheable {
-			e.cache.Store(key, res.Stats)
-		}
+	st, err := e.simulate(ctx, job, key, sink)
+	if err == nil && cacheable {
+		e.cache.Store(key, st)
 	}
-	return res
-}
-
-// cellConfig is the engine configuration with the job's tagging applied.
-func (e *Engine) cellConfig(job Job) gpusim.Config {
-	cfg := e.cfg
-	cfg.Mode = job.Mode
-	cfg.Carve = job.Carve
-	return cfg
+	return st, false, err
 }
 
 // simulate runs one cell, converting panics into cell errors so a
 // pathological (workload, mode) pair cannot take down the whole sweep.
 // key is the cell's content identity ("" when it has none); it tags
-// the live samples forwarded to Options.OnSample.
-func (e *Engine) simulate(ctx context.Context, job Job, key string) (st gpusim.Stats, err error) {
+// the live samples forwarded to sink.
+func (e *Engine) simulate(ctx context.Context, job Job, key string, sink func(LiveSample)) (st gpusim.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panics.Add(1)
@@ -378,8 +381,8 @@ func (e *Engine) simulate(ctx context.Context, job Job, key string) (st gpusim.S
 			err = fmt.Errorf("runner: %s/%s panicked: %v", job.Workload.Name, job.Mode, r)
 		}
 	}()
-	cfg := e.cellConfig(job)
-	if sink := e.opts.OnSample; sink != nil {
+	cfg := cellConfig(e.cfg, job)
+	if sink != nil {
 		name := job.Name()
 		seq := 0
 		cfg.OnSample = func(smp gpusim.Sample) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/gpusim"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -96,7 +97,7 @@ func TestCacheHitMissAndInvalidation(t *testing.T) {
 		if !r.Cached {
 			t.Fatalf("warm cell not marked cached: %+v", r.Job)
 		}
-		if r.NsPerOp != 0 || r.AllocsPerOp != 0 {
+		if r.Stats.HostNsPerOp != 0 || r.Stats.HostAllocsPerOp != 0 {
 			t.Errorf("cached cell %s must carry no host telemetry: %+v", r.Job.Name(), r)
 		}
 	}
@@ -229,6 +230,49 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if err := FirstError(results); err == nil {
 		t.Error("FirstError missed the failed cell")
+	}
+}
+
+// TestCell: Engine.Cell is one Run cell on the calling goroutine —
+// the same stats, cache hits, counters and obs log, panic isolation,
+// and a context cancelled before the cell starts fails it unsimulated.
+func TestCell(t *testing.T) {
+	job := tinyJobs(1)[1]
+	cfg := gpusim.DefaultConfig()
+	viaRun, err := New(cfg, Options{}).Run(context.Background(), []Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := obs.NewHub()
+	eng := New(cfg, Options{CacheDir: t.TempDir(), Obs: hub})
+	cold := eng.Cell(context.Background(), job, nil)
+	warm := eng.Cell(context.Background(), job, nil)
+	if cold.Cached || !warm.Cached {
+		t.Fatalf("cached = %v then %v, want false then true", cold.Cached, warm.Cached)
+	}
+	want := statsOf(t, viaRun)
+	if got := statsOf(t, []Result{cold, warm}); !reflect.DeepEqual(got, []gpusim.Stats{want[0], want[0]}) {
+		t.Error("Cell stats differ from a Run of the same job")
+	}
+	key, _ := CacheKeyFor(cfg, job)
+	if _, ok := eng.Lookup(key); !ok {
+		t.Error("Lookup missed the entry Cell stored")
+	}
+
+	panicky := Job{Mode: gpusim.ModeNone, Traces: func(int) []gpusim.Trace { return []gpusim.Trace{panicTrace{}} }}
+	if r := eng.Cell(context.Background(), panicky, nil); r.Err == nil || !strings.Contains(r.Err.Error(), "panicked") {
+		t.Errorf("panicking cell err = %v", r.Err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r := eng.Cell(ctx, tinyJobs(2)[2], nil); !errors.Is(r.Err, context.Canceled) || r.Duration != 0 {
+		t.Errorf("cancelled cell = %+v, want context.Canceled and no run", r)
+	}
+	if c := eng.Counters(); c != (Counters{SimRuns: 2, CacheHits: 1, CacheMisses: 1, Failed: 2, Panics: 1}) {
+		t.Errorf("counters = %+v", c)
+	}
+	if cells := hub.Cells(); len(cells) != 4 || cells[0].NsPerOp <= 0 || cells[1].NsPerOp != 0 {
+		t.Errorf("obs cell log = %+v, want 4 cells, host telemetry on the simulated one only", cells)
 	}
 }
 

@@ -37,7 +37,7 @@ type memo struct {
 // there), and a sampled cell's Samples series grows with the run, so
 // an entry count would not bound its memory.
 func memoizable(cell serve.Cell) bool {
-	return cell.Digest == "" && cell.SampleInterval == 0
+	return cell.Digest == "" && cell.Job.SampleInterval == 0
 }
 
 func (m *memo) get(key string) (memoEntry, bool) {

@@ -30,8 +30,10 @@
 //     engine's content-addressed cache key (runner.CacheKeyFor) — are
 //     collapsed into one simulation whose result every waiter shares,
 //     so a thundering herd of the same cell costs one run.
-//   - result caching: the runner's on-disk cache is consulted before
-//     admission, so warm cells cost one file read and no queue slot.
+//   - result caching: the server's one runner.Engine answers warm
+//     cells from its on-disk cache before admission (Engine.Lookup), so
+//     they cost one file read and no queue slot; an admitted cell is one
+//     Engine.Cell call on the slot holder's goroutine.
 //   - deadlines: per-request timeouts propagate via context into
 //     gpusim.RunContext; an exceeded deadline maps to 504.
 //   - streaming: sweep grids are expanded server-side and results

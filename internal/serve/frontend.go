@@ -74,13 +74,11 @@ func (o FrontendOptions) WithDefaults() FrontendOptions {
 type Cell struct {
 	// Ref is the request's own spelling of the cell.
 	Ref apitypes.CellRef
-	// Job carries mode, carve and cycle cap, plus the catalog workload
-	// or, for a trace:<digest> cell, the trace identity as Job.Key (the
-	// replay itself is attached only when a shard runs the cell).
+	// Job carries mode, carve, cycle cap and sampling interval, plus the
+	// catalog workload or, for a trace:<digest> cell, the trace identity
+	// as Job.Key (the replay itself is attached only when a shard runs
+	// the cell).
 	Job runner.Job
-	// SampleInterval is the request's telemetry sampling interval; it is
-	// part of the machine config and so of Key.
-	SampleInterval uint64
 	// Digest is the trace store digest of a trace:<digest> cell.
 	Digest string
 	// Timeout, when non-zero, bounds this cell alone: a job's
@@ -485,9 +483,8 @@ func (f *Frontend) resolveCell(name, mode string, maxCycles, sampleInterval uint
 		return Cell{}, err
 	}
 	cell := Cell{
-		Ref:            apitypes.CellRef{Workload: name, Mode: mode},
-		Job:            runner.Job{Mode: tm, Carve: carve, MaxCycles: maxCycles},
-		SampleInterval: sampleInterval,
+		Ref: apitypes.CellRef{Workload: name, Mode: mode},
+		Job: runner.Job{Mode: tm, Carve: carve, MaxCycles: maxCycles, SampleInterval: sampleInterval},
 	}
 	if digest, ok := strings.CutPrefix(name, "trace:"); ok {
 		if !tracestore.ValidDigest(digest) {
@@ -502,20 +499,11 @@ func (f *Frontend) resolveCell(name, mode string, maxCycles, sampleInterval uint
 		}
 		cell.Job.Workload = w
 	}
-	cell.Key, _ = runner.CacheKeyFor(f.cellConfig(sampleInterval), cell.Job) // catalog and keyed trace cells are always cacheable
+	cell.Key, _ = runner.CacheKeyFor(f.opts.Config, cell.Job) // catalog and keyed trace cells are always cacheable
 	if err := f.exec.Check(cell); err != nil {
 		return Cell{}, err
 	}
 	return cell, nil
-}
-
-// cellConfig is the machine a cell simulates under: the base machine
-// plus the request's sampling interval. Mode and carve ride on the
-// runner.Job (and are folded into the cache key by runner.CacheKeyFor).
-func (f *Frontend) cellConfig(sampleInterval uint64) gpusim.Config {
-	cfg := f.opts.Config
-	cfg.SampleInterval = sampleInterval
-	return cfg
 }
 
 // ExpandSweep turns a SweepRequest into its grid of cells:

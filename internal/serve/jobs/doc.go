@@ -29,7 +29,7 @@
 // stream can resume from any per-cell sequence number across restarts.
 // When a resumed job re-executes, only cells without completion markers
 // run, and those typically resolve from the runner's content-addressed
-// result cache (the serving layer's cache fast path on runner.CacheKey)
+// result cache (the serving layer's cache fast path on runner.CacheKeyFor)
 // rather than recomputing; such cells are counted as resumed too. The
 // conformance invariant "cache hit == recompute" is what makes a
 // resumed result set bit-identical to an uninterrupted run.

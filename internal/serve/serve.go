@@ -86,7 +86,6 @@ type Server struct {
 	*Frontend
 	opts    Options
 	eng     *runner.Engine
-	cache   *runner.Cache
 	adm     *admission
 	flights flightGroup
 	traces  *tracestore.Store
@@ -95,7 +94,7 @@ type Server struct {
 	mCoalesce  *obs.Counter
 	mQueueWait *obs.Histogram
 
-	// simHook, when non-nil, replaces the engine run inside execute —
+	// simHook, when non-nil, replaces the engine call inside execute —
 	// admission and coalescing still apply. Test seam: lets the suite
 	// hold a slot open or fail deterministically without timing a real
 	// simulation.
@@ -108,11 +107,9 @@ type Server struct {
 // jobs resume immediately; a corrupt WAL is the only error path.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	s := &Server{opts: opts}
-	s.eng = runner.New(opts.Config, s.engineOptions())
-	if opts.CacheDir != "" {
-		s.cache = runner.OpenCache(opts.CacheDir)
-	}
+	// The engine resolves one cell per Cell call; how many run at once
+	// is the admission controller's business, so its Workers is unused.
+	s := &Server{opts: opts, eng: runner.New(opts.Config, runner.Options{CacheDir: opts.CacheDir, Obs: opts.Obs})}
 	reg := opts.Obs.Metrics
 	s.adm = newAdmission(opts.Workers, opts.Queue, reg)
 	var m FrontendMetrics
@@ -200,14 +197,6 @@ func (s *Server) traceInUse(digest string) bool {
 		}
 	}
 	return false
-}
-
-// engineOptions: the engine runs one job per call under serve's own
-// admission control, so its internal worker bound is per-call (1 job =
-// 1 worker) and concurrency is governed entirely by the admission
-// slots.
-func (s *Server) engineOptions() runner.Options {
-	return runner.Options{Workers: 1, CacheDir: s.opts.CacheDir, Obs: s.opts.Obs}
 }
 
 // Traces is the local trace store, nil without -trace-dir.
@@ -308,14 +297,12 @@ func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func
 	res := apitypes.CellResult{Workload: cell.Ref.Workload, Mode: cell.Ref.Mode, CacheKey: shortKey(cell.Key)}
 
 	// Fast path: a warm cell costs one file read, no queue slot.
-	if s.cache != nil {
-		if st, ok := s.cache.Lookup(cell.Key); ok {
-			count(s.mCacheHits)
-			res.Cached = true
-			res.Stats = &st
-			res.ElapsedMs = millisSince(t0)
-			return res, nil
-		}
+	if st, ok := s.eng.Lookup(cell.Key); ok {
+		count(s.mCacheHits)
+		res.Cached = true
+		res.Stats = &st
+		res.ElapsedMs = millisSince(t0)
+		return res, nil
 	}
 
 	out, shared, err := s.flights.do(ctx, cell.Key, func() outcome {
@@ -344,8 +331,10 @@ func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func
 }
 
 // execute is the singleflight leader's body: acquire an execution slot
-// under the request's context, run the engine, and normalize the
-// result.
+// under the request's context, resolve the cell on the engine (a cache
+// hit stored since the fast path missed, or a simulation), and
+// normalize the result. A simulation that finished is answered even if
+// the deadline passed while its result was being stored.
 func (s *Server) execute(ctx context.Context, cell Cell, patient bool, sink func(runner.LiveSample)) outcome {
 	tQueue := time.Now()
 	release, err := s.adm.acquire(ctx, patient)
@@ -372,22 +361,7 @@ func (s *Server) execute(ctx context.Context, cell Cell, patient bool, sink func
 		defer rep.Close()
 		job.Traces = rep.Traces
 	}
-	eng := s.eng
-	if cell.SampleInterval != 0 || sink != nil {
-		// Sampling changes the machine config (and the cache key), so a
-		// sampled cell runs on an ephemeral engine over the same hub and
-		// cache directory; the shared registry metrics still accumulate.
-		// A live sink rides the same path: it is per-request state, so it
-		// must never be installed on the shared engine.
-		eopts := s.engineOptions()
-		eopts.OnSample = sink
-		eng = runner.New(s.cellConfig(cell.SampleInterval), eopts)
-	}
-	results, runErr := eng.Run(ctx, []runner.Job{job})
-	r := results[0]
-	if r.Err == nil && runErr != nil {
-		r.Err = runErr
-	}
+	r := s.eng.Cell(ctx, job, sink)
 	if r.Err != nil {
 		return outcome{err: r.Err}
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,9 @@ import (
 	"time"
 
 	"repro/internal/gpusim"
+	"repro/internal/runner"
 	"repro/internal/serve/apitypes"
+	"repro/internal/workload"
 )
 
 // post runs one request through the handler without a socket.
@@ -169,6 +172,66 @@ func TestSimEquivalentModesShareEntry(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheHits != 2 || st.Cells != 3 {
 		t.Errorf("stats: %+v, want 3 cells with 2 cache hits", st)
+	}
+}
+
+// TestSimSampled: a /v1/sim with sample_interval runs on the server's
+// one engine with the interval on the job. Its Samples series equals an
+// in-process runner run of the same cell, and its repeat is answered by
+// the cache fast path, byte-identical, without counting in runner_*.
+func TestSimSampled(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1, CacheDir: t.TempDir()})
+	h := s.Handler()
+	body := `{"workload":"hpc-micro0","mode":"imt","sample_interval":20000}`
+	rec := post(t, h, "/v1/sim", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	res := decodeBody[apitypes.CellResult](t, rec)
+	if res.Cached || res.Stats == nil {
+		t.Fatalf("first sampled run: %+v", res)
+	}
+
+	var w workload.Workload
+	for _, c := range workload.Catalog() {
+		if c.Name == "hpc-micro0" {
+			w = c
+		}
+	}
+	job := runner.Job{Workload: w, Mode: gpusim.ModeIMT, SampleInterval: 20000}
+	want := runner.New(gpusim.DefaultConfig(), runner.Options{}).Cell(context.Background(), job, nil)
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	if len(want.Stats.Samples) == 0 {
+		t.Fatal("in-process run recorded no samples")
+	}
+	if !reflect.DeepEqual(res.Stats.Samples, want.Stats.Samples) {
+		t.Errorf("served Samples (%d) differ from the in-process run's (%d)", len(res.Stats.Samples), len(want.Stats.Samples))
+	}
+	key, _ := runner.CacheKeyFor(gpusim.DefaultConfig(), job)
+	if res.CacheKey != shortKey(key) {
+		t.Errorf("cache_key %q, want %q", res.CacheKey, shortKey(key))
+	}
+
+	rec2 := post(t, h, "/v1/sim", body)
+	if rec2.Code != http.StatusOK {
+		t.Fatalf("repeat status = %d: %s", rec2.Code, rec2.Body.String())
+	}
+	res2 := decodeBody[apitypes.CellResult](t, rec2)
+	if !res2.Cached {
+		t.Errorf("repeat must be a cache hit: %+v", res2)
+	}
+	a, _ := json.Marshal(res.Stats)
+	b, _ := json.Marshal(res2.Stats)
+	if !bytes.Equal(a, b) {
+		t.Error("cached sampled stats differ from fresh stats")
+	}
+	if c := s.eng.Counters(); c.SimRuns != 1 || c.CacheHits != 0 || c.CacheMisses != 1 {
+		t.Errorf("engine counters %+v: want one simulation and the fast-path hit uncounted", c)
+	}
+	if st := s.Stats(); st.CacheHits != 1 || st.Cells != 2 {
+		t.Errorf("stats: %+v, want 2 cells with 1 cache hit", st)
 	}
 }
 
