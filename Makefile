@@ -98,6 +98,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz='^FuzzServeRequestDecode$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz='^FuzzJobWALReplay$$' -fuzztime=10s ./internal/serve/jobs
 	$(GO) test -run '^$$' -fuzz='^FuzzWatchFrameDecode$$' -fuzztime=10s ./internal/serve/apitypes
+	$(GO) test -run '^$$' -fuzz='^FuzzStreamDecode$$' -fuzztime=10s ./internal/serve/client
 	$(GO) test -run '^$$' -fuzz='^FuzzBitslicedDecode$$' -fuzztime=10s ./internal/ecc/bitslice
 	$(GO) test -run '^$$' -fuzz='^FuzzClassTable$$' -fuzztime=10s ./internal/reliability
 

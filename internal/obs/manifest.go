@@ -114,8 +114,10 @@ func ReadManifest(path string) (Manifest, error) {
 
 // Hub bundles the observability sinks one run threads through its
 // engines: a metrics registry, an optional trace recorder, and the
-// accumulated per-cell log for the run manifest. A nil *Hub is a valid
-// no-op sink everywhere it is accepted.
+// accumulated per-cell log for the run manifest. The cell log is kept
+// only beside a trace recorder: a long-lived server's hub holds a
+// registry alone, so its memory does not grow with every cell. A nil
+// *Hub is a valid no-op sink everywhere it is accepted.
 type Hub struct {
 	Metrics *Registry
 	Trace   *TraceRecorder
@@ -129,9 +131,10 @@ func NewHub() *Hub {
 	return &Hub{Metrics: NewRegistry(), Trace: NewTraceRecorder()}
 }
 
-// AddCell appends one completed cell to the run log.
+// AddCell appends one completed cell to the run log; a hub without a
+// trace recorder keeps no log.
 func (h *Hub) AddCell(c Cell) {
-	if h == nil {
+	if h == nil || h.Trace == nil {
 		return
 	}
 	h.mu.Lock()

@@ -30,16 +30,18 @@ type admission struct {
 	queueDepth *obs.Gauge
 }
 
+// newAdmission builds the controller; a nil metrics registry means a
+// private one.
 func newAdmission(workers, queue int, metrics *obs.Registry) *admission {
-	a := &admission{
-		slots:   make(chan struct{}, workers),
-		maxWait: int64(queue),
+	if metrics == nil {
+		metrics = obs.NewRegistry()
 	}
-	if metrics != nil {
-		a.inflight = metrics.Gauge("serve_inflight", "simulations currently executing")
-		a.queueDepth = metrics.Gauge("serve_queue_depth", "requests waiting for an execution slot")
+	return &admission{
+		slots:      make(chan struct{}, workers),
+		maxWait:    int64(queue),
+		inflight:   metrics.Gauge("serve_inflight", "simulations currently executing"),
+		queueDepth: metrics.Gauge("serve_queue_depth", "requests waiting for an execution slot"),
 	}
-	return a
 }
 
 // acquire blocks until an execution slot is free or ctx is done, and
@@ -88,24 +90,18 @@ func (a *admission) acquire(ctx context.Context, patient bool) (func(), error) {
 // admitted records the new in-flight execution and returns its
 // once-only release.
 func (a *admission) admitted() func() {
-	if a.inflight != nil {
-		a.inflight.Add(1)
-	}
+	a.inflight.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			<-a.slots
-			if a.inflight != nil {
-				a.inflight.Add(-1)
-			}
+			a.inflight.Add(-1)
 		})
 	}
 }
 
 func (a *admission) gaugeQueue() {
-	if a.queueDepth != nil {
-		a.queueDepth.Set(float64(a.waiting.Load()))
-	}
+	a.queueDepth.Set(float64(a.waiting.Load()))
 }
 
 // RetryAfterSeconds is the backpressure hint sent with 429 and 503

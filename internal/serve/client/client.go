@@ -1,12 +1,10 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -17,7 +15,8 @@ import (
 	"repro/internal/serve/apitypes"
 )
 
-// Client talks to an imtd server. The zero value is not usable; use New.
+// Client talks to an imtd server. The zero value is not usable; use New,
+// which sets every default below.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8866".
 	BaseURL string
@@ -57,24 +56,17 @@ func New(baseURL string) *Client {
 func (c *Client) Sim(ctx context.Context, req apitypes.SimRequest) (apitypes.CellResult, error) {
 	var res apitypes.CellResult
 	err := c.retry(ctx, func() error {
-		resp, err := c.post(ctx, "/v1/sim", req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		return json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(&res)
+		return c.call(ctx, http.MethodPost, "/v1/sim", req, &res)
 	})
 	return res, err
 }
 
 // Sweep streams a sweep, calling fn for every cell line as it arrives
 // (a non-nil fn error aborts the stream) and returning the final
-// summary. The initial request is retried on backpressure; once the
-// stream is open there is nothing to retry — per-cell failures arrive
-// as CellResult.Error lines.
+// summary. The request is retried on backpressure until the stream
+// opens; the stream itself is read once and never requested again —
+// per-cell failures arrive as CellResult.Error lines, and a cut stream
+// is an error.
 func (c *Client) Sweep(ctx context.Context, req apitypes.SweepRequest, fn func(apitypes.CellResult) error) (apitypes.SweepSummary, error) {
 	return c.sweep(ctx, req, nil, fn)
 }
@@ -89,53 +81,17 @@ func (c *Client) SweepWatch(ctx context.Context, req apitypes.SweepRequest, onRo
 }
 
 func (c *Client) sweep(ctx context.Context, req apitypes.SweepRequest, onRoom func(string), fn func(apitypes.CellResult) error) (apitypes.SweepSummary, error) {
-	var summary apitypes.SweepSummary
-	err := c.retry(ctx, func() error {
-		resp, err := c.post(ctx, "/v1/sweep", req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return apiError(resp)
-		}
-		if onRoom != nil {
-			if room := resp.Header.Get("X-Watch-Room"); room != "" {
-				onRoom(room)
-			}
-		}
-		summary = apitypes.SweepSummary{}
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), apitypes.MaxRequestBytes)
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			// The summary line is the only one with "done"; sniff it
-			// before committing to a CellResult decode.
-			var probe struct {
-				Done *bool `json:"done"`
-			}
-			if json.Unmarshal(line, &probe) == nil && probe.Done != nil {
-				return json.Unmarshal(line, &summary)
-			}
-			var cell apitypes.CellResult
-			if err := json.Unmarshal(line, &cell); err != nil {
-				return fmt.Errorf("client: bad sweep line: %w", err)
-			}
-			if fn != nil {
-				if err := fn(cell); err != nil {
-					return err
-				}
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		return errors.New("client: sweep stream ended without a summary line")
+	resp, err := c.attach(ctx, func() (*http.Response, error) {
+		return c.send(ctx, http.MethodPost, "/v1/sweep", req)
 	})
-	return summary, err
+	if err != nil {
+		return apitypes.SweepSummary{}, err
+	}
+	defer resp.Body.Close()
+	if room := resp.Header.Get("X-Watch-Room"); onRoom != nil && room != "" {
+		onRoom(room)
+	}
+	return readStream[apitypes.SweepSummary](resp.Body, fn)
 }
 
 // Stats fetches the server's activity counters. Against an imtgw
@@ -143,7 +99,7 @@ func (c *Client) sweep(ctx context.Context, req apitypes.SweepRequest, onRoom fu
 // additionally exposes the per-shard breakdown.
 func (c *Client) Stats(ctx context.Context) (apitypes.StatsSnapshot, error) {
 	var snap apitypes.StatsSnapshot
-	err := c.call(ctx, http.MethodGet, "/v1/statsz", &snap)
+	err := c.call(ctx, http.MethodGet, "/v1/statsz", nil, &snap)
 	return snap, err
 }
 
@@ -152,21 +108,21 @@ func (c *Client) Stats(ctx context.Context) (apitypes.StatsSnapshot, error) {
 // Against a plain imtd shard, Gateway is nil and Shards empty.
 func (c *Client) GatewayStats(ctx context.Context) (apitypes.GatewaySnapshot, error) {
 	var snap apitypes.GatewaySnapshot
-	err := c.call(ctx, http.MethodGet, "/v1/statsz", &snap)
+	err := c.call(ctx, http.MethodGet, "/v1/statsz", nil, &snap)
 	return snap, err
 }
 
 // Workloads fetches the catalog listing.
 func (c *Client) Workloads(ctx context.Context) (apitypes.CatalogResponse, error) {
 	var cat apitypes.CatalogResponse
-	err := c.call(ctx, http.MethodGet, "/v1/workloads", &cat)
+	err := c.call(ctx, http.MethodGet, "/v1/workloads", nil, &cat)
 	return cat, err
 }
 
 // Health returns nil when the server answers healthy, an *APIError
 // when it is draining, and a transport error when it is unreachable.
 func (c *Client) Health(ctx context.Context) error {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/healthz")
+	resp, err := c.send(ctx, http.MethodGet, "/v1/healthz", nil)
 	if err == nil {
 		resp.Body.Close()
 	}
@@ -174,25 +130,13 @@ func (c *Client) Health(ctx context.Context) error {
 }
 
 // retry runs attempt until it succeeds, fails non-retryably, exhausts
-// MaxRetries, or ctx ends. Backoff doubles per attempt with full
-// jitter; a server Retry-After acts as the floor for that sleep.
+// MaxRetries, or ctx ends. Between attempts it waits the client's
+// backoff, with a server Retry-After as the floor of that wait.
 func (c *Client) retry(ctx context.Context, attempt func() error) error {
-	maxRetries := c.MaxRetries
 	backoff := c.BaseBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	maxBackoff := c.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
-	var err error
 	for try := 0; ; try++ {
-		err = attempt()
-		if err == nil {
-			return nil
-		}
-		if try >= maxRetries || !retryable(err) {
+		err := attempt()
+		if err == nil || try >= c.MaxRetries || !retryable(err) {
 			return err
 		}
 		if ctx.Err() != nil {
@@ -200,26 +144,34 @@ func (c *Client) retry(ctx context.Context, attempt func() error) error {
 			// attempt's backpressure answer was in flight.
 			return ctx.Err()
 		}
-		sleep := c.jitter(backoff)
+		var floor time.Duration
 		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.RetryAfter > sleep {
-			sleep = apiErr.RetryAfter
+		if errors.As(err, &apiErr) {
+			floor = apiErr.RetryAfter
 		}
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			return ctx.Err()
+		if backoff, err = c.wait(ctx, backoff, floor); err != nil {
+			return err
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+	}
+}
+
+// wait is the one backoff sleep of retry and follow: a jittered draw
+// from backoff, at least floor, cut short when ctx ends. It returns the
+// next backoff, doubled and capped at MaxBackoff.
+func (c *Client) wait(ctx context.Context, backoff, floor time.Duration) (time.Duration, error) {
+	select {
+	case <-time.After(max(c.jitter(backoff), floor)):
+		return min(2*backoff, c.MaxBackoff), nil
+	case <-ctx.Done():
+		return backoff, ctx.Err()
 	}
 }
 
 // retryable: backpressure statuses and transport-level failures. A
 // context error is never retryable (the caller's budget is spent), and
-// neither are semantic failures — a 400 will fail identically forever
-// and a 504 means the server already spent the request's deadline.
+// neither are semantic failures — a 400 will fail identically forever,
+// a 404 names an unknown or collected resource, and a 504 means the
+// server already spent the request's deadline.
 func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
@@ -228,7 +180,8 @@ func retryable(err error) bool {
 	if errors.As(err, &apiErr) {
 		return apiErr.Retryable()
 	}
-	// Anything else from Do is a transport error (refused, reset, …).
+	// Anything else is a transport error (refused, reset, a stream cut
+	// mid-body, …).
 	return true
 }
 
@@ -240,58 +193,67 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
 	half := d / 2
 	return half + time.Duration(c.rng.Int63n(int64(half)+1))
 }
 
-func (c *Client) post(ctx context.Context, path string, body any) (*http.Response, error) {
-	blob, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
+// request builds method on path. A non-nil body travels as JSON, or
+// as raw bytes when it is an io.Reader.
+func (c *Client) request(ctx context.Context, method, path string, body any) (*http.Request, error) {
+	var rd io.Reader
+	ctype := "application/json"
+	switch b := body.(type) {
+	case nil:
+	case io.Reader:
+		rd, ctype = b, "application/octet-stream"
+	default:
+		blob, err := json.Marshal(b)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(blob)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(blob))
-	if err != nil {
-		return nil, err
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	if err == nil && rd != nil {
+		req.Header.Set("Content-Type", ctype)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.httpClient().Do(req)
+	return req, err
 }
 
-// send issues method on path without a body and returns the response
-// once its status is 200; any other status is the *APIError. The
-// caller closes the body.
-func (c *Client) send(ctx context.Context, method, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
+// do sends req and returns the response once its status is 2xx; any
+// other status is the *APIError. The caller closes the body.
+func (c *Client) do(req *http.Request) (*http.Response, error) {
+	hc := c.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
 		return nil, apiError(resp)
 	}
 	return resp, nil
 }
 
-// call sends method on path and decodes the 200 JSON body into v.
-func (c *Client) call(ctx context.Context, method, path string, v any) error {
-	resp, err := c.send(ctx, method, path)
+// send is do of the request method on path with body.
+func (c *Client) send(ctx context.Context, method, path string, body any) (*http.Response, error) {
+	req, err := c.request(ctx, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	return c.do(req)
+}
+
+// call sends method on path with body and decodes the 2xx JSON answer
+// into v.
+func (c *Client) call(ctx context.Context, method, path string, body, v any) error {
+	resp, err := c.send(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(v)
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }

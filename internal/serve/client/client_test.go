@@ -201,3 +201,30 @@ func TestJitterBounds(t *testing.T) {
 		t.Error("jitter(0) != 0")
 	}
 }
+
+// TestSweepCutStreamNotRetried: with the default MaxRetries, a sweep
+// stream cut after its 200 is never POSTed again — the one line it
+// carried reaches fn once and the cut surfaces as an error.
+func TestSweepCutStreamNotRetried(t *testing.T) {
+	var posts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		json.NewEncoder(w).Encode(apitypes.CellResult{Workload: "a", Mode: "none"})
+	}))
+	defer srv.Close()
+
+	var cells []apitypes.CellResult
+	_, err := fastClient(srv.URL).Sweep(context.Background(), apitypes.SweepRequest{}, func(c apitypes.CellResult) error {
+		cells = append(cells, c)
+		return nil
+	})
+	if !errors.Is(err, errNoSummary) {
+		t.Fatalf("err = %v, want the truncation error", err)
+	}
+	if got := posts.Load(); got != 1 {
+		t.Errorf("sweep POSTed %d times, want 1", got)
+	}
+	if len(cells) != 1 {
+		t.Errorf("delivered %d cells, want the stream's 1", len(cells))
+	}
+}

@@ -1,13 +1,8 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -21,15 +16,7 @@ import (
 func (c *Client) SubmitJob(ctx context.Context, req apitypes.JobRequest) (apitypes.JobInfo, error) {
 	var info apitypes.JobInfo
 	err := c.retry(ctx, func() error {
-		resp, err := c.post(ctx, "/v1/jobs", req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			return apiError(resp)
-		}
-		return json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(&info)
+		return c.call(ctx, http.MethodPost, "/v1/jobs", req, &info)
 	})
 	return info, err
 }
@@ -37,7 +24,7 @@ func (c *Client) SubmitJob(ctx context.Context, req apitypes.JobRequest) (apityp
 // Job polls one job's current snapshot.
 func (c *Client) Job(ctx context.Context, id string) (apitypes.JobInfo, error) {
 	var info apitypes.JobInfo
-	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), &info)
+	err := c.call(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &info)
 	return info, err
 }
 
@@ -48,7 +35,7 @@ func (c *Client) Jobs(ctx context.Context, tenant string) ([]apitypes.JobInfo, e
 		path += "?tenant=" + url.QueryEscape(tenant)
 	}
 	var list apitypes.JobListResponse
-	err := c.call(ctx, http.MethodGet, path, &list)
+	err := c.call(ctx, http.MethodGet, path, nil, &list)
 	return list.Jobs, err
 }
 
@@ -57,7 +44,7 @@ func (c *Client) Jobs(ctx context.Context, tenant string) ([]apitypes.JobInfo, e
 func (c *Client) CancelJob(ctx context.Context, id string) (apitypes.JobInfo, error) {
 	var info apitypes.JobInfo
 	err := c.retry(ctx, func() error {
-		return c.call(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), &info)
+		return c.call(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &info)
 	})
 	return info, err
 }
@@ -66,121 +53,36 @@ func (c *Client) CancelJob(ctx context.Context, id string) (apitypes.JobInfo, er
 // fn for every frame (a non-nil fn error aborts the attach) and
 // returning the stream's final summary — Done=true when the job
 // finished, or Done=false with NextSeq when the server ended the
-// stream early (drain). One attach is one HTTP request; FollowJob
-// layers reconnection on top.
+// stream early (drain). One attach is one stream: the request is
+// retried on backpressure until it opens, and a stream cut after that
+// is an error, never a second request from the same sequence.
+// FollowJob layers reconnection on top.
 func (c *Client) StreamJob(ctx context.Context, id string, from int, fn func(apitypes.JobFrame) error) (apitypes.JobStreamSummary, error) {
-	var summary apitypes.JobStreamSummary
-	err := c.retry(ctx, func() error {
-		resp, err := c.send(ctx, http.MethodGet, fmt.Sprintf("/v1/jobs/%s/stream?from=%d", url.PathEscape(id), from))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		summary = apitypes.JobStreamSummary{}
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), apitypes.MaxRequestBytes)
-		sawSummary := false
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			// Frames carry "cell"; the summary is the only line with
-			// "state" at top level. Sniff before committing to a decode.
-			var probe struct {
-				State *apitypes.JobState `json:"state"`
-			}
-			if json.Unmarshal(line, &probe) == nil && probe.State != nil {
-				if err := json.Unmarshal(line, &summary); err != nil {
-					return fmt.Errorf("client: bad job summary line: %w", err)
-				}
-				sawSummary = true
-				break
-			}
-			var frame apitypes.JobFrame
-			if err := json.Unmarshal(line, &frame); err != nil {
-				return fmt.Errorf("client: bad job frame line: %w", err)
-			}
-			if fn != nil {
-				if err := fn(frame); err != nil {
-					return err
-				}
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		if !sawSummary {
-			return errors.New("client: job stream ended without a summary line")
-		}
-		return nil
+	resp, err := c.attach(ctx, func() (*http.Response, error) {
+		return c.send(ctx, http.MethodGet, fmt.Sprintf("/v1/jobs/%s/stream?from=%d", url.PathEscape(id), from), nil)
 	})
-	return summary, err
+	if err != nil {
+		return apitypes.JobStreamSummary{}, err
+	}
+	defer resp.Body.Close()
+	return readStream[apitypes.JobStreamSummary](resp.Body, fn)
 }
 
 // FollowJob streams a job to completion, transparently re-attaching
 // from the last delivered sequence across server drains and restarts:
 // every frame is delivered exactly once, in sequence order, no matter
-// how many times the daemon bounces underneath. Transport errors and
-// not-yet-restarted gaps are retried with the client's backoff for as
-// long as ctx allows. from is the first sequence wanted (0 for the
-// whole job).
+// how many times the daemon bounces underneath. Transport errors, cut
+// streams and not-yet-restarted gaps are retried with the client's
+// backoff for as long as ctx allows; a 404 (the job is unknown or
+// collected) and a non-nil fn error end the follow. from is the first
+// sequence wanted (0 for the whole job).
 func (c *Client) FollowJob(ctx context.Context, id string, from int, fn func(apitypes.JobFrame) error) (apitypes.JobStreamSummary, error) {
-	next := from
-	backoff := c.BaseBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	maxBackoff := c.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
-	for {
-		summary, err := c.StreamJob(ctx, id, next, func(f apitypes.JobFrame) error {
-			if err := fn(f); err != nil {
-				return err
-			}
-			next = f.Seq + 1
-			return nil
-		})
-		switch {
-		case err == nil && summary.Done:
-			return summary, nil
-		case err == nil:
-			// Drain summary: the server is going away. Resume from its
-			// NextSeq (≥ our own high-water mark) after a pause.
-			if summary.NextSeq > next {
-				next = summary.NextSeq
-			}
-		case ctx.Err() != nil:
-			return summary, ctx.Err()
-		case !followRetryable(err):
-			return summary, err
-		}
-		select {
-		case <-time.After(c.jitter(backoff)):
-		case <-ctx.Done():
-			return apitypes.JobStreamSummary{}, ctx.Err()
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// followRetryable: everything a daemon bounce can look like. Transport
-// errors (refused while the new process binds), draining and
-// backpressure are all worth another attach; a 404 is not — the job is
-// unknown or GC'd — and neither are semantic failures.
-func followRetryable(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.Retryable()
-	}
-	return true
+	return follow(ctx, c, from, fn,
+		func(from int, fn func(apitypes.JobFrame) error) (apitypes.JobStreamSummary, error) {
+			return c.StreamJob(ctx, id, from, fn)
+		},
+		func(f apitypes.JobFrame) int { return f.Seq },
+		func(s apitypes.JobStreamSummary) (bool, bool, int) { return s.Done, s.Draining, s.NextSeq })
 }
 
 // WaitJob polls until the job reaches a terminal state (or ctx ends),
@@ -195,7 +97,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (ap
 		if err == nil && info.State.Terminal() {
 			return info, nil
 		}
-		if err != nil && !followRetryable(err) {
+		if err != nil && !retryable(err) {
 			return info, err
 		}
 		select {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,5 +249,87 @@ func TestFollowJobStopsOnNotFound(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("attempts = %d, want 1", calls.Load())
+	}
+}
+
+// TestFollowJobCutStreamDeliversOnce: the first attach is cut after
+// seqs 0-1 with no summary; the next attach is served whole from its
+// from. With the default MaxRetries, FollowJob must deliver every seq
+// exactly once, in order — the cut stream is never requested again
+// from its old position.
+func TestFollowJobCutStreamDeliversOnce(t *testing.T) {
+	const cells = 4
+	var froms []string
+	var mu sync.Mutex
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		froms = append(froms, r.URL.Query().Get("from"))
+		first := len(froms) == 1
+		mu.Unlock()
+		enc := json.NewEncoder(w)
+		if first {
+			enc.Encode(frame(0, "a", false))
+			enc.Encode(frame(1, "b", false))
+			return // cut: no summary line
+		}
+		from, _ := strconv.Atoi(r.URL.Query().Get("from"))
+		for seq := from; seq < cells; seq++ {
+			enc.Encode(frame(seq, fmt.Sprint("w", seq), false))
+		}
+		enc.Encode(apitypes.JobStreamSummary{Done: true, State: apitypes.JobDone, Cells: cells, NextSeq: cells})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var seqs []int
+	summary, err := fastClient(srv.URL).FollowJob(context.Background(), "j-1", 0, func(f apitypes.JobFrame) error {
+		seqs = append(seqs, f.Seq)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seqs) != "[0 1 2 3]" {
+		t.Fatalf("seqs = %v, want [0 1 2 3] exactly once", seqs)
+	}
+	if !summary.Done {
+		t.Errorf("summary = %+v", summary)
+	}
+	if fmt.Sprint(froms) != "[0 2]" {
+		t.Errorf("attaches from %v, want [0 2]", froms)
+	}
+}
+
+// TestFollowJobFnErrorStops: a callback error is the caller's decision
+// to stop, so FollowJob returns it after one attach instead of
+// re-attaching to hand the refused frame over again.
+func TestFollowJobFnErrorStops(t *testing.T) {
+	var attach atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		attach.Add(1)
+		enc := json.NewEncoder(w)
+		enc.Encode(frame(0, "a", false))
+		enc.Encode(frame(1, "b", false))
+		enc.Encode(apitypes.JobStreamSummary{Done: true, State: apitypes.JobDone, Cells: 2, NextSeq: 2})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	boom := errors.New("stop here")
+	_, err := fastClient(srv.URL).FollowJob(ctx, "j-1", 0, func(f apitypes.JobFrame) error {
+		if f.Seq == 1 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's error", err)
+	}
+	if attach.Load() != 1 {
+		t.Errorf("attaches = %d, want 1", attach.Load())
 	}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -19,20 +18,7 @@ import (
 // second call is a content-address hit (Created false).
 func (c *Client) UploadTrace(ctx context.Context, r io.Reader) (apitypes.TraceUploadResponse, error) {
 	var out apitypes.TraceUploadResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/traces", r)
-	if err != nil {
-		return out, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return out, apiError(resp)
-	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(&out)
+	err := c.call(ctx, http.MethodPost, "/v1/traces", r, &out)
 	return out, err
 }
 
@@ -57,7 +43,7 @@ func (c *Client) UploadTraceFile(ctx context.Context, path string) (apitypes.Tra
 // listing is the digest-deduplicated union across reachable shards.
 func (c *Client) Traces(ctx context.Context) (apitypes.TraceListResponse, error) {
 	var out apitypes.TraceListResponse
-	err := c.call(ctx, http.MethodGet, "/v1/traces", &out)
+	err := c.call(ctx, http.MethodGet, "/v1/traces", nil, &out)
 	return out, err
 }
 
@@ -65,7 +51,7 @@ func (c *Client) Traces(ctx context.Context) (apitypes.TraceListResponse, error)
 // ErrTraceNotFound.
 func (c *Client) TraceStat(ctx context.Context, digest string) (apitypes.TraceInfo, error) {
 	var out apitypes.TraceInfo
-	err := c.call(ctx, http.MethodGet, "/v1/traces/"+digest, &out)
+	err := c.call(ctx, http.MethodGet, "/v1/traces/"+digest, nil, &out)
 	return out, err
 }
 
@@ -74,7 +60,7 @@ func (c *Client) TraceStat(ctx context.Context, digest string) (apitypes.TraceIn
 // queued job is ErrTraceInUse; an absent digest is ErrTraceNotFound.
 func (c *Client) DeleteTrace(ctx context.Context, digest string) (apitypes.TraceInfo, error) {
 	var out apitypes.TraceInfo
-	err := c.call(ctx, http.MethodDelete, "/v1/traces/"+digest, &out)
+	err := c.call(ctx, http.MethodDelete, "/v1/traces/"+digest, nil, &out)
 	return out, err
 }
 
@@ -84,7 +70,7 @@ func (c *Client) DeleteTrace(ctx context.Context, digest string) (apitypes.Trace
 // blob is read incrementally — a multi-GB trace never materializes in
 // memory on either side.
 func (c *Client) OpenTrace(ctx context.Context, digest string) (io.ReadCloser, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/traces/"+digest+"?raw=1")
+	resp, err := c.send(ctx, http.MethodGet, "/v1/traces/"+digest+"?raw=1", nil)
 	if err != nil {
 		return nil, err
 	}

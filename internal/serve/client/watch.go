@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
 	"repro/internal/serve/apitypes"
 )
@@ -26,33 +25,18 @@ var ErrWatchEvicted = errors.New("client: watch stream ended without summary (ev
 // the attach) and returning the stream-ending summary: Done=true when
 // the room's run finished, Draining=true when the daemon is going away
 // (re-attach at NextSeq). An eviction ends the attach with
-// ErrWatchEvicted. The initial request is retried on backpressure;
-// once the stream is open there is nothing to retry at this layer —
+// ErrWatchEvicted. Like every stream, only the request is retried on
+// backpressure; once the stream is open it is read once, and
 // FollowWatch handles reconnection.
 func (c *Client) Watch(ctx context.Context, room string, from int, fn func(apitypes.WatchFrame) error) (apitypes.WatchSummary, error) {
 	var summary apitypes.WatchSummary
-	// Only the attach is under the retry loop: once frames flow, a
-	// blind re-attempt at the same from would re-deliver them. Mid-
-	// stream failures surface to the caller; FollowWatch re-attaches
-	// at the advanced sequence instead.
-	var resp *http.Response
-	err := c.retry(ctx, func() error {
-		path := fmt.Sprintf("/v1/watch/%s?from=%d", url.PathEscape(room), from)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	resp, err := c.attach(ctx, func() (*http.Response, error) {
+		req, err := c.request(ctx, http.MethodGet, fmt.Sprintf("/v1/watch/%s?from=%d", url.PathEscape(room), from), nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		req.Header.Set("Accept", "text/event-stream")
-		r, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		if r.StatusCode != http.StatusOK {
-			defer r.Body.Close()
-			return apiError(r)
-		}
-		resp = r
-		return nil
+		return c.do(req)
 	})
 	if err != nil {
 		return summary, err
@@ -94,53 +78,15 @@ func (c *Client) Watch(ctx context.Context, room string, from int, fn func(apity
 // order, as long as the room's history still covers the resume point.
 // When it does not, the follow fails with an error wrapping ErrGone —
 // the gap is unrecoverable and silently skipping frames would betray
-// the gapless contract. from is the first sequence wanted (0 for the
-// oldest retained). Mirrors FollowJob.
+// the gapless contract. A summary that is neither done nor draining (a
+// room closed without finishing, such as an abandoned job's) ends the
+// follow too. from is the first sequence wanted (0 for the oldest
+// retained). It runs the same re-attach loop as FollowJob.
 func (c *Client) FollowWatch(ctx context.Context, room string, from int, fn func(apitypes.WatchFrame) error) (apitypes.WatchSummary, error) {
-	next := from
-	backoff := c.BaseBackoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	maxBackoff := c.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
-	for {
-		summary, err := c.Watch(ctx, room, next, func(f apitypes.WatchFrame) error {
-			if err := fn(f); err != nil {
-				return err
-			}
-			next = f.Seq + 1
-			return nil
-		})
-		switch {
-		case err == nil && summary.Done:
-			return summary, nil
-		case err == nil && summary.Draining:
-			// The daemon is going away; resume from its NextSeq (≥ our
-			// own high-water mark) after a pause.
-			if summary.NextSeq > next {
-				next = summary.NextSeq
-			}
-		case err == nil:
-			// A closed-without-done room (abandoned job): terminal.
-			return summary, nil
-		case errors.Is(err, ErrWatchEvicted):
-			// Fell behind; re-attach at next after the backoff —
-			// history replays what the live channel dropped.
-		case ctx.Err() != nil:
-			return summary, ctx.Err()
-		case !followRetryable(err):
-			return summary, err
-		}
-		select {
-		case <-time.After(c.jitter(backoff)):
-		case <-ctx.Done():
-			return apitypes.WatchSummary{}, ctx.Err()
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
+	return follow(ctx, c, from, fn,
+		func(from int, fn func(apitypes.WatchFrame) error) (apitypes.WatchSummary, error) {
+			return c.Watch(ctx, room, from, fn)
+		},
+		func(f apitypes.WatchFrame) int { return f.Seq },
+		func(s apitypes.WatchSummary) (bool, bool, int) { return s.Done, s.Draining, s.NextSeq })
 }

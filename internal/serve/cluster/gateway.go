@@ -112,23 +112,21 @@ func New(opts Options) (*Gateway, error) {
 		g.shards = append(g.shards, ss)
 		g.byURL[url] = ss
 	}
-	var m serve.FrontendMetrics
-	if reg := opts.Obs.Metrics; reg != nil {
-		g.mRequests = reg.Counter("serve_gw_requests_total", "API requests received by the gateway")
-		g.mCells = reg.Counter("serve_gw_cells_total", "cells delivered to clients through the gateway")
-		g.mTracePushes = reg.Counter("serve_gw_trace_pushes_total", "trace blobs pushed shard-to-shard after a trace_not_found miss")
-		g.mRerouted = reg.Counter("serve_gw_rerouted_total", "cells rerouted to another shard after a shard failure")
-		g.mMemoHits = reg.Counter("serve_gw_memo_hits_total", "/v1/sim requests answered from the gateway's result memo")
-		g.mShardErrors = reg.Counter("serve_gw_shard_errors_total", "shard request/stream failures observed by the gateway")
-		g.mBreakerOpens = reg.Counter("serve_gw_breaker_opens_total", "shard breaker transitions to open")
-		g.mProbes = reg.Counter("serve_gw_probes_total", "shard health probes sent")
-		g.mProbeFailures = reg.Counter("serve_gw_probe_failures_total", "shard health probes that failed")
-		g.mShardsUp = reg.Gauge("serve_gw_shards_up", "shards currently routable (breaker not open)")
-		m = serve.FrontendMetrics{
-			Requests: g.mRequests,
-			Cells:    g.mCells,
-			Latency:  reg.HistogramVec("serve_gw_request_seconds", "route", "gateway end-to-end request latency by route", obs.DurationBuckets),
-		}
+	reg := opts.Obs.Metrics
+	g.mRequests = reg.Counter("serve_gw_requests_total", "API requests received by the gateway")
+	g.mCells = reg.Counter("serve_gw_cells_total", "cells delivered to clients through the gateway")
+	g.mTracePushes = reg.Counter("serve_gw_trace_pushes_total", "trace blobs pushed shard-to-shard after a trace_not_found miss")
+	g.mRerouted = reg.Counter("serve_gw_rerouted_total", "cells rerouted to another shard after a shard failure")
+	g.mMemoHits = reg.Counter("serve_gw_memo_hits_total", "/v1/sim requests answered from the gateway's result memo")
+	g.mShardErrors = reg.Counter("serve_gw_shard_errors_total", "shard request/stream failures observed by the gateway")
+	g.mBreakerOpens = reg.Counter("serve_gw_breaker_opens_total", "shard breaker transitions to open")
+	g.mProbes = reg.Counter("serve_gw_probes_total", "shard health probes sent")
+	g.mProbeFailures = reg.Counter("serve_gw_probe_failures_total", "shard health probes that failed")
+	g.mShardsUp = reg.Gauge("serve_gw_shards_up", "shards currently routable (breaker not open)")
+	m := serve.FrontendMetrics{
+		Requests: g.mRequests,
+		Cells:    g.mCells,
+		Latency:  reg.HistogramVec("serve_gw_request_seconds", "route", "gateway end-to-end request latency by route", obs.DurationBuckets),
 	}
 	g.Frontend = serve.NewFrontend(opts.FrontendOptions, g, m, obs.NewManifest("imtgw", struct {
 		Shards   []string
@@ -202,7 +200,7 @@ func (g *Gateway) Sim(ctx context.Context, req apitypes.SimRequest, cell serve.C
 	if keep {
 		t0 := time.Now()
 		if e, ok := g.memo.get(cell.Key); ok {
-			g.count(g.mMemoHits)
+			g.mMemoHits.Inc()
 			st := e.stats
 			return apitypes.CellResult{
 				Workload:  cell.Ref.Workload,
@@ -230,7 +228,7 @@ func (g *Gateway) Sim(ctx context.Context, req apitypes.SimRequest, cell serve.C
 			res.Shard = url
 			res.Rerouted = hops > 0
 			if hops > 0 {
-				g.count(g.mRerouted)
+				g.mRerouted.Inc()
 			}
 			if keep && res.Stats != nil {
 				g.memo.put(cell.Key, memoEntry{stats: *res.Stats, shard: url, cacheKey: res.CacheKey})
@@ -281,9 +279,9 @@ func reroutable(err error) bool {
 // shardFailed records a request-path failure on ss: breaker opens,
 // counters bump.
 func (g *Gateway) shardFailed(ss *shardState) {
-	g.count(g.mShardErrors)
+	g.mShardErrors.Inc()
 	if ss.br.onFailure() {
-		g.count(g.mBreakerOpens)
+		g.mBreakerOpens.Inc()
 	}
 	g.gaugeShardsUp()
 }
@@ -323,7 +321,7 @@ func (g *Gateway) Sweep(ctx context.Context, req apitypes.SweepRequest, cells []
 		}
 		delivered[ref] = true
 		if res.Rerouted {
-			g.count(g.mRerouted)
+			g.mRerouted.Inc()
 		}
 		emit(res, nil)
 	}
@@ -517,14 +515,12 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 			snap.Traces.Deletes += st.Traces.Deletes
 		}
 	}
-	if g.mRequests != nil {
-		gw.Requests = g.mRequests.Value()
-		gw.Cells = g.mCells.Value()
-		gw.Rerouted = g.mRerouted.Value()
-		gw.MemoHits = g.mMemoHits.Value()
-		gw.ShardErrors = g.mShardErrors.Value()
-		gw.BreakerOpens = g.mBreakerOpens.Value()
-	}
+	gw.Requests = g.mRequests.Value()
+	gw.Cells = g.mCells.Value()
+	gw.Rerouted = g.mRerouted.Value()
+	gw.MemoHits = g.mMemoHits.Value()
+	gw.ShardErrors = g.mShardErrors.Value()
+	gw.BreakerOpens = g.mBreakerOpens.Value()
 	snap.Gateway = &gw
 	return snap
 }
@@ -546,21 +542,13 @@ func (g *Gateway) NotReady() string {
 // counters and the metrics snapshot. Call at drain time.
 func (g *Gateway) Manifest() obs.Manifest {
 	m := g.Frontend.Manifest()
-	if g.mRequests != nil {
-		m.Counters = map[string]uint64{
-			"requests":      g.mRequests.Value(),
-			"cells":         g.mCells.Value(),
-			"rerouted":      g.mRerouted.Value(),
-			"memo_hits":     g.mMemoHits.Value(),
-			"shard_errors":  g.mShardErrors.Value(),
-			"breaker_opens": g.mBreakerOpens.Value(),
-		}
+	m.Counters = map[string]uint64{
+		"requests":      g.mRequests.Value(),
+		"cells":         g.mCells.Value(),
+		"rerouted":      g.mRerouted.Value(),
+		"memo_hits":     g.mMemoHits.Value(),
+		"shard_errors":  g.mShardErrors.Value(),
+		"breaker_opens": g.mBreakerOpens.Value(),
 	}
 	return m
-}
-
-func (g *Gateway) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }

@@ -103,11 +103,11 @@ func (g *Gateway) probeAll(ctx context.Context) {
 			pctx, cancel := context.WithTimeout(ctx, g.opts.ProbeTimeout)
 			defer cancel()
 			err := g.pool.Raw(ss.url).Health(pctx)
-			g.count(g.mProbes)
+			g.mProbes.Inc()
 			if err != nil {
-				g.count(g.mProbeFailures)
+				g.mProbeFailures.Inc()
 				if ss.br.onFailure() {
-					g.count(g.mBreakerOpens)
+					g.mBreakerOpens.Inc()
 				}
 			} else {
 				ss.br.onSuccess(true)
@@ -140,9 +140,6 @@ func (g *Gateway) prober() {
 }
 
 func (g *Gateway) gaugeShardsUp() {
-	if g.mShardsUp == nil {
-		return
-	}
 	up := 0
 	for _, ss := range g.shards {
 		if ss.br.routable() {

@@ -185,7 +185,7 @@ func (g *Gateway) ensureTrace(ctx context.Context, target, digest string) error 
 		if up.Digest != digest {
 			return fmt.Errorf("cluster: trace push digest mismatch: want %s, shard stored %s", digest, up.Digest)
 		}
-		g.count(g.mTracePushes)
+		g.mTracePushes.Inc()
 		return nil
 	}
 	return fmt.Errorf("cluster: trace %.12s… resident on no shard: %w", digest, client.ErrTraceNotFound)

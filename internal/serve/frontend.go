@@ -41,7 +41,9 @@ type FrontendOptions struct {
 	// Debug mounts the obs debug mux (pprof, expvar, /metrics) on the
 	// handler.
 	Debug bool
-	// Obs receives telemetry (nil = a fresh hub).
+	// Obs receives telemetry. Nil, or a hub without a registry, means a
+	// fresh hub holding a registry alone: a daemon writes no trace, so
+	// it keeps no trace events or cell log that would grow per cell.
 	Obs *obs.Hub
 	// Config is the simulated machine (zero NumSMs =
 	// gpusim.DefaultConfig). Cache keys — and therefore a gateway's
@@ -60,8 +62,8 @@ func (o FrontendOptions) WithDefaults() FrontendOptions {
 	if o.MaxSweepCells <= 0 {
 		o.MaxSweepCells = 4096
 	}
-	if o.Obs == nil {
-		o.Obs = obs.NewHub()
+	if o.Obs == nil || o.Obs.Metrics == nil {
+		o.Obs = &obs.Hub{Metrics: obs.NewRegistry()}
 	}
 	if o.Config.NumSMs == 0 {
 		o.Config = gpusim.DefaultConfig()
@@ -170,8 +172,8 @@ func NewFrontend(opts FrontendOptions, exec Executor, m FrontendMetrics, manifes
 	return f
 }
 
-// Hub returns the observability hub (metrics registry, trace recorder,
-// cell log).
+// Hub returns the observability hub (its metrics registry, and a trace
+// recorder and cell log only when the caller supplied them).
 func (f *Frontend) Hub() *obs.Hub { return f.opts.Obs }
 
 // Handler returns the one route table imtd and imtgw both serve:
@@ -258,10 +260,8 @@ func (f *Frontend) Snapshot() apitypes.StatsSnapshot {
 func (f *Frontend) Manifest() obs.Manifest {
 	m := f.manifest
 	m.WallSeconds = time.Since(f.started).Seconds()
-	if f.opts.Obs.Metrics != nil {
-		snap := f.opts.Obs.Metrics.Snapshot()
-		m.Metrics = &snap
-	}
+	snap := f.opts.Obs.Metrics.Snapshot()
+	m.Metrics = &snap
 	return m
 }
 

@@ -109,15 +109,9 @@ func (f *Frontend) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 func (f *Frontend) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	defer f.ObserveLatency(f.CountRequest(), "jobs")
 	id := r.PathValue("id")
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			f.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
-				errors.New("serve: from must be a non-negative integer"))
-			return
-		}
-		from = n
+	from, ok := f.streamFrom(w, r, 0)
+	if !ok {
+		return
 	}
 	st := f.jobs.Store()
 	if _, ok := st.Get(id); !ok {
@@ -165,6 +159,23 @@ func (f *Frontend) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			// SetDraining(false) must stay possible.
 		}
 	}
+}
+
+// streamFrom parses the ?from=N resume point of a job or watch stream;
+// an absent from is dflt. Anything but a non-negative integer answers
+// 400 bad_request and reports false.
+func (f *Frontend) streamFrom(w http.ResponseWriter, r *http.Request, dflt int) (int, bool) {
+	q := r.URL.Query().Get("from")
+	if q == "" {
+		return dflt, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		f.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
+			errors.New("serve: from must be a non-negative integer"))
+		return 0, false
+	}
+	return n, true
 }
 
 func (f *Frontend) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info apitypes.JobInfo, next int, draining bool) {

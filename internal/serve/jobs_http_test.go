@@ -205,8 +205,10 @@ func TestJobBadRequests(t *testing.T) {
 	defer s2.KillJobs()
 	h2 := s2.Handler()
 	sub := decodeBody[apitypes.JobInfo](t, post(t, h2, "/v1/jobs", `{"workloads":["stream-copy-16MB"],"modes":["none"]}`))
-	if rec := get(t, h2, "/v1/jobs/"+sub.ID+"/stream?from=-1"); rec.Code != http.StatusBadRequest {
-		t.Fatalf("from=-1 status = %d", rec.Code)
+	for _, from := range []string{"-1", "abc"} {
+		if rec := get(t, h2, "/v1/jobs/"+sub.ID+"/stream?from="+from); rec.Code != http.StatusBadRequest {
+			t.Fatalf("from=%s status = %d", from, rec.Code)
+		}
 	}
 }
 

@@ -94,16 +94,20 @@ type Registry struct {
 	mDrops  *obs.Counter
 }
 
-// NewRegistry builds a room registry. reg may be nil (no metrics).
+// NewRegistry builds a room registry. A nil reg means a private
+// metrics registry.
 func NewRegistry(reg *obs.Registry, opts Options) *Registry {
-	r := &Registry{opts: opts.withDefaults(), rooms: map[string]*Room{}}
-	if reg != nil {
-		r.mOpen = reg.Gauge("serve_rooms_open", "telemetry rooms currently open (live or in post-close retention)")
-		r.mSubs = reg.Gauge("serve_room_subscribers", "subscribers currently attached to telemetry rooms")
-		r.mFrames = reg.Counter("serve_room_frames_total", "telemetry frames published into rooms")
-		r.mDrops = reg.Counter("serve_room_drops_total", "subscribers evicted for falling behind the broadcast")
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	return r
+	return &Registry{
+		opts:    opts.withDefaults(),
+		rooms:   map[string]*Room{},
+		mOpen:   reg.Gauge("serve_rooms_open", "telemetry rooms currently open (live or in post-close retention)"),
+		mSubs:   reg.Gauge("serve_room_subscribers", "subscribers currently attached to telemetry rooms"),
+		mFrames: reg.Counter("serve_room_frames_total", "telemetry frames published into rooms"),
+		mDrops:  reg.Counter("serve_room_drops_total", "subscribers evicted for falling behind the broadcast"),
+	}
 }
 
 // Open creates a room with a fresh join code and starts its
@@ -125,9 +129,7 @@ func (r *Registry) Open() *Room {
 	}
 	r.rooms[rm.code] = rm
 	r.mu.Unlock()
-	if r.mOpen != nil {
-		r.mOpen.Add(1)
-	}
+	r.mOpen.Add(1)
 	go rm.broadcast()
 	return rm
 }
@@ -153,13 +155,12 @@ func (r *Registry) Stats() apitypes.RoomStats {
 	r.gcLocked(time.Now())
 	open := len(r.rooms)
 	r.mu.Unlock()
-	st := apitypes.RoomStats{Open: int64(open)}
-	if r.mSubs != nil {
-		st.Subscribers = int64(r.mSubs.Value())
-		st.Frames = r.mFrames.Value()
-		st.Drops = r.mDrops.Value()
+	return apitypes.RoomStats{
+		Open:        int64(open),
+		Subscribers: int64(r.mSubs.Value()),
+		Frames:      r.mFrames.Value(),
+		Drops:       r.mDrops.Value(),
 	}
-	return st
 }
 
 // gcLocked removes rooms whose post-close retention has lapsed.
@@ -170,9 +171,7 @@ func (r *Registry) gcLocked(now time.Time) {
 		rm.mu.Unlock()
 		if expired {
 			delete(r.rooms, code)
-			if r.mOpen != nil {
-				r.mOpen.Add(-1)
-			}
+			r.mOpen.Add(-1)
 		}
 	}
 }
@@ -277,16 +276,12 @@ func (rm *Room) broadcast() {
 				// Slow consumer: evict rather than block the broadcast.
 				delete(rm.subs, sub)
 				close(sub.ch)
-				if rm.reg.mSubs != nil {
-					rm.reg.mSubs.Add(-1)
-					rm.reg.mDrops.Inc()
-				}
+				rm.reg.mSubs.Add(-1)
+				rm.reg.mDrops.Inc()
 			}
 		}
 		rm.mu.Unlock()
-		if rm.reg.mFrames != nil {
-			rm.reg.mFrames.Inc()
-		}
+		rm.reg.mFrames.Inc()
 	}
 	rm.mu.Lock()
 	sum := rm.pending
@@ -297,9 +292,7 @@ func (rm *Room) broadcast() {
 	for sub := range rm.subs {
 		sub.summary = rm.summary
 		close(sub.ch)
-		if rm.reg.mSubs != nil {
-			rm.reg.mSubs.Add(-1)
-		}
+		rm.reg.mSubs.Add(-1)
 	}
 	rm.subs = map[*Subscriber]struct{}{}
 	rm.mu.Unlock()
@@ -380,9 +373,7 @@ func (rm *Room) Subscribe(from, buffer int) ([]apitypes.WatchFrame, *Subscriber,
 	}
 	sub := &Subscriber{ch: make(chan apitypes.WatchFrame, buffer), room: rm}
 	rm.subs[sub] = struct{}{}
-	if rm.reg.mSubs != nil {
-		rm.reg.mSubs.Add(1)
-	}
+	rm.reg.mSubs.Add(1)
 	return replay, sub, nil, nil
 }
 
@@ -400,7 +391,7 @@ func (rm *Room) Unsubscribe(sub *Subscriber) {
 		close(sub.ch)
 	}
 	rm.mu.Unlock()
-	if attached && rm.reg.mSubs != nil {
+	if attached {
 		rm.reg.mSubs.Add(-1)
 	}
 }

@@ -112,20 +112,17 @@ func New(opts Options) (*Server, error) {
 	s := &Server{opts: opts, eng: runner.New(opts.Config, runner.Options{CacheDir: opts.CacheDir, Obs: opts.Obs})}
 	reg := opts.Obs.Metrics
 	s.adm = newAdmission(opts.Workers, opts.Queue, reg)
-	var m FrontendMetrics
-	if reg != nil {
-		m = FrontendMetrics{
-			Requests: reg.Counter("serve_requests_total", "API requests received"),
-			Cells:    reg.Counter("serve_cells_total", "cells served successfully"),
-			Rejected: reg.Counter("serve_rejected_total", "requests rejected with 429 (queue full)"),
-			Timeouts: reg.Counter("serve_timeouts_total", "requests that exceeded their deadline (504)"),
-			Errors:   reg.Counter("serve_errors_total", "requests that failed with 500"),
-			Latency:  reg.HistogramVec("serve_request_seconds", "route", "end-to-end request latency by route", obs.DurationBuckets),
-		}
-		s.mCacheHits = reg.Counter("serve_cache_hits_total", "cells answered from the result cache")
-		s.mCoalesce = reg.Counter("serve_coalesce_hits_total", "requests that shared another request's in-flight simulation")
-		s.mQueueWait = reg.Histogram("serve_queue_wait_seconds", "time spent waiting for an execution slot", obs.DurationBuckets)
+	m := FrontendMetrics{
+		Requests: reg.Counter("serve_requests_total", "API requests received"),
+		Cells:    reg.Counter("serve_cells_total", "cells served successfully"),
+		Rejected: reg.Counter("serve_rejected_total", "requests rejected with 429 (queue full)"),
+		Timeouts: reg.Counter("serve_timeouts_total", "requests that exceeded their deadline (504)"),
+		Errors:   reg.Counter("serve_errors_total", "requests that failed with 500"),
+		Latency:  reg.HistogramVec("serve_request_seconds", "route", "end-to-end request latency by route", obs.DurationBuckets),
 	}
+	s.mCacheHits = reg.Counter("serve_cache_hits_total", "cells answered from the result cache")
+	s.mCoalesce = reg.Counter("serve_coalesce_hits_total", "requests that shared another request's in-flight simulation")
+	s.mQueueWait = reg.Histogram("serve_queue_wait_seconds", "time spent waiting for an execution slot", obs.DurationBuckets)
 	s.Frontend = NewFrontend(opts.FrontendOptions, s, m, obs.NewManifest("imtd", struct {
 		Workers, Queue int
 		CacheDir       string
@@ -298,7 +295,7 @@ func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func
 
 	// Fast path: a warm cell costs one file read, no queue slot.
 	if st, ok := s.eng.Lookup(cell.Key); ok {
-		count(s.mCacheHits)
+		s.mCacheHits.Inc()
 		res.Cached = true
 		res.Stats = &st
 		res.ElapsedMs = millisSince(t0)
@@ -310,7 +307,7 @@ func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func
 	})
 	res.Coalesced = shared
 	if shared {
-		count(s.mCoalesce)
+		s.mCoalesce.Inc()
 	}
 	res.ElapsedMs = millisSince(t0)
 	if err != nil {
@@ -323,7 +320,7 @@ func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func
 	}
 	res.Cached = out.cached
 	if out.cached {
-		count(s.mCacheHits)
+		s.mCacheHits.Inc()
 	}
 	st := out.stats
 	res.Stats = &st
@@ -338,9 +335,7 @@ func (s *Server) runCell(ctx context.Context, cell Cell, patient bool, sink func
 func (s *Server) execute(ctx context.Context, cell Cell, patient bool, sink func(runner.LiveSample)) outcome {
 	tQueue := time.Now()
 	release, err := s.adm.acquire(ctx, patient)
-	if s.mQueueWait != nil {
-		s.mQueueWait.Observe(time.Since(tQueue).Seconds())
-	}
+	s.mQueueWait.Observe(time.Since(tQueue).Seconds())
 	if err != nil {
 		return outcome{err: err}
 	}
@@ -404,18 +399,15 @@ func publishCellDone(room *rooms.Room, res apitypes.CellResult, err error) {
 // Stats returns the server's activity snapshot (the /v1/statsz body).
 func (s *Server) Stats() apitypes.StatsSnapshot {
 	snap := s.Snapshot()
-	if m := s.metrics; m.Requests != nil {
-		snap.Requests = m.Requests.Value()
-		snap.Cells = m.Cells.Value()
-		snap.CacheHits = s.mCacheHits.Value()
-		snap.CoalesceHits = s.mCoalesce.Value()
-		snap.Rejected = m.Rejected.Value()
-		snap.Timeouts = m.Timeouts.Value()
-		snap.Errors = m.Errors.Value()
-	}
-	if s.adm.inflight != nil {
-		snap.Inflight = int64(s.adm.inflight.Value())
-	}
+	m := s.metrics
+	snap.Requests = m.Requests.Value()
+	snap.Cells = m.Cells.Value()
+	snap.CacheHits = s.mCacheHits.Value()
+	snap.CoalesceHits = s.mCoalesce.Value()
+	snap.Rejected = m.Rejected.Value()
+	snap.Timeouts = m.Timeouts.Value()
+	snap.Errors = m.Errors.Value()
+	snap.Inflight = int64(s.adm.inflight.Value())
 	snap.QueueDepth = s.adm.waiting.Load()
 	if s.jobs != nil {
 		js := s.jobs.Stats()
@@ -442,8 +434,9 @@ func (s *Server) Stats() apitypes.StatsSnapshot {
 }
 
 // Manifest pins this server run: the construction-time identity plus
-// current wall time, activity counters, metrics snapshot and the
-// per-cell log. Call at drain time for the run manifest.
+// current wall time, activity counters and metrics snapshot. It keeps
+// no per-cell log — runner_cells_total counts the cells. Call at drain
+// time for the run manifest.
 func (s *Server) Manifest() obs.Manifest {
 	m := s.Frontend.Manifest()
 	stats := s.Stats()
@@ -465,6 +458,5 @@ func (s *Server) Manifest() obs.Manifest {
 		m.Counters["jobs_cells"] = stats.Jobs.Cells
 		m.Counters["jobs_cells_resumed"] = stats.Jobs.CellsResumed
 	}
-	m.Cells = s.opts.Obs.Cells()
 	return m
 }

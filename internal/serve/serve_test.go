@@ -680,3 +680,37 @@ func TestAdmissionUnit(t *testing.T) {
 	}
 	r()
 }
+
+// TestDaemonHubKeepsNoCellLog: a daemon's default hub holds a registry
+// only, so the cells it runs leave no trace events and no cell-log
+// entries behind and its memory does not grow per cell. The registry
+// still counts every cell the engine ran.
+func TestDaemonHubKeepsNoCellLog(t *testing.T) {
+	s := mustNew(t, Options{Workers: 4})
+	cells, summary := sweepCells(t, s.Handler(),
+		`{"suite":"STREAM","modes":["none","imt","ecc-steal","carve-low","carve-high","carve-mte"],"max_cycles":20000}`)
+	if len(cells) != 48 || !summary.Done {
+		t.Fatalf("sweep: %d cells, summary %+v", len(cells), summary)
+	}
+	hub := s.Hub()
+	if n := hub.Trace.Len(); n != 0 {
+		t.Errorf("hub holds %d trace events, want 0", n)
+	}
+	if n := len(hub.Cells()); n != 0 {
+		t.Errorf("hub holds %d cell-log entries, want 0", n)
+	}
+	if n := len(s.Manifest().Cells); n != 0 {
+		t.Errorf("manifest carries %d cells, want 0", n)
+	}
+	// Cells sharing a cache key coalesce onto one simulation; every
+	// cell the engine ran is counted.
+	ran := uint64(0)
+	for _, c := range cells {
+		if !c.Coalesced && !c.Cached {
+			ran++
+		}
+	}
+	if n := hub.Metrics.Snapshot().Counters["runner_cells_total"]; n != ran {
+		t.Errorf("runner_cells_total = %d, want the %d cells the engine ran", n, ran)
+	}
+}

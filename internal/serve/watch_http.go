@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -28,19 +27,15 @@ const watchKeepAliveEvery = 60
 func (f *Frontend) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer f.ObserveLatency(f.CountRequest(), "watch")
 
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			f.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
-				errors.New("serve: from must be a non-negative integer"))
-			return
-		}
-		from = n
-	} else if last := r.Header.Get("Last-Event-ID"); last != "" {
-		if n, err := strconv.Atoi(last); err == nil && n >= 0 {
-			from = n + 1
-		}
+	// Without ?from, a standard SSE reconnect resumes after its
+	// Last-Event-ID.
+	resume := 0
+	if n, err := strconv.Atoi(r.Header.Get("Last-Event-ID")); err == nil && n >= 0 {
+		resume = n + 1
+	}
+	from, ok := f.streamFrom(w, r, resume)
+	if !ok {
+		return
 	}
 
 	room, err := f.rooms.Get(r.PathValue("room"))

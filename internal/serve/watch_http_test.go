@@ -243,6 +243,49 @@ func TestWatchGoneAfterHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestWatchFromParam: the watch route parses from like the job stream —
+// a negative or non-numeric value is 400 bad_request — and without
+// ?from a Last-Event-ID reconnect resumes at the sequence after it.
+func TestWatchFromParam(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1})
+	h := s.Handler()
+	room := s.rooms.Open()
+	for i := 0; i < 8; i++ {
+		room.Publish(apitypes.WatchFrame{Cell: "c", CellSeq: i})
+	}
+	room.Close(apitypes.WatchSummary{Done: true})
+
+	for _, from := range []string{"-1", "abc"} {
+		rec := get(t, h, "/v1/watch/"+room.Code()+"?from="+from)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("from=%s: %d %s", from, rec.Code, rec.Body.String())
+		}
+		if e := decodeBody[apitypes.ErrorResponse](t, rec); e.Error.Code != apitypes.CodeBadRequest {
+			t.Fatalf("from=%s: code = %q", from, e.Error.Code)
+		}
+	}
+	for _, tc := range []struct {
+		query string
+		first int
+	}{
+		{"", 5},        // Last-Event-ID: 4 resumes at 5
+		{"?from=2", 2}, // an explicit from wins over the header
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/watch/"+room.Code()+tc.query, nil)
+		req.Header.Set("Last-Event-ID", "4")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %q: %d %s", tc.query, rec.Code, rec.Body.String())
+		}
+		frames, sum := readSSE(t, rec.Body)
+		if len(frames) != 8-tc.first || sum == nil || !sum.Done {
+			t.Fatalf("query %q: %d frames, summary %+v", tc.query, len(frames), sum)
+		}
+		checkWatchGapless(t, frames, tc.first)
+	}
+}
+
 func TestJobWatch(t *testing.T) {
 	s := mustNew(t, Options{Workers: 2, JobsDir: t.TempDir()})
 	defer s.KillJobs()
