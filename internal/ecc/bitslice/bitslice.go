@@ -64,25 +64,28 @@ type Engine struct {
 	r     int
 	cols  []uint64
 	class []Class
-	// rows[j] lists the physical bits whose column has row bit j set —
-	// the XOR-fold recipe for syndrome plane j.
-	rows [][]int32
+	// rowBits[rowOff[j]:rowOff[j+1]] lists the physical bits whose
+	// column has row bit j set — the XOR-fold recipe for syndrome plane j.
+	rowBits []int32
+	rowOff  []int32
 	// detectOnly: every nonzero syndrome maps to ClassOther, so
 	// classification needs no transpose or lookup (the zero class is
 	// exactly the zero-syndrome lanes).
 	detectOnly bool
 }
 
-// maxR bounds the class table at 2^24 entries; every code in the repo
-// is far below it, and scalar fallbacks in callers cover the rest.
-const maxR = 24
+// MaxR bounds the class table at 2^16 entries and the syndrome pivot
+// at 16 rows (gf2.Transpose16). Every code the repo builds fits: the
+// Figure 9 curve runs R = 1..16, IMT-16 has R = 16. Wider codes have no
+// engine, and callers fall back to their scalar paths.
+const MaxR = 16
 
 // New builds an engine from a code's row count, physical H columns and
 // syndrome class table (the same data reliability.Target carries). The
 // slices are copied.
 func New(r int, cols []uint64, class []Class) (*Engine, error) {
-	if r < 1 || r > maxR {
-		return nil, fmt.Errorf("bitslice: r=%d out of range [1,%d]", r, maxR)
+	if r < 1 || r > MaxR {
+		return nil, fmt.Errorf("bitslice: r=%d out of range [1,%d]", r, MaxR)
 	}
 	if len(class) != 1<<uint(r) {
 		return nil, fmt.Errorf("bitslice: class table has %d entries, want %d", len(class), 1<<uint(r))
@@ -95,21 +98,24 @@ func New(r int, cols []uint64, class []Class) (*Engine, error) {
 	}
 	mask := uint64(1)<<uint(r) - 1
 	e := &Engine{
-		nphys: len(cols),
-		r:     r,
-		cols:  append([]uint64(nil), cols...),
-		class: append([]Class(nil), class...),
-		rows:  make([][]int32, r),
+		nphys:  len(cols),
+		r:      r,
+		cols:   append([]uint64(nil), cols...),
+		class:  append([]Class(nil), class...),
+		rowOff: make([]int32, r+1),
 	}
 	for i, c := range cols {
 		if c&^mask != 0 {
 			return nil, fmt.Errorf("bitslice: column %d = %#x exceeds %d syndrome bits", i, c, r)
 		}
-		for c != 0 {
-			j := bits.TrailingZeros64(c)
-			e.rows[j] = append(e.rows[j], int32(i))
-			c &= c - 1
+	}
+	for j := 0; j < r; j++ {
+		for i, c := range cols {
+			if c>>uint(j)&1 == 1 {
+				e.rowBits = append(e.rowBits, int32(i))
+			}
 		}
+		e.rowOff[j+1] = int32(len(e.rowBits))
 	}
 	e.detectOnly = true
 	for i, cl := range class {
@@ -275,20 +281,34 @@ func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 	}
 
 	// Weight planes: w2 |= w1 & p before w1 |= p per plane leaves w1 =
-	// "≥ 1 bit", w2 = "≥ 2 bits" — all the classifier needs.
-	var w1, w2 uint64
-	for _, p := range b.planes {
+	// "≥ 1 bit", w2 = "≥ 2 bits" — all the classifier needs. Two
+	// accumulator pairs over alternate planes halve the dependency
+	// chain; a lane has ≥ 2 bits if either half has, or both have one.
+	planes := b.planes
+	var w1, w2, v1, v2 uint64
+	i := 0
+	for ; i+1 < len(planes); i += 2 {
+		p, q := planes[i], planes[i+1]
 		w2 |= w1 & p
 		w1 |= p
+		v2 |= v1 & q
+		v1 |= q
 	}
+	if i < len(planes) {
+		w2 |= w1 & planes[i]
+		w1 |= planes[i]
+	}
+	w2 |= v2 | w1&v1
+	w1 |= v1
 
-	// Syndrome planes: row j is the XOR-fold of the planes in rows[j].
-	var syn [64]uint64
+	// Syndrome planes: row j is the XOR-fold of the planes listed in
+	// rowBits[rowOff[j]:rowOff[j+1]].
+	var syn [16]uint64
 	zero := live
-	for j, row := range e.rows {
+	for j := 0; j < e.r; j++ {
 		var acc uint64
-		for _, i := range row {
-			acc ^= b.planes[i]
+		for _, i := range e.rowBits[e.rowOff[j]:e.rowOff[j+1]] {
+			acc ^= planes[i]
 		}
 		syn[j] = acc
 		zero &^= acc
@@ -301,15 +321,18 @@ func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 		return m
 	}
 
-	// Pivot the R row words into 64 per-lane syndromes, look each up in
-	// the class table, and re-slice the two class bits into planes.
-	gf2.Transpose64(&syn)
+	// Pivot the R ≤ 16 row words into per-lane syndromes — lane 16q+i
+	// reads bits [16q, 16q+16) of syn[i] — look each up in the class
+	// table, and re-slice the two class bits into planes.
+	gf2.Transpose16(&syn)
 	class := e.class
 	var b0, b1 uint64
-	for l := 0; l < 64; l++ {
-		c := uint64(class[syn[l]])
-		b0 |= (c & 1) << uint(l)
-		b1 |= (c >> 1) << uint(l)
+	for i, w := range syn {
+		for q := uint(0); q < 64; q += 16 {
+			c := uint64(class[uint16(w>>q)])
+			b0 |= (c & 1) << (q + uint(i))
+			b1 |= (c >> 1) << (q + uint(i))
+		}
 	}
 	// The zero-class mask comes from the table bits, not the syndrome:
 	// class[0] is always ClassZero, so it covers the zero-syndrome lanes,
@@ -348,20 +371,21 @@ func (e *Engine) Classify(b *Batch) Counts {
 // inner loop to one table lookup per pattern, so the run formulation is
 // tally-exact by construction and keeps that loop tight.
 func (e *Engine) ClassifyRun(prefixSyn uint64, prefixWeight, base, count int) Counts {
-	var zero, corr, tag uint64
+	// Count the class bits instead of branching on the class, which
+	// mispredicts on the mixed classes of a multi-bit run: lo counts
+	// classes 1 and 3, hi classes 2 and 3, both class 3 (ClassOther).
+	var lo, hi, both uint64
 	class := e.class
 	for _, c := range e.cols[base : base+count] {
-		switch class[prefixSyn^c] {
-		case ClassZero:
-			zero++
-		case ClassCorrectable:
-			corr++
-		case ClassTag:
-			tag++
-		}
+		cl := uint64(class[prefixSyn^c])
+		lo += cl & 1
+		hi += cl >> 1
+		both += cl & (cl >> 1)
 	}
+	corr, tag := lo-both, hi-both
 	total := uint64(count)
-	out := Counts{Total: total, TMM: tag, DUE: total - zero - corr - tag}
+	zero := total - corr - tag - both
+	out := Counts{Total: total, TMM: tag, DUE: both}
 	if prefixWeight == 0 {
 		// Weight-1 patterns: correctable syndromes are true CEs; a zero
 		// syndrome from one flipped bit is silent corruption.

@@ -40,6 +40,7 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"r too small", 0, cols, []Class{0}},
 		{"r too large", 30, cols, okClass},
+		{"r above the 16-row pivot", 17, cols, make([]Class, 1<<17)},
 		{"class size mismatch", 2, cols, make([]Class, 5)},
 		{"no columns", 2, nil, okClass},
 		{"class zero not ClassZero", 2, cols, []Class{ClassOther, 0, 0, 0}},

@@ -9,11 +9,19 @@
 // plane i means "lane L flips physical bit i". With that layout a
 // syndrome row is the XOR-fold of the planes whose H column has the
 // row's bit set, yielding 64 syndromes simultaneously — one bit per
-// lane per row. The R row words are then pivoted with gf2.Transpose64
-// into 64 per-lane syndrome values for a class-table lookup, and the
-// per-lane outcomes (OK / CE / DUE / TMM / SDC) fall out of branch-free
-// mask algebra over the class bits and two weight planes (weight ≥ 1,
-// weight ≥ 2 — all the classifier distinguishes).
+// lane per row. The R row words are then pivoted with gf2.Transpose16
+// — four 16×16 bit transposes side by side, so lane l's syndrome lands
+// in bits [16·(l/16), 16·(l/16)+16) of word l%16 — for a class-table
+// lookup, and the per-lane outcomes (OK / CE / DUE / TMM / SDC) fall
+// out of branch-free mask algebra over the class bits and two weight
+// planes (weight ≥ 1, weight ≥ 2 — all the classifier distinguishes).
+//
+// The pivot and the 2^R-entry class table bound an engine at R ≤ MaxR
+// = 16 syndrome rows, which every code the repo builds meets (the
+// Figure 9 curve's R = 1..16, IMT-10/16, the tag engines' TS ≤ 15). New
+// rejects a wider code, and callers run their scalar paths for it
+// instead; internal/reliability's random-corruption fallback replays
+// the engine's per-batch stream, so its tallies stay identical.
 //
 // Detect-only class tables (no correctable and no tag syndromes) skip
 // the transpose and table lookup entirely: "syndrome zero or not" is R

@@ -153,24 +153,50 @@ func TestRandomErrorsParallelWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestSDCCurveWorkersRegression pins workers=1 against workers=8 — the
-// reproducibility footgun this PR removes (SDCCurve used to produce
-// machine-dependent tallies via GOMAXPROCS).
+// TestSDCCurveWorkersRegression pins the curve at workers=1 against
+// 2, 3 and 8 pool workers — the reproducibility footgun it guards
+// against is SDCCurve tallies that depend on GOMAXPROCS. 20 001 trials
+// is not a multiple of the pool's item size, so each R point ends in a
+// short item and a partial batch.
 func TestSDCCurveWorkersRegression(t *testing.T) {
-	one, err := SDCCurveWorkers(64, 12, 20_000, 1234, 1)
+	const trials = 20_001
+	if trials%itemTrials == 0 {
+		t.Fatalf("trials %d is a multiple of the pool item size", trials)
+	}
+	one, err := SDCCurveWorkers(64, 12, trials, 1234, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := SDCCurveWorkers(64, 12, 20_000, 1234, 8)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{2, 3, 8} {
+		got, err := SDCCurveWorkers(64, 12, trials, 1234, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(one) {
+			t.Fatalf("workers=%d: point count %d != %d", workers, len(got), len(one))
+		}
+		for i := range one {
+			if one[i] != got[i] {
+				t.Errorf("R=%d: workers=1 %+v != workers=%d %+v", one[i].R, one[i], workers, got[i])
+			}
+		}
 	}
-	if len(one) != len(eight) {
-		t.Fatalf("point count %d != %d", len(one), len(eight))
+	for _, p := range one {
+		if p.RandomTrials != trials {
+			t.Errorf("R=%d ran %d trials, want %d", p.R, p.RandomTrials, trials)
+		}
 	}
-	for i := range one {
-		if one[i] != eight[i] {
-			t.Errorf("R=%d: workers=1 %+v != workers=8 %+v", one[i].R, one[i], eight[i])
+}
+
+// TestRunCampaignsExhaustiveError: a failing exhaustive item fails the
+// whole pool call instead of leaving a zero tally behind.
+func TestRunCampaignsExhaustiveError(t *testing.T) {
+	target := testTargets(t)[1]
+	for _, workers := range []int{1, 2} {
+		bad := &campaign{target: &target, k: 5}
+		ok := &campaign{target: &target, seed: 1, trials: 5000}
+		if err := runCampaigns(workers, ok, bad); err == nil {
+			t.Errorf("workers=%d: k=5 enumeration did not fail the pool", workers)
 		}
 	}
 }

@@ -150,3 +150,43 @@ func BenchmarkTargetAFTIMT16(b *testing.B) {
 		targetSink = TargetAFT(code)
 	}
 }
+
+// Trial counts of one fault-campaign round, as perfbench's
+// fault-campaign workload runs it.
+const (
+	roundCurveTrials  = 48_000
+	roundRandomTrials = 384_000
+	roundTagTrials    = 192_000
+	roundWorkers      = 2
+)
+
+// BenchmarkInjectFaultRound runs one fault-campaign round: the K=64
+// SDC curve (R = 1..12) and an IMT-16 random-corruption campaign on
+// roundWorkers workers, then a sampled IMT-16 tag-corruption campaign
+// (on GOMAXPROCS workers, as TagCorruptions always runs). The metric
+// counts every classified pattern, the curve's exhaustive 3-bit
+// enumerations included.
+func BenchmarkInjectFaultRound(b *testing.B) {
+	code := imt16Code(b)
+	target := TargetAFT(code)
+	var inj float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pts, err := SDCCurveWorkers(64, 12, roundCurveTrials, 1234, roundWorkers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pts {
+			inj += float64(p.RandomTrials)
+			if p.HasThreeBit {
+				n := float64(64 + p.R)
+				inj += n * (n - 1) * (n - 2) / 6
+			}
+		}
+		tallySink = RandomErrorsParallel(target, roundRandomTrials, roundWorkers, 42)
+		tallySink = TagCorruptions(code, roundTagTrials, 42)
+		inj += roundRandomTrials + roundTagTrials
+	}
+	b.StopTimer()
+	b.ReportMetric(inj/b.Elapsed().Seconds(), "inj/s")
+}

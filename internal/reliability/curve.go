@@ -36,25 +36,30 @@ type CurvePoint struct {
 // redundancy). Random corruption uses `trials` samples; 3-bit errors are
 // exhaustive.
 //
-// The Monte-Carlo campaign fans out over GOMAXPROCS workers through
-// RandomErrorsParallel's fanOutBatches, the batch-range splitter the
-// sampled TagCorruptions path shares; since the batched injector
-// derives every 64-lane batch's stream from (seed, batch index) alone,
-// the result is identical for every worker count —
+// The curve runs on one pool of GOMAXPROCS workers (runCampaigns):
+// every R point's Monte-Carlo batch ranges and every exhaustive 3-bit
+// enumeration are work items of a single call. Since the batched
+// injector derives every 64-lane batch's stream from (seed, batch
+// index) alone, the result is identical for every worker count —
 // SDCCurve(k, maxR, trials, seed) equals SDCCurveWorkers(..., w) for
-// all w. Callers that want explicit control of the fan-out (or CPU
+// all w. Callers that want explicit control of the pool size (or CPU
 // budget) should still use SDCCurveWorkers.
 func SDCCurve(k, maxR, trials int, seed int64) ([]CurvePoint, error) {
 	return SDCCurveWorkers(k, maxR, trials, seed, runtime.GOMAXPROCS(0))
 }
 
-// SDCCurveWorkers is SDCCurve with an explicit Monte-Carlo worker
-// count. The tallies are a function of (k, maxR, trials, seed) only:
-// the deterministic per-batch seed splitting makes every worker count
-// produce bit-identical curves on every machine (a regression test
-// pins workers=1 against workers=8).
+// SDCCurveWorkers is SDCCurve with an explicit worker count. It builds
+// the maxR codes first, then runs all their campaigns on one pool with
+// one join. The tallies are a function of (k, maxR, trials, seed)
+// only: the deterministic per-batch seed splitting makes every worker
+// count produce bit-identical curves on every machine (a regression
+// test pins workers=1 against 2, 3 and 8).
 func SDCCurveWorkers(k, maxR, trials int, seed int64, workers int) ([]CurvePoint, error) {
-	var out []CurvePoint
+	var (
+		out              []CurvePoint
+		random, threeBit []*campaign // per point; threeBit nil for detect-only
+		exhaustive       []*campaign // the non-nil threeBit entries
+	)
 	for r := 1; r <= maxR; r++ {
 		var (
 			code *ecc.Code
@@ -74,20 +79,30 @@ func SDCCurveWorkers(k, maxR, trials int, seed int64, workers int) ([]CurvePoint
 			return nil, fmt.Errorf("reliability: R=%d: %w", r, err)
 		}
 		t := TargetECC(code)
-		pt := CurvePoint{R: r, Kind: code.Kind()}
-		tally := RandomErrorsParallel(t, trials, workers, seed+int64(100+r))
+		out = append(out, CurvePoint{R: r, Kind: code.Kind()})
+		random = append(random, &campaign{target: &t, seed: seed + int64(100+r), trials: trials})
+		var three *campaign
+		if code.Kind() != ecc.DetectOnly {
+			three = &campaign{target: &t, k: 3}
+			exhaustive = append(exhaustive, three)
+		}
+		threeBit = append(threeBit, three)
+	}
+	// The exhaustive enumerations go first: each is one long item, so
+	// starting them early keeps the pool's tail short.
+	if err := runCampaigns(workers, append(exhaustive, random...)...); err != nil {
+		return nil, err
+	}
+	for i := range out {
+		pt := &out[i]
+		tally := random[i].tally
 		pt.RandomSDC = tally.SDCRate()
 		pt.RandomSDCLow, pt.RandomSDCHigh = Wilson(tally.SDC, tally.Total, 1.96)
 		pt.RandomTrials = tally.Total
-		if code.Kind() != ecc.DetectOnly {
-			tally, err := ExhaustiveKBit(t, 3)
-			if err != nil {
-				return nil, err
-			}
-			pt.ThreeBitSDC = tally.SDCRate()
+		if three := threeBit[i]; three != nil {
+			pt.ThreeBitSDC = three.tally.SDCRate()
 			pt.HasThreeBit = true
 		}
-		out = append(out, pt)
 	}
 	return out, nil
 }

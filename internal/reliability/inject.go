@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/ecc"
@@ -433,10 +432,13 @@ func RandomErrorsOffset(t Target, trials int, seed int64, offset int) Tally {
 	if t.eng == nil {
 		return randomErrorsScalarOffset(t, trials, seed, offset)
 	}
-	eng := t.eng
-	batch := eng.NewBatch()
+	return randomErrorsRange(t.eng, t.eng.NewBatch(), seed, offset, offset+trials)
+}
+
+// randomErrorsRange classifies campaign positions [pos, end) on eng,
+// reusing batch (one of eng's) for every 64-lane batch they touch.
+func randomErrorsRange(eng *bitslice.Engine, batch *bitslice.Batch, seed int64, pos, end int) Tally {
 	var counts bitslice.Counts
-	pos, end := offset, offset+trials
 	for pos < end {
 		bi := pos / 64
 		lo := pos - bi*64
@@ -530,8 +532,8 @@ func RandomErrorsScalar(t Target, trials int, seed int64) Tally {
 // nonzero difference d arises from exactly 2^TS ordered pairs — so
 // 2^TS−1 decodes with multiplicity 2^TS reproduce the pair enumeration
 // bit-identically (TagCorruptionsScalar is the reference). The sampled
-// path runs bitsliced over uniform nonzero tag differences, fanned out
-// over GOMAXPROCS workers by fanOutBatches; batch b draws only from
+// path runs bitsliced over uniform nonzero tag differences, on a pool
+// of GOMAXPROCS workers (runCampaigns); batch b draws only from
 // SeedForBatch(seed, b), so the tally is the same for every worker
 // count.
 func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
@@ -551,9 +553,9 @@ func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
 		return tally
 	}
 	if eng := tagEngine(c); eng != nil {
-		return fanOutBatches(limit, runtime.GOMAXPROCS(0), func(lo, hi int) Tally {
-			return tagCorruptionsRange(eng, lo, hi, seed)
-		})
+		c := &campaign{tagEng: eng, seed: seed, trials: limit}
+		_ = runCampaigns(runtime.GOMAXPROCS(0), c) // sampled campaigns cannot fail
+		return c.tally
 	}
 	return TagCorruptionsScalar(c, limit, seed)
 }
@@ -562,8 +564,8 @@ func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
 // campaign positions [lo, hi), lo a multiple of 64: batch b holds
 // positions [64b, 64b+64) and draws 64 nonzero differences from
 // SeedForBatch(seed, b), of which the positions below hi are live.
-func tagCorruptionsRange(eng *bitslice.Engine, lo, hi int, seed int64) Tally {
-	batch := eng.NewBatch()
+// batch is one of eng's, reused for each.
+func tagCorruptionsRange(eng *bitslice.Engine, batch *bitslice.Batch, lo, hi int, seed int64) Tally {
 	var counts bitslice.Counts
 	for pos := lo; pos < hi; pos += 64 {
 		rng := bitslice.NewRand(bitslice.SeedForBatch(seed, uint64(pos/64)))
@@ -614,7 +616,7 @@ func TagCorruptionsScalar(c *core.Code, limit int, seed int64) Tally {
 // tagEngine builds a bitsliced classifier over the TS tag columns with
 // the class table tagClassTable writes.
 func tagEngine(c *core.Code) *bitslice.Engine {
-	if c.R() > 24 {
+	if c.R() > bitslice.MaxR {
 		return nil
 	}
 	eng, err := bitslice.New(c.R(), columnRange(c, 0, c.TS()), tagClassTable(c))
@@ -651,46 +653,14 @@ func classifyTagOnly(c *core.Code, s uint64) Outcome {
 // the pattern injectors).
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// RandomErrorsParallel splits a random-corruption campaign across
-// workers with fanOutBatches. Because RandomErrorsOffset seeds each
-// 64-lane batch purely from (seed, batch index), the ranges sum to
-// exactly RandomErrors(t, trials, seed) for every worker count — the
-// same seed gives the same tally on every machine, any parallelism. Use
-// for paper-scale (1e8) trial counts.
+// RandomErrorsParallel runs a random-corruption campaign on a pool of
+// `workers` goroutines (runCampaigns). Because RandomErrorsOffset
+// seeds each 64-lane batch purely from (seed, batch index), the work
+// items sum to exactly RandomErrors(t, trials, seed) for every worker
+// count — the same seed gives the same tally on every machine, any
+// parallelism. Use for paper-scale (1e8) trial counts.
 func RandomErrorsParallel(t Target, trials, workers int, seed int64) Tally {
-	return fanOutBatches(trials, workers, func(lo, hi int) Tally {
-		return RandomErrorsOffset(t, hi-lo, seed, lo)
-	})
-}
-
-// fanOutBatches splits campaign positions [0, trials) into contiguous
-// runs of whole 64-lane batches, one run per worker and at most one
-// worker per batch, calls run(lo, hi) for each on its own goroutine and
-// sums the tallies. Each run starts on a batch boundary and only the
-// last may end inside a batch. A campaign whose batch b draws only from
-// SeedForBatch(seed, b) therefore gives the same sum for every worker
-// count.
-func fanOutBatches(trials, workers int, run func(lo, hi int) Tally) Tally {
-	batches := (trials + 63) / 64
-	workers = min(workers, batches)
-	if workers < 2 {
-		return run(0, trials)
-	}
-	tallies := make([]Tally, workers)
-	var wg sync.WaitGroup
-	for w := range tallies {
-		lo := batches * w / workers * 64
-		hi := min(batches*(w+1)/workers*64, trials)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tallies[w] = run(lo, hi)
-		}()
-	}
-	wg.Wait()
-	var sum Tally
-	for _, x := range tallies {
-		sum = sum.sum(x)
-	}
-	return sum
+	c := &campaign{target: &t, seed: seed, trials: trials}
+	_ = runCampaigns(workers, c) // sampled campaigns cannot fail
+	return c.tally
 }
