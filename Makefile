@@ -19,7 +19,7 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	cd perfbench && $(GO) test ./...
-	$(GO) test -race ./internal/durable ./internal/obs ./internal/runner ./internal/gpusim ./internal/serve ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability
+	$(GO) test -race ./internal/imt ./internal/tagalloc ./internal/durable ./internal/obs ./internal/runner ./internal/gpusim ./internal/serve ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability
 
 race:
 	$(GO) test -race ./internal/imt ./internal/tagalloc ./internal/durable ./internal/gpusim ./internal/runner ./internal/obs ./internal/serve ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability ./internal/security
@@ -54,7 +54,8 @@ bench-gate:
 		-bench 'BenchmarkSimSteady|BenchmarkSimGenerated|BenchmarkInject|BenchmarkTraceDecodeStream' -benchtime 5x -count 6 \
 		-pkg './internal/gpusim ./internal/reliability'
 
-# Regenerate every paper table/figure into results/ (paper scale, ~3 min).
+# Regenerate every paper table/figure into results/ (paper scale, ~40 s on
+# a 2-vCPU Xeon VM).
 repro:
 	$(GO) run ./cmd/imtrepro -out results
 

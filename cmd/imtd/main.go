@@ -73,7 +73,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -150,11 +149,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
+	o := srv.Options()
 	fmt.Fprintf(os.Stderr, "imtd: listening on http://%s (workers=%d queue=%d cache=%q jobs=%q)\n",
-		d.Addr(), *workers, *queue, *cacheDir, *jobsDir)
+		d.Addr(), o.Workers, o.Queue, o.CacheDir, o.JobsDir)
 
 	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "imtd: draining (finishing in-flight requests)") })
 	if err := d.Run(ctx, *drainGrace); err != nil {

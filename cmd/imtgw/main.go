@@ -114,7 +114,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "imtgw: listening on http://%s (shards=%d replicas=%d)\n",
-		d.Addr(), len(gw.Ring().Shards()), ringReplicas(*replicas))
+		d.Addr(), len(gw.Ring().Shards()), gw.Ring().Replicas())
 
 	context.AfterFunc(ctx, func() { fmt.Fprintln(os.Stderr, "imtgw: draining (finishing in-flight streams)") })
 	if err := d.Run(ctx, *drainGrace); err != nil {
@@ -140,13 +140,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-func ringReplicas(n int) int {
-	if n <= 0 {
-		return cluster.DefaultReplicas
-	}
-	return n
 }
 
 func fatal(err error) {

@@ -16,13 +16,6 @@ func (r *Rand) Uint64() uint64 {
 	return mix64(r.s)
 }
 
-// Intn returns a pseudo-random int in [0, n). n must be > 0. The tiny
-// modulo bias (< n/2^64) is irrelevant at sampling scale and keeps the
-// draw a single multiply-free operation.
-func (r *Rand) Intn(n int) int {
-	return int(r.Uint64() % uint64(n))
-}
-
 // mix64 is the SplitMix64 finalizer (Vigna), a strong 64-bit mixer.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -16,11 +16,12 @@ type GeneticOptions struct {
 	Generations  int // evolution steps (default 40)
 	TripleTrials int // sampled 3-bit errors per fitness evaluation (default 20000)
 	Seed         int64
-	// RowWeightPenalty scales how strongly an unbalanced row profile is
-	// penalized relative to one percentage point of 3-bit detection
-	// (default 0.002 per excess one in the heaviest row).
-	RowWeightPenalty float64
 }
+
+// rowWeightPenalty scales how strongly an unbalanced row profile is
+// penalized relative to one percentage point of 3-bit detection: 0.002
+// per excess one in the heaviest row.
+const rowWeightPenalty = 0.002
 
 func (o *GeneticOptions) fill() {
 	if o.Population == 0 {
@@ -31,9 +32,6 @@ func (o *GeneticOptions) fill() {
 	}
 	if o.TripleTrials == 0 {
 		o.TripleTrials = 20000
-	}
-	if o.RowWeightPenalty == 0 {
-		o.RowWeightPenalty = 0.002
 	}
 }
 
@@ -59,7 +57,7 @@ func NewGeneticSECDED(k, r int, opts GeneticOptions) (*Code, error) {
 	evaluate := func(cols []uint64) float64 {
 		det := sampledTripleDetection(cols, r, opts.TripleTrials, rand.New(rand.NewSource(opts.Seed+12345)))
 		maxRow := rowProfileMax(cols, r)
-		return det - opts.RowWeightPenalty*float64(maxRow)
+		return det - rowWeightPenalty*float64(maxRow)
 	}
 
 	pop := make([]genome, opts.Population)

@@ -13,11 +13,6 @@ import (
 type Options struct {
 	// RandomTrials for Monte-Carlo corruption campaigns (paper: 1e8).
 	RandomTrials int
-	// Exhaustive4Bit runs all C(N,4) patterns for Table 2 (a few seconds
-	// per code); otherwise 4-bit errors are sampled with Sampled4Bit
-	// trials.
-	Exhaustive4Bit bool
-	Sampled4Bit    int
 	// WorkloadStride simulates every n-th catalog workload (1 = all 193).
 	WorkloadStride int
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
@@ -51,7 +46,6 @@ type Options struct {
 func Full() Options {
 	return Options{
 		RandomTrials:   2_000_000,
-		Exhaustive4Bit: true,
 		WorkloadStride: 1,
 		SecurityTrials: 200_000,
 		CITrials:       20_000_000,
@@ -63,7 +57,6 @@ func Full() Options {
 func Quick() Options {
 	return Options{
 		RandomTrials:   100_000,
-		Sampled4Bit:    200_000,
 		WorkloadStride: 16,
 		SecurityTrials: 20_000,
 		Seed:           1,
@@ -73,9 +66,6 @@ func Quick() Options {
 func (o Options) fill() Options {
 	if o.RandomTrials == 0 {
 		o.RandomTrials = 100_000
-	}
-	if o.Sampled4Bit == 0 {
-		o.Sampled4Bit = 200_000
 	}
 	if o.WorkloadStride == 0 {
 		o.WorkloadStride = 1

@@ -108,6 +108,14 @@ func TestTable2Quick(t *testing.T) {
 			t.Errorf("%s 2b DE = %v", c.Name, c.Rows[2].Tally.DERate())
 		}
 	}
+	// 4b errors are enumerated, not sampled, at every scale: C(266,4)
+	// and C(272,4) patterns.
+	for i, want := range []uint64{203_927_570, 223_070_940} {
+		row := r.Configs[i].Rows[4]
+		if row.Sampled || row.Tally.Total != want {
+			t.Errorf("%s 4b: sampled=%v total=%d, want exhaustive %d", r.Configs[i].Name, row.Sampled, row.Tally.Total, want)
+		}
+	}
 	// 3b SDC regimes (paper: 52.47% and 4.95%).
 	if s := r.Configs[0].Rows[3].Tally.SDCRate(); s < 0.4 || s > 0.65 {
 		t.Errorf("IMT-10 3b SDC = %v", s)
@@ -292,12 +300,10 @@ func TestOptionsFill(t *testing.T) {
 	if o.RandomTrials == 0 || o.WorkloadStride == 0 || o.Parallelism == 0 || o.GPU.NumSMs == 0 {
 		t.Errorf("fill left zero fields: %+v", o)
 	}
-	full := Full()
-	if !full.Exhaustive4Bit || full.WorkloadStride != 1 {
+	if Full().WorkloadStride != 1 {
 		t.Error("Full options wrong")
 	}
-	q := Quick()
-	if q.Exhaustive4Bit || q.WorkloadStride == 1 {
+	if Quick().WorkloadStride == 1 {
 		t.Error("Quick options wrong")
 	}
 	_ = workload.CatalogSize

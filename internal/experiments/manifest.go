@@ -14,8 +14,6 @@ import (
 type manifestConfig struct {
 	GPU            gpusim.Config
 	RandomTrials   int
-	Exhaustive4Bit bool
-	Sampled4Bit    int
 	WorkloadStride int
 	SecurityTrials int
 	Seed           int64
@@ -31,8 +29,6 @@ func BuildManifest(name string, opts Options, hub *obs.Hub, wall time.Duration, 
 	m := obs.NewManifest(name, manifestConfig{
 		GPU:            opts.GPU,
 		RandomTrials:   opts.RandomTrials,
-		Exhaustive4Bit: opts.Exhaustive4Bit,
-		Sampled4Bit:    opts.Sampled4Bit,
 		WorkloadStride: opts.WorkloadStride,
 		SecurityTrials: opts.SecurityTrials,
 		Seed:           opts.Seed,

@@ -105,8 +105,7 @@ type Table2Config struct {
 }
 
 // Table2 runs the §5.3 injection campaigns: tag corruptions, exhaustive
-// 1–3-bit data errors, exhaustive or sampled 4-bit errors, and random
-// corruption.
+// 1–4-bit data errors, and random corruption.
 func Table2(opts Options) (Table2Result, error) {
 	opts = opts.fill()
 	var res Table2Result
@@ -132,18 +131,11 @@ func Table2(opts Options) (Table2Result, error) {
 			Sampled: tagLimit > 0,
 		})
 		for k := 1; k <= 4; k++ {
-			var tally reliability.Tally
-			sampled := false
-			if k == 4 && !opts.Exhaustive4Bit {
-				tally, err = reliability.SampledKBit(target, 4, opts.Sampled4Bit, opts.Seed+4)
-				sampled = true
-			} else {
-				tally, err = reliability.ExhaustiveKBit(target, k)
-			}
+			tally, err := reliability.ExhaustiveKBit(target, k)
 			if err != nil {
 				return res, err
 			}
-			c.Rows = append(c.Rows, Table2Row{Pattern: fmt.Sprintf("%db Data", k), Tally: tally, Sampled: sampled})
+			c.Rows = append(c.Rows, Table2Row{Pattern: fmt.Sprintf("%db Data", k), Tally: tally})
 		}
 		c.Rows = append(c.Rows, Table2Row{
 			Pattern: "Rand. Data",

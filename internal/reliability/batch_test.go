@@ -201,60 +201,6 @@ func TestRunCampaignsExhaustiveError(t *testing.T) {
 	}
 }
 
-// TestSampledKBitDeterministicAndConserving: fixed seed → fixed tally;
-// tally totals always equal the requested trials.
-func TestSampledKBitDeterministicAndConserving(t *testing.T) {
-	for _, target := range testTargets(t) {
-		for _, k := range []int{1, 3, 4} {
-			a, err := SampledKBit(target, k, 10_001, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := SampledKBit(target, k, 10_001, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Errorf("%s k=%d: same seed gave %+v then %+v", target.Name, k, a, b)
-			}
-			if a.Total != 10_001 {
-				t.Errorf("%s k=%d: total %d != trials", target.Name, k, a.Total)
-			}
-			if a.CE+a.DUE+a.TMM+a.SDC > a.Total {
-				t.Errorf("%s k=%d: outcome counts exceed total: %+v", target.Name, k, a)
-			}
-		}
-	}
-}
-
-// TestSampledKBitMatchesScalarStatistically: the bitsliced sampler and
-// the math/rand reference draw from the same distribution.
-func TestSampledKBitMatchesScalarStatistically(t *testing.T) {
-	aft, err := core.NewCode(64, 8, 5, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := TargetAFT(aft)
-	const trials = 200_000
-	a, err := SampledKBit(target, 3, trials, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SampledKBitScalar(target, 3, trials, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []float64{
-		a.TMMRate() - b.TMMRate(),
-		a.DERate() - b.DERate(),
-		a.SDCRate() - b.SDCRate(),
-	} {
-		if math.Abs(d) > 0.01 {
-			t.Errorf("samplers disagree beyond tolerance: %+v vs %+v", a, b)
-		}
-	}
-}
-
 // TestTagCorruptionsExhaustiveMatchesScalar: the tag-difference
 // multiplicity enumeration is bit-identical to the full lock/key pair
 // loop.

@@ -328,83 +328,6 @@ func ExhaustiveKBitScalar(t Target, k int) (Tally, error) {
 	return tally, nil
 }
 
-// SampledKBit estimates the k-bit tally from `trials` uniformly sampled
-// k-subsets — used when exhaustive enumeration is too expensive for the
-// caller's budget. Trials run bitsliced, 64 lanes per batch, each batch
-// on its own SplitMix64 stream derived from (seed, batch index); the
-// result is deterministic for a given seed, independent of callers'
-// parallelism.
-func SampledKBit(t Target, k, trials int, seed int64) (Tally, error) {
-	if k < 1 || k > t.NPhys {
-		return Tally{}, fmt.Errorf("reliability: k=%d out of range", k)
-	}
-	if t.eng == nil {
-		return SampledKBitScalar(t, k, trials, seed)
-	}
-	eng := t.eng
-	batch := eng.NewBatch()
-	idx := make([]int, 0, k)
-	var counts bitslice.Counts
-	for done, bi := 0, uint64(0); done < trials; bi++ {
-		batch.Reset()
-		n := trials - done
-		if n > 64 {
-			n = 64
-		}
-		rng := bitslice.NewRand(bitslice.SeedForBatch(seed, bi))
-		for lane := 0; lane < n; lane++ {
-			// Floyd's algorithm for a uniform k-subset per lane.
-			idx = idx[:0]
-			for i := t.NPhys - k; i < t.NPhys; i++ {
-				j := rng.Intn(i + 1)
-				for _, prev := range idx {
-					if prev == j {
-						j = i
-						break
-					}
-				}
-				idx = append(idx, j)
-				batch.Flip(lane, j)
-			}
-		}
-		batch.SetLaneRange(0, n)
-		counts.Add(eng.Classify(batch))
-		done += n
-	}
-	return fromCounts(counts), nil
-}
-
-// SampledKBitScalar is the scalar reference sampler (math/rand based;
-// its draws differ from SampledKBit's, so only distributions — not
-// tallies — are comparable).
-func SampledKBitScalar(t Target, k, trials int, seed int64) (Tally, error) {
-	if k < 1 || k > t.NPhys {
-		return Tally{}, fmt.Errorf("reliability: k=%d out of range", k)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var tally Tally
-	idx := make([]int, k)
-	for trial := 0; trial < trials; trial++ {
-		// Floyd's algorithm for a uniform k-subset.
-		chosen := make(map[int]bool, k)
-		for i := t.NPhys - k; i < t.NPhys; i++ {
-			j := rng.Intn(i + 1)
-			if chosen[j] {
-				j = i
-			}
-			chosen[j] = true
-		}
-		idx = idx[:0]
-		var s uint64
-		for b := range chosen {
-			idx = append(idx, b)
-			s ^= t.cols[b]
-		}
-		tally = tally.Add(t.classify(s, k))
-	}
-	return tally, nil
-}
-
 // RandomErrors injects `trials` uniformly random error patterns (each bit
 // flipped with probability ½ — the paper's "random data corruption",
 // equivalent to replacing the codeword with random bits). Per §3.6 /

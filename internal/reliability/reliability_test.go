@@ -141,24 +141,6 @@ func TestExhaustive4BitOnSmallCode(t *testing.T) {
 	}
 }
 
-func TestSampledMatchesExhaustive(t *testing.T) {
-	tgt := TargetAFT(aftCode(t, 64, 8, 5))
-	ex, err := ExhaustiveKBit(tgt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, err := SampledKBit(tgt, 3, 30000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ex.SDCRate()-sa.SDCRate()) > 0.02 {
-		t.Errorf("sampled 3b SDC %.4f vs exhaustive %.4f", sa.SDCRate(), ex.SDCRate())
-	}
-	if math.Abs(ex.DERate()-sa.DERate()) > 0.02 {
-		t.Errorf("sampled 3b DE %.4f vs exhaustive %.4f", sa.DERate(), ex.DERate())
-	}
-}
-
 func TestExhaustiveKBitValidation(t *testing.T) {
 	tgt := TargetAFT(aftCode(t, 64, 8, 5))
 	if _, err := ExhaustiveKBit(tgt, 5); err == nil {
@@ -166,9 +148,6 @@ func TestExhaustiveKBitValidation(t *testing.T) {
 	}
 	if _, err := ExhaustiveKBit(tgt, 0); err == nil {
 		t.Error("k=0 must be rejected")
-	}
-	if _, err := SampledKBit(tgt, 0, 10, 1); err == nil {
-		t.Error("SampledKBit k=0 must be rejected")
 	}
 }
 

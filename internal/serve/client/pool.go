@@ -12,17 +12,13 @@ import (
 // a fleet of N shards costs one transport and N cached Clients, not a
 // dial per request.
 //
-// Two flavors exist per URL: For returns a client with the default
-// backpressure retry policy (interactive requests), Raw one with
-// retries disabled — sweep streams and health probes must observe
-// failures immediately so the gateway can reroute or trip the shard's
-// breaker instead of retrying into a dead shard.
+// Two flavors exist per URL, each otherwise configured as New leaves
+// it: For returns a client with the default backpressure retry policy
+// (interactive requests), Raw one with retries disabled — sweep
+// streams and health probes must observe failures immediately so the
+// gateway can reroute or trip the shard's breaker instead of retrying
+// into a dead shard.
 type Pool struct {
-	// Configure, when non-nil, is applied to every Client the pool
-	// creates (both flavors), before first use. Set it before any For
-	// or Raw call.
-	Configure func(*Client)
-
 	mu        sync.Mutex
 	transport *http.Transport
 	retrying  map[string]*Client
@@ -66,9 +62,6 @@ func (p *Pool) get(m map[string]*Client, baseURL string, maxRetries int) *Client
 	c.HTTPClient = &http.Client{Transport: p.transport}
 	if maxRetries >= 0 {
 		c.MaxRetries = maxRetries
-	}
-	if p.Configure != nil {
-		p.Configure(c)
 	}
 	m[baseURL] = c
 	return c

@@ -17,43 +17,30 @@ import (
 
 // Options configures a Gateway.
 type Options struct {
-	// FrontendOptions are shared with imtd. Config must match the
-	// fleet's: cache keys — and therefore routing — are computed from it.
+	// FrontendOptions are shared with imtd.
 	serve.FrontendOptions
 	// Shards is the fleet of imtd base URLs (e.g.
 	// "http://127.0.0.1:8866"). At least one is required.
 	Shards []string
 	// Replicas is the virtual-node count per shard on the hash ring
-	// (0 = DefaultReplicas).
+	// (0 = DefaultReplicas; NewRing resolves it).
 	Replicas int
 	// ProbeInterval is the background health-probe period (0 = 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /v1/healthz probe (0 = 2s).
 	ProbeTimeout time.Duration
-	// StatszTimeout bounds each shard's statsz fetch during aggregation
-	// (0 = 2s).
-	StatszTimeout time.Duration
-	// Pool supplies per-shard clients (nil = a fresh Pool). Tests
-	// inject one to tune retry policy.
-	Pool *client.Pool
 }
+
+// statszTimeout bounds each shard's statsz fetch during aggregation.
+const statszTimeout = 2 * time.Second
 
 func (o Options) withDefaults() Options {
 	o.FrontendOptions = o.FrontendOptions.WithDefaults()
-	if o.Replicas <= 0 {
-		o.Replicas = DefaultReplicas
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.StatszTimeout <= 0 {
-		o.StatszTimeout = 2 * time.Second
-	}
-	if o.Pool == nil {
-		o.Pool = client.NewPool()
 	}
 	return o
 }
@@ -103,7 +90,7 @@ func New(opts Options) (*Gateway, error) {
 	g := &Gateway{
 		opts:      opts,
 		ring:      ring,
-		pool:      opts.Pool,
+		pool:      client.NewPool(),
 		byURL:     make(map[string]*shardState),
 		stopProbe: make(chan struct{}),
 	}
@@ -112,7 +99,8 @@ func New(opts Options) (*Gateway, error) {
 		g.shards = append(g.shards, ss)
 		g.byURL[url] = ss
 	}
-	reg := opts.Obs.Metrics
+	hub := &obs.Hub{Metrics: obs.NewRegistry()}
+	reg := hub.Metrics
 	g.mRequests = reg.Counter("serve_gw_requests_total", "API requests received by the gateway")
 	g.mCells = reg.Counter("serve_gw_cells_total", "cells delivered to clients through the gateway")
 	g.mTracePushes = reg.Counter("serve_gw_trace_pushes_total", "trace blobs pushed shard-to-shard after a trace_not_found miss")
@@ -124,6 +112,7 @@ func New(opts Options) (*Gateway, error) {
 	g.mProbeFailures = reg.Counter("serve_gw_probe_failures_total", "shard health probes that failed")
 	g.mShardsUp = reg.Gauge("serve_gw_shards_up", "shards currently routable (breaker not open)")
 	m := serve.FrontendMetrics{
+		Hub:      hub,
 		Requests: g.mRequests,
 		Cells:    g.mCells,
 		Latency:  reg.HistogramVec("serve_gw_request_seconds", "route", "gateway end-to-end request latency by route", obs.DurationBuckets),
@@ -131,7 +120,7 @@ func New(opts Options) (*Gateway, error) {
 	g.Frontend = serve.NewFrontend(opts.FrontendOptions, g, m, obs.NewManifest("imtgw", struct {
 		Shards   []string
 		Replicas int
-	}{ring.Shards(), opts.Replicas}))
+	}{ring.Shards(), ring.Replicas()}))
 	g.probeAll(context.Background())
 	g.probeWG.Add(1)
 	go g.prober()
@@ -452,7 +441,7 @@ func remainder(cells []serve.Cell, seen map[apitypes.CellRef]bool) []serve.Cell 
 }
 
 // Stats assembles the gateway snapshot: every shard's /v1/statsz
-// fetched concurrently (bounded by StatszTimeout each), summed into
+// fetched concurrently (bounded by statszTimeout each), summed into
 // the aggregate, with the per-shard breakdown carrying breaker states
 // and reroute counts. Unreachable shards stay in the breakdown with an
 // error and are excluded from the aggregate.
@@ -471,7 +460,7 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 				Breaker:  ss.br.State(),
 				Rerouted: ss.rerouted.Load(),
 			}
-			sctx, cancel := context.WithTimeout(ctx, g.opts.StatszTimeout)
+			sctx, cancel := context.WithTimeout(ctx, statszTimeout)
 			defer cancel()
 			st, err := g.pool.Raw(ss.url).Stats(sctx)
 			if err != nil {

@@ -19,8 +19,9 @@ import (
 // 1/N share the new shard takes) — the minimal-movement property the
 // ring_test pins.
 type Ring struct {
-	shards []string
-	points []ringPoint
+	shards   []string
+	replicas int
+	points   []ringPoint
 }
 
 type ringPoint struct {
@@ -51,8 +52,9 @@ func NewRing(shards []string, replicas int) (*Ring, error) {
 		}
 	}
 	r := &Ring{
-		shards: sorted,
-		points: make([]ringPoint, 0, len(sorted)*replicas),
+		shards:   sorted,
+		replicas: replicas,
+		points:   make([]ringPoint, 0, len(sorted)*replicas),
 	}
 	for si, shard := range r.shards {
 		for v := 0; v < replicas; v++ {
@@ -73,6 +75,9 @@ func NewRing(shards []string, replicas int) (*Ring, error) {
 	})
 	return r, nil
 }
+
+// Replicas returns the virtual-point count per shard.
+func (r *Ring) Replicas() int { return r.replicas }
 
 // Shards returns the fleet in canonical (sorted) order.
 func (r *Ring) Shards() []string {

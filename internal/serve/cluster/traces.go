@@ -66,7 +66,7 @@ func (g fleetTraces) List(ctx context.Context) apitypes.TraceListResponse {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, g.opts.StatszTimeout)
+			sctx, cancel := context.WithTimeout(ctx, statszTimeout)
 			defer cancel()
 			// Shards without -trace-dir answer 404; unreachable shards
 			// fail. Either way they hold no traces to merge.

@@ -41,14 +41,6 @@ type FrontendOptions struct {
 	// Debug mounts the obs debug mux (pprof, expvar, /metrics) on the
 	// handler.
 	Debug bool
-	// Obs receives telemetry. Nil, or a hub without a registry, means a
-	// fresh hub holding a registry alone: a daemon writes no trace, so
-	// it keeps no trace events or cell log that would grow per cell.
-	Obs *obs.Hub
-	// Config is the simulated machine (zero NumSMs =
-	// gpusim.DefaultConfig). Cache keys — and therefore a gateway's
-	// routing — are computed from it, so a fleet must agree on it.
-	Config gpusim.Config
 }
 
 // WithDefaults fills the zero fields with their documented defaults.
@@ -62,14 +54,13 @@ func (o FrontendOptions) WithDefaults() FrontendOptions {
 	if o.MaxSweepCells <= 0 {
 		o.MaxSweepCells = 4096
 	}
-	if o.Obs == nil || o.Obs.Metrics == nil {
-		o.Obs = &obs.Hub{Metrics: obs.NewRegistry()}
-	}
-	if o.Config.NumSMs == 0 {
-		o.Config = gpusim.DefaultConfig()
-	}
 	return o
 }
+
+// machine is the simulated machine every imtd and imtgw runs. Cache
+// keys, and therefore a gateway's routing, are computed from it, so
+// one fleet always agrees on it.
+var machine = gpusim.DefaultConfig()
 
 // Cell is one validated cell: its wire identity, the runner job it
 // simulates as, and the runner cache key computed once from both.
@@ -117,8 +108,13 @@ type Executor interface {
 
 // FrontendMetrics are the series a Frontend records into. Each
 // executor registers its own names (serve_* on imtd, serve_gw_* on
-// imtgw); nil fields are skipped.
+// imtgw); nil series are skipped.
 type FrontendMetrics struct {
+	// Hub holds the executor's registry, which /metrics serves and
+	// Manifest snapshots. It holds a registry alone: a daemon writes no
+	// trace, so it keeps no trace events or cell log that would grow
+	// per cell.
+	Hub                        *obs.Hub
 	Requests, Cells            *obs.Counter
 	Rejected, Timeouts, Errors *obs.Counter
 	Latency                    *obs.HistogramVec
@@ -172,9 +168,8 @@ func NewFrontend(opts FrontendOptions, exec Executor, m FrontendMetrics, manifes
 	return f
 }
 
-// Hub returns the observability hub (its metrics registry, and a trace
-// recorder and cell log only when the caller supplied them).
-func (f *Frontend) Hub() *obs.Hub { return f.opts.Obs }
+// Hub returns the observability hub, which holds the metrics registry.
+func (f *Frontend) Hub() *obs.Hub { return f.metrics.Hub }
 
 // Handler returns the one route table imtd and imtgw both serve:
 //
@@ -223,7 +218,7 @@ func (f *Frontend) Handler() http.Handler {
 		mux.HandleFunc("/v1/watch/", f.unserved("serve: no watch rooms here (a room lives on the imtd shard that ran the watched request)"))
 	}
 	if f.opts.Debug {
-		dbg := obs.DebugMux(f.opts.Obs.Metrics)
+		dbg := obs.DebugMux(f.metrics.Hub.Metrics)
 		mux.Handle("/debug/", dbg)
 		mux.Handle("GET /metrics", dbg)
 		mux.Handle("GET /metrics.json", dbg)
@@ -260,7 +255,7 @@ func (f *Frontend) Snapshot() apitypes.StatsSnapshot {
 func (f *Frontend) Manifest() obs.Manifest {
 	m := f.manifest
 	m.WallSeconds = time.Since(f.started).Seconds()
-	snap := f.opts.Obs.Metrics.Snapshot()
+	snap := f.metrics.Hub.Metrics.Snapshot()
 	m.Metrics = &snap
 	return m
 }
@@ -499,7 +494,7 @@ func (f *Frontend) resolveCell(name, mode string, maxCycles, sampleInterval uint
 		}
 		cell.Job.Workload = w
 	}
-	cell.Key, _ = runner.CacheKeyFor(f.opts.Config, cell.Job) // catalog and keyed trace cells are always cacheable
+	cell.Key, _ = runner.CacheKeyFor(machine, cell.Job) // catalog and keyed trace cells are always cacheable
 	if err := f.exec.Check(cell); err != nil {
 		return Cell{}, err
 	}

@@ -27,8 +27,6 @@ type ManagerOptions struct {
 	JobWorkers int
 	// TTL is how long finished jobs are retained before GC (default 1h).
 	TTL time.Duration
-	// GCInterval is how often the GC sweep runs (default 1m).
-	GCInterval time.Duration
 	// Registry receives serve_jobs_* metrics (nil = a private one, so
 	// Stats still counts).
 	Registry *obs.Registry
@@ -42,9 +40,6 @@ func (o ManagerOptions) withDefaults() ManagerOptions {
 	}
 	if o.TTL <= 0 {
 		o.TTL = time.Hour
-	}
-	if o.GCInterval <= 0 {
-		o.GCInterval = time.Minute
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -339,11 +334,11 @@ func (m *Manager) runJob(id string) {
 	}
 }
 
-// gcLoop periodically removes finished jobs older than TTL and
-// compacts the WAL.
+// gcLoop removes finished jobs older than TTL and compacts the WAL
+// once a minute.
 func (m *Manager) gcLoop() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.opts.GCInterval)
+	t := time.NewTicker(time.Minute)
 	defer t.Stop()
 	for {
 		select {

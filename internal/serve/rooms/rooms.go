@@ -61,9 +61,12 @@ type Options struct {
 	// TTL is how long a closed room is kept for late replay
 	// (default 2m).
 	TTL time.Duration
-	// Intake is the broadcaster's inbound buffer (default 1024).
-	Intake int
 }
+
+// intake is the broadcaster's inbound buffer: Publish never blocks,
+// so a burst the broadcaster has not drained yet must fit here or be
+// dropped (see the package doc).
+const intake = 1024
 
 func (o Options) withDefaults() Options {
 	if o.Buffer <= 0 {
@@ -74,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = 2 * time.Minute
-	}
-	if o.Intake <= 0 {
-		o.Intake = 1024
 	}
 	return o
 }
@@ -115,7 +115,7 @@ func NewRegistry(reg *obs.Registry, opts Options) *Registry {
 func (r *Registry) Open() *Room {
 	rm := &Room{
 		reg:  r,
-		in:   make(chan apitypes.WatchFrame, r.opts.Intake),
+		in:   make(chan apitypes.WatchFrame, intake),
 		done: make(chan struct{}),
 		hist: make([]apitypes.WatchFrame, r.opts.History),
 		subs: map[*Subscriber]struct{}{},
@@ -236,7 +236,7 @@ func (rm *Room) Publish(f apitypes.WatchFrame) {
 	select {
 	case rm.in <- f:
 	default:
-		// Intake overrun: drop pre-sequencing (gapless for everyone).
+		// intake overrun: drop pre-sequencing (gapless for everyone).
 		// Only a stalled broadcaster can cause this; subscribers cannot,
 		// their sends are non-blocking.
 	}

@@ -109,10 +109,12 @@ func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	// The engine resolves one cell per Cell call; how many run at once
 	// is the admission controller's business, so its Workers is unused.
-	s := &Server{opts: opts, eng: runner.New(opts.Config, runner.Options{CacheDir: opts.CacheDir, Obs: opts.Obs})}
-	reg := opts.Obs.Metrics
+	hub := &obs.Hub{Metrics: obs.NewRegistry()}
+	s := &Server{opts: opts, eng: runner.New(machine, runner.Options{CacheDir: opts.CacheDir, Obs: hub})}
+	reg := hub.Metrics
 	s.adm = newAdmission(opts.Workers, opts.Queue, reg)
 	m := FrontendMetrics{
+		Hub:      hub,
 		Requests: reg.Counter("serve_requests_total", "API requests received"),
 		Cells:    reg.Counter("serve_cells_total", "cells served successfully"),
 		Rejected: reg.Counter("serve_rejected_total", "requests rejected with 429 (queue full)"),
@@ -128,7 +130,7 @@ func New(opts Options) (*Server, error) {
 		CacheDir       string
 		JobsDir        string
 		Config         gpusim.Config
-	}{opts.Workers, opts.Queue, opts.CacheDir, opts.JobsDir, opts.Config}))
+	}{opts.Workers, opts.Queue, opts.CacheDir, opts.JobsDir, machine}))
 	// Hosting rooms is what lets the Frontend accept watch requests.
 	s.rooms = rooms.NewRegistry(reg, rooms.Options{
 		Buffer:  opts.RoomBuffer,
@@ -169,6 +171,9 @@ func New(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
+
+// Options returns the server's settings with every default resolved.
+func (s *Server) Options() Options { return s.opts }
 
 // traceInUse reports whether any non-terminal job references the trace:
 // the store's eviction/delete guard. Jobs name trace cells as
@@ -223,9 +228,9 @@ func (s *Server) Check(cell Cell) error {
 	if err != nil {
 		return err
 	}
-	if info.NumSMs > s.opts.Config.NumSMs {
+	if info.NumSMs > machine.NumSMs {
 		return fmt.Errorf("serve: trace %s… carries %d SM streams, machine has %d SMs",
-			cell.Digest[:12], info.NumSMs, s.opts.Config.NumSMs)
+			cell.Digest[:12], info.NumSMs, machine.NumSMs)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,24 @@ func mustNew(t *testing.T, opts Options) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestNewResolvesDefaults: the zero Options resolve to GOMAXPROCS
+// workers and a 4×Workers queue, and Options reports what admission
+// actually enforces.
+func TestNewResolvesDefaults(t *testing.T) {
+	s := mustNew(t, Options{})
+	o := s.Options()
+	if want := runtime.GOMAXPROCS(0); o.Workers != want {
+		t.Errorf("Workers = %d, want GOMAXPROCS = %d", o.Workers, want)
+	}
+	if o.Queue != 4*o.Workers {
+		t.Errorf("Queue = %d, want 4×Workers = %d", o.Queue, 4*o.Workers)
+	}
+	if cap(s.adm.slots) != o.Workers || s.adm.maxWait != int64(o.Queue) {
+		t.Errorf("admission bounds %d slots, %d waiting; Options say %d, %d",
+			cap(s.adm.slots), s.adm.maxWait, o.Workers, o.Queue)
+	}
 }
 
 func decodeBody[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
