@@ -92,6 +92,7 @@ fuzz:
 # sized for the pre-merge gate.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeInvariants$$' -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz='^FuzzTagSolve$$' -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz='^FuzzAllocatorScript$$' -fuzztime=10s ./internal/tagalloc
 	$(GO) test -run '^$$' -fuzz='^FuzzECCDecode$$' -fuzztime=10s ./internal/ecc
 	$(GO) test -run '^$$' -fuzz='^FuzzParseTraceFile$$' -fuzztime=10s ./internal/gpusim

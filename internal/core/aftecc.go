@@ -63,11 +63,12 @@ type Options struct {
 	TagMatrix *gf2.Matrix
 	// AllowAlias skips the alias-free validation of the tag column space
 	// (zero-syndrome tag patterns, collisions with correctable columns).
-	// Aliased syndromes are left out of the TMM table, so the decoder
-	// silently accepts or miscorrects them — the failure mode the paper's
-	// construction rules out. Use it to build the deliberately aliasing
-	// baselines the negative tests and the injection harness's
-	// differential suite exercise; such codes fail MustVerify.
+	// The decoder then silently accepts or miscorrects aliased mismatches
+	// — the failure mode the paper's construction rules out — and reports
+	// each remaining tag syndrome with its smallest tag-error pattern.
+	// Use it to build the deliberately aliasing baselines the negative
+	// tests and the injection harness's differential suite exercise; such
+	// codes fail MustVerify.
 	AllowAlias bool
 }
 
@@ -83,8 +84,8 @@ type Code struct {
 	tag      *gf2.Matrix // R×TS staircase
 	dataCols []uint64
 
-	synToBit map[uint64]int    // data/check single-bit-error syndrome -> physical bit
-	tagSyn   map[uint64]uint64 // syndrome -> tag-error pattern (nonzero members of colspace(T))
+	synToBit map[uint64]int   // data/check single-bit-error syndrome -> physical bit
+	tagSolve *gf2.Elimination // T row-reduced: syndrome -> tag-error pattern in O(R)
 }
 
 // NewCode constructs an AFT-ECC code. It validates the paper's tag-size
@@ -131,6 +132,14 @@ func NewCode(k, r, ts int, opts Options) (*Code, error) {
 		c.dataCols[i] = base.Column(i)
 	}
 
+	// Row-reduce T once. Alias-free (Equation 5b's premise) means T has
+	// full column rank — an empty kernel, so no tag mismatch has the zero
+	// syndrome and no two mismatches share one; SEC is preserved when no
+	// data/check column lies in colspace(T).
+	c.tagSolve = tag.Eliminate()
+	if kernel := c.tagSolve.Kernel(); len(kernel) > 0 && !opts.AllowAlias {
+		return nil, fmt.Errorf("core: tag submatrix is not alias-free: pattern %#x has zero syndrome", kernel[0])
+	}
 	c.synToBit = make(map[uint64]int, k+r)
 	for i := 0; i < k+r; i++ {
 		s := c.physColumn(i)
@@ -138,36 +147,9 @@ func NewCode(k, r, ts int, opts Options) (*Code, error) {
 			return nil, fmt.Errorf("core: data/check columns %d and %d collide", prev, i)
 		}
 		c.synToBit[s] = i
-	}
-
-	// Enumerate the column space of T: every nonzero member is the
-	// syndrome of exactly one tag-error pattern (alias-free ⇒ bijection).
-	c.tagSyn = make(map[uint64]uint64, 1<<uint(ts))
-	for pattern := uint64(1); pattern < 1<<uint(ts); pattern++ {
-		s := tag.MulBits(pattern)
-		if s == 0 {
-			if opts.AllowAlias {
-				// An undetectable tag mismatch: the decoder sees a clean
-				// codeword. Leaving it out of the table reproduces that.
-				continue
-			}
-			return nil, fmt.Errorf("core: tag submatrix is not alias-free: pattern %#x has zero syndrome", pattern)
+		if pattern, clash := c.tagSolve.Solve(s); clash && !opts.AllowAlias {
+			return nil, fmt.Errorf("core: tag syndrome %#x (pattern %#x) collides with a correctable column; SEC would be lost", s, pattern)
 		}
-		if _, clash := c.synToBit[s]; clash {
-			if opts.AllowAlias {
-				// The decoder miscorrects this mismatch as a single-bit
-				// data error — silent corruption, by design of the test.
-				continue
-			}
-			return nil, fmt.Errorf("core: tag syndrome %#x collides with a correctable column; SEC would be lost", s)
-		}
-		if _, dup := c.tagSyn[s]; dup {
-			if opts.AllowAlias {
-				continue
-			}
-			return nil, fmt.Errorf("core: tag syndrome %#x maps to two tag-error patterns", s)
-		}
-		c.tagSyn[s] = pattern
 	}
 	return c, nil
 }
@@ -292,7 +274,7 @@ func (c *Code) resolve(data *gf2.BitVec, s uint64, keyTag uint64) Result {
 		}
 		return Result{Status: StatusCorrected, Syndrome: s, FlippedBit: bit}
 	}
-	if pattern, ok := c.tagSyn[s]; ok {
+	if pattern, ok := c.tagSolve.Solve(s); ok {
 		return Result{
 			Status:          StatusTMM,
 			Syndrome:        s,
@@ -329,23 +311,37 @@ func (c *Code) PhysicalErrorSyndrome(err *gf2.BitVec) uint64 {
 	return s
 }
 
-// TagSyndromeTable returns a copy of the syndrome → tag-error-pattern
-// table (the "2^R−1 entry syndrome lookup table" the driver uses for lock
-// tag extraction in §4.3).
+// TagSyndromeTable returns the syndrome → tag-error-pattern table (the
+// "2^R−1 entry syndrome lookup table" the driver uses for lock tag
+// extraction in §4.3). The decoder never holds it: this enumerates all
+// 2^TS patterns on demand, keeping for each syndrome the first pattern
+// that reaches it and leaving out the zero syndrome and the correctable
+// columns, which the decoder resolves first. It panics if TS > 24.
 func (c *Code) TagSyndromeTable() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(c.tagSyn))
-	for k, v := range c.tagSyn {
-		out[k] = v
+	if c.ts > 24 {
+		panic(fmt.Sprintf("core: TagSyndromeTable limited to TS ≤ 24, have %d", c.ts))
+	}
+	out := make(map[uint64]uint64, 1<<uint(c.ts))
+	for pattern := uint64(1); pattern < 1<<uint(c.ts); pattern++ {
+		s := c.tag.MulBits(pattern)
+		if _, corr := c.synToBit[s]; s == 0 || corr {
+			continue
+		}
+		if _, dup := out[s]; !dup {
+			out[s] = pattern
+		}
 	}
 	return out
 }
 
 // IsTagSyndrome reports whether s lies in the column space of the tag
 // submatrix (and would therefore be reported as a TMM), returning the
-// corresponding tag-error pattern.
+// corresponding tag-error pattern, the smallest one if T aliases.
 func (c *Code) IsTagSyndrome(s uint64) (pattern uint64, ok bool) {
-	pattern, ok = c.tagSyn[s]
-	return pattern, ok
+	if _, corr := c.synToBit[s]; s == 0 || corr {
+		return 0, false
+	}
+	return c.tagSolve.Solve(s)
 }
 
 func (c *Code) String() string {

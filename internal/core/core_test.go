@@ -406,6 +406,33 @@ func TestTagSyndromeTableBijection(t *testing.T) {
 	}
 }
 
+// TestLargeRCodes builds codes whose tag column space no table could
+// hold (2^31 and 2^39 members): each must verify and decode a planted
+// lock/key mismatch as a TMM that recovers the lock tag.
+func TestLargeRCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, cfg := range []struct{ k, r, ts int }{{256, 32, 31}, {64, 40, 39}} {
+		c := mustCode(t, cfg.k, cfg.r, cfg.ts)
+		MustVerify(c)
+		for trial := 0; trial < 100; trial++ {
+			data := randData(rng, cfg.k)
+			lock := rng.Uint64() & c.TagMask()
+			key := rng.Uint64() & c.TagMask()
+			if key == lock {
+				key ^= 1
+			}
+			check := c.Encode(data, lock)
+			res := c.Decode(data, check, key)
+			if res.Status != StatusTMM || res.LockTagEstimate != lock {
+				t.Fatalf("%v: lock %#x key %#x decoded %+v, want TMM with the lock tag", c, lock, key, res)
+			}
+			if res := c.Decode(data, check, lock); res.Status != StatusOK {
+				t.Fatalf("%v: matching tag decoded %v", c, res.Status)
+			}
+		}
+	}
+}
+
 func TestRandomEvenTagMatrix(t *testing.T) {
 	for _, cfg := range []struct{ r, ts int }{{10, 9}, {16, 15}, {8, 4}} {
 		m, err := RandomEvenTagMatrix(cfg.r, cfg.ts, 7)

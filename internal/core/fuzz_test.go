@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/ecc"
 	"repro/internal/gf2"
 )
 
@@ -83,4 +85,133 @@ func FuzzDecodeInvariants(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tableCode is the table-driven AFT-ECC decoder NewCode used to build:
+// enumerate all 2^TS tag patterns in order, keep the first pattern per
+// syndrome, and — unless aliasing is allowed — fail on the first pattern
+// with a zero syndrome, a correctable syndrome or an already-seen one.
+type tableCode struct {
+	synToBit map[uint64]int
+	tagSyn   map[uint64]uint64
+	mask     uint64
+}
+
+func newTableCode(phys []uint64, tag *gf2.Matrix, allowAlias bool) (*tableCode, error) {
+	tc := &tableCode{synToBit: map[uint64]int{}, tagSyn: map[uint64]uint64{}, mask: 1<<uint(tag.Cols()) - 1}
+	for i, s := range phys {
+		if _, dup := tc.synToBit[s]; dup {
+			return nil, fmt.Errorf("data/check column %d collides", i)
+		}
+		tc.synToBit[s] = i
+	}
+	for pattern := uint64(1); pattern <= tc.mask; pattern++ {
+		s := tag.MulBits(pattern)
+		_, corr := tc.synToBit[s]
+		_, dup := tc.tagSyn[s]
+		switch {
+		case s == 0 || corr || dup:
+			if !allowAlias {
+				return nil, fmt.Errorf("pattern %#x aliases (syndrome %#x)", pattern, s)
+			}
+		default:
+			tc.tagSyn[s] = pattern
+		}
+	}
+	return tc, nil
+}
+
+func (tc *tableCode) resolve(s, keyTag uint64) Result {
+	if s == 0 {
+		return Result{Status: StatusOK, FlippedBit: -1}
+	}
+	if bit, ok := tc.synToBit[s]; ok {
+		return Result{Status: StatusCorrected, Syndrome: s, FlippedBit: bit}
+	}
+	if pattern, ok := tc.tagSyn[s]; ok {
+		return Result{Status: StatusTMM, Syndrome: s, FlippedBit: -1, LockTagEstimate: (keyTag ^ pattern) & tc.mask}
+	}
+	return Result{Status: StatusDUE, Syndrome: s, FlippedBit: -1}
+}
+
+// FuzzTagSolve builds codes (R ≤ 10) from fuzzed tag matrices of any
+// rank, with AllowAlias on and off, and requires NewCode's verdict and
+// every one of the 2^R syndromes' DecodeSyndrome and IsTagSyndrome
+// answers to match the table-driven decoder's, along with
+// TagSyndromeTable.
+func FuzzTagSolve(f *testing.F) {
+	// r8 = 2, k8 = 15 give R = 6, K = 16, where MaxTagSize is 5.
+	f.Add(uint8(2), uint8(15), uint8(4), false, uint16(0x1f), []byte{})                     // staircase: builds
+	f.Add(uint8(2), uint8(15), uint8(2), false, uint16(0x5), []byte{3, 0, 6, 0, 5, 0})      // col 2 = col 0 ^ col 1: rejected
+	f.Add(uint8(2), uint8(15), uint8(1), false, uint16(0x3), []byte{7, 0, 3, 0})            // col 0 is D's first column: rejected
+	f.Add(uint8(2), uint8(15), uint8(3), true, uint16(0x9), []byte{3, 0, 6, 0, 5, 0, 7, 0}) // both, aliasing allowed
+	f.Add(uint8(6), uint8(200), uint8(7), true, uint16(0x55), []byte{0, 0, 1, 2, 3, 0, 3, 0, 9})
+	f.Fuzz(func(t *testing.T, r8, k8, ts8 uint8, allowAlias bool, key uint16, raw []byte) {
+		r := 4 + int(r8)%7
+		avail := 0
+		for w := 3; w <= r; w += 2 {
+			avail += binomialInt(r, w)
+		}
+		k := 1 + int(k8)%avail
+		maxTS, err := MaxTagSize(k, r)
+		if err != nil || maxTS == 0 {
+			t.Skip()
+		}
+		ts := 1 + int(ts8)%maxTS
+		mask := uint64(1)<<uint(r) - 1
+		cols := make([]uint64, ts)
+		for j := range cols {
+			if 2*j+1 < len(raw) {
+				cols[j] = (uint64(raw[2*j]) | uint64(raw[2*j+1])<<8) & mask
+			} else {
+				cols[j] = 3 << uint(j) & mask
+			}
+		}
+		tag := gf2.FromColumns(r, cols)
+		base, err := ecc.NewHsiao(k, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phys := make([]uint64, k+r)
+		for i := range phys {
+			phys[i] = base.Column(i)
+		}
+
+		want, wantErr := newTableCode(phys, tag, allowAlias)
+		c, err := NewCode(k, r, ts, Options{TagMatrix: tag, AllowAlias: allowAlias})
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("K=%d R=%d T=%v alias=%v: NewCode error %v, table construction error %v", k, r, cols, allowAlias, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		keyTag := uint64(key) & c.TagMask()
+		for s := uint64(0); s <= mask; s++ {
+			if got, w := c.DecodeSyndrome(s, keyTag), want.resolve(s, keyTag); got != w {
+				t.Fatalf("T=%v alias=%v syndrome %#x: DecodeSyndrome %+v, table %+v", cols, allowAlias, s, got, w)
+			}
+			p, ok := c.IsTagSyndrome(s)
+			wp, wok := want.tagSyn[s]
+			if p != wp || ok != wok {
+				t.Fatalf("T=%v alias=%v: IsTagSyndrome(%#x) = (%#x, %v), table (%#x, %v)", cols, allowAlias, s, p, ok, wp, wok)
+			}
+		}
+		table := c.TagSyndromeTable()
+		if len(table) != len(want.tagSyn) {
+			t.Fatalf("T=%v: TagSyndromeTable has %d entries, table %d", cols, len(table), len(want.tagSyn))
+		}
+		for s, p := range want.tagSyn {
+			if table[s] != p {
+				t.Fatalf("T=%v: TagSyndromeTable[%#x] = %#x, table %#x", cols, s, table[s], p)
+			}
+		}
+	})
+}
+
+func binomialInt(n, k int) int {
+	res := 1
+	for i := 0; i < k; i++ {
+		res = res * (n - i) / (i + 1)
+	}
+	return res
 }

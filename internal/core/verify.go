@@ -30,7 +30,7 @@ type Properties struct {
 	MaxTagRowOnes int
 }
 
-// Verify exhaustively checks the AFT-ECC invariants of c.
+// Verify checks the AFT-ECC invariants of c directly on its matrices.
 func Verify(c *Code) Properties {
 	var p Properties
 	tag := c.TagMatrix()
@@ -41,17 +41,15 @@ func Verify(c *Code) Properties {
 	data := c.DataMatrix()
 	p.DataAllOdd = data.AllColumnsOddWeight()
 
-	// SEC preservation: enumerate colspace(T) and confirm disjointness
-	// from every data/identity column.
-	space := map[uint64]bool{}
-	for _, v := range tag.ColumnSpace() {
-		if v != 0 {
-			space[v] = true
-		}
-	}
+	// SEC preservation: no data/identity column lies in colspace(T),
+	// i.e. appending any one of them to T raises the rank. A rank test on
+	// the matrices, not the constructor's elimination, and no enumeration
+	// of the 2^TS-member column space.
+	rank := tag.Rank()
 	p.SECPreserved = true
 	for i := 0; i < c.PhysicalBits(); i++ {
-		if space[c.physColumn(i)] {
+		col := gf2.FromColumns(c.R(), []uint64{c.physColumn(i)})
+		if gf2.Concat(tag, col).Rank() == rank {
 			p.SECPreserved = false
 			break
 		}

@@ -144,31 +144,11 @@ func (e *Engine) R() int { return e.r }
 type Batch struct {
 	planes []uint64
 	lanes  uint64
-	// dirty tracks planes touched by Flip so Reset stays cheap for
-	// sparse fills; allDirty is set by the bulk fills.
-	dirty    []int32
-	allDirty bool
 }
 
 // NewBatch allocates a batch sized for the engine, with no live lanes.
 func (e *Engine) NewBatch() *Batch {
 	return &Batch{planes: make([]uint64, e.nphys)}
-}
-
-// Reset clears every pattern and the lane mask.
-func (b *Batch) Reset() {
-	if b.allDirty {
-		for i := range b.planes {
-			b.planes[i] = 0
-		}
-	} else {
-		for _, i := range b.dirty {
-			b.planes[i] = 0
-		}
-	}
-	b.dirty = b.dirty[:0]
-	b.allDirty = false
-	b.lanes = 0
 }
 
 // SetLaneRange marks lanes [lo, hi) live (0 ≤ lo < hi ≤ 64).
@@ -179,30 +159,6 @@ func (b *Batch) SetLaneRange(lo, hi int) {
 // Lanes returns the live-lane mask.
 func (b *Batch) Lanes() uint64 { return b.lanes }
 
-// Flip toggles physical bit `bit` in lane `lane`.
-func (b *Batch) Flip(lane, bit int) {
-	b.planes[bit] ^= 1 << uint(lane)
-	if !b.allDirty {
-		b.dirty = append(b.dirty, int32(bit))
-	}
-}
-
-// Get reports whether lane `lane` flips physical bit `bit`.
-func (b *Batch) Get(lane, bit int) bool {
-	return b.planes[bit]>>uint(lane)&1 == 1
-}
-
-// LaneBits returns the physical bit indices lane `lane` flips.
-func (b *Batch) LaneBits(lane int) []int {
-	var out []int
-	for i, p := range b.planes {
-		if p>>uint(lane)&1 == 1 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Random fills every plane with one word from rng — each of the 64
 // lanes becomes an independent uniformly random error pattern (bit-flip
 // probability ½). The lane mask is untouched.
@@ -210,7 +166,6 @@ func (b *Batch) Random(rng *Rand) {
 	for i := range b.planes {
 		b.planes[i] = rng.Uint64()
 	}
-	b.allDirty = true
 }
 
 // RandomNonzero is Random followed by rerolling any all-zero lane until

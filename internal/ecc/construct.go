@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -25,8 +26,10 @@ func NewHsiao(k, r int) (*Code, error) {
 }
 
 // oddWeightColumns picks k distinct odd-weight (≥3) r-bit columns with
-// greedy row balancing. If rng is non-nil, candidate order within a weight
-// class is shuffled before the greedy pass (used by the genetic search to
+// greedy row balancing: within each weight class, lightest first, it
+// repeatedly takes the first candidate with the smallest Σ rowWeight² over
+// its rows. If rng is non-nil, candidate order within a weight class is
+// shuffled before the greedy pass (used by the genetic search to
 // diversify its initial population).
 func oddWeightColumns(k, r int, rng *rand.Rand) ([]uint64, error) {
 	if r < 4 {
@@ -46,36 +49,60 @@ func oddWeightColumns(k, r int, rng *rand.Rand) ([]uint64, error) {
 		if rng != nil {
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		}
-		// Greedy row balancing: repeatedly take the candidate whose rows are
-		// currently lightest.
-		taken := make([]bool, len(cands))
-		remaining := len(cands)
-		for remaining > 0 && len(cols) < k {
-			best, bestScore := -1, 0
-			for i, c := range cands {
-				if taken[i] {
-					continue
-				}
-				score := 0
-				for v := c; v != 0; v &= v - 1 {
-					row := bits.TrailingZeros64(v)
-					score += rowWeight[row] * rowWeight[row]
-				}
-				if best == -1 || score < bestScore {
-					best, bestScore = i, score
+		// score[i] is candidate i's Σ rowWeight², kept current: a pick
+		// raises each of its rows from x to x+1 ones, adding 2x+1 to the
+		// score of every candidate on that row. onRow[row] lists those
+		// candidates; every row is in C(r−1, w−1) of them.
+		perRow := binomial(r-1, w-1)
+		onRow := make([]int32, r*perRow)
+		fill := make([]int, r)
+		score := make([]int, len(cands))
+		for i, c := range cands {
+			for v := c; v != 0; v &= v - 1 {
+				row := bits.TrailingZeros64(v)
+				score[i] += rowWeight[row] * rowWeight[row]
+				onRow[row*perRow+fill[row]] = int32(i)
+				fill[row]++
+			}
+		}
+		// Scores only grow, so while the minimum stays at low every
+		// candidate before the last pick scores above it: the next first
+		// minimum is the first candidate after that pick still at low, and
+		// only when none is left does the minimum need a full rescan.
+		low, next := taken, len(cands)
+		for left := len(cands); left > 0 && len(cols) < k; left-- {
+			best := next
+			for best < len(score) && score[best] != low {
+				best++
+			}
+			if best == len(score) {
+				best, low = 0, score[0]
+				for i, sc := range score {
+					if sc < low {
+						best, low = i, sc
+					}
 				}
 			}
+			next = best + 1
 			c := cands[best]
-			taken[best] = true
-			remaining--
+			score[best] = taken
 			cols = append(cols, c)
 			for v := c; v != 0; v &= v - 1 {
-				rowWeight[bits.TrailingZeros64(v)]++
+				row := bits.TrailingZeros64(v)
+				d := 2*rowWeight[row] + 1
+				for _, i := range onRow[row*perRow : (row+1)*perRow] {
+					score[i] += d
+				}
+				rowWeight[row]++
 			}
 		}
 	}
 	return cols, nil
 }
+
+// taken is the score of a picked candidate: above any real score, with
+// room for the increments later picks still add to it.
+const taken = math.MaxInt / 2
 
 // NewSEC constructs a single-error-correcting code: the data columns are
 // distinct nonzero vectors of weight ≥ 2 (weight-1 vectors are the check-bit

@@ -117,22 +117,13 @@ func NewGeneticSECDED(k, r int, opts GeneticOptions) (*Code, error) {
 			}
 		}
 		rng.Shuffle(len(union), func(i, j int) { union[i], union[j] = union[j], union[i] })
-		// Greedy-balance pick K from the union, preferring light columns.
+		// Keep the K lightest columns of the union (a's K distinct
+		// columns are in it); the stable sort keeps the shuffled order
+		// within a weight.
 		sort.SliceStable(union, func(i, j int) bool {
 			return bits.OnesCount64(union[i]) < bits.OnesCount64(union[j])
 		})
-		rowWeight := make([]int, r)
-		out := make([]uint64, 0, k)
-		for _, c := range union {
-			if len(out) == k {
-				break
-			}
-			out = append(out, c)
-			for v := c; v != 0; v &= v - 1 {
-				rowWeight[bits.TrailingZeros64(v)]++
-			}
-		}
-		return out
+		return union[:k]
 	}
 
 	for gen := 0; gen < opts.Generations; gen++ {

@@ -200,96 +200,64 @@ func (m *Matrix) HasFullColumnRank() bool {
 	return m.Rank() == len(m.cols)
 }
 
-// ColumnSpace enumerates every vector in the column space of m, i.e. the
-// XOR of every subset of columns, including the zero vector (the empty
-// subset). The result has 2^rank distinct values but is returned with
-// duplicates removed. It panics if Cols > 24 to bound the enumeration.
-func (m *Matrix) ColumnSpace() []uint64 {
-	if len(m.cols) > 24 {
-		panic("gf2: ColumnSpace limited to ≤24 columns")
+// Elimination is a matrix row-reduced once over its columns: a pivot per
+// independent column, keyed by its lowest set bit and carrying the
+// combination of original columns that XOR into it, plus a basis of the
+// kernel. Membership and preimage queries then take at most Rows steps,
+// with no enumeration of the column space.
+type Elimination struct {
+	pivot [64]uint64 // pivot[b]: reduced vector with lowest set bit b, or 0
+	comb  [64]uint64 // comb[b]: column-index mask with m * comb[b] = pivot[b]
+	// kernel holds a nonzero x with m * x = 0 for each dependent column
+	// j: j's bit plus pivot columns below j.
+	kernel []uint64
+}
+
+// Eliminate row-reduces m's columns. It panics if Cols > 64.
+func (m *Matrix) Eliminate() *Elimination {
+	if len(m.cols) > 64 {
+		panic("gf2: Eliminate requires ≤64 columns")
 	}
-	// Build from a reduced basis to avoid 2^cols duplicates when the
-	// columns are dependent.
-	var basisList []uint64
-	var basis [64]uint64
-	for _, c := range m.cols {
-		v := c
+	e := &Elimination{}
+	for j, c := range m.cols {
+		v, x := c, uint64(1)<<uint(j)
 		for v != 0 {
 			lead := bits.TrailingZeros64(v)
-			if basis[lead] == 0 {
-				basis[lead] = v
-				basisList = append(basisList, v)
+			if e.pivot[lead] == 0 {
+				e.pivot[lead], e.comb[lead] = v, x
 				break
 			}
-			v ^= basis[lead]
+			v ^= e.pivot[lead]
+			x ^= e.comb[lead]
+		}
+		if v == 0 {
+			// Every pivot so far came from columns before j, so x's
+			// highest set bit is j.
+			e.kernel = append(e.kernel, x)
 		}
 	}
-	out := make([]uint64, 1, 1<<uint(len(basisList)))
-	out[0] = 0
-	for _, b := range basisList {
-		for _, v := range out[:len(out):len(out)] {
-			out = append(out, v^b)
-		}
-	}
-	return out
+	return e
 }
 
-// ColumnSpaceContains reports whether v is a linear combination of the
-// columns of m. Unlike ColumnSpace it works for any column count.
-func (m *Matrix) ColumnSpaceContains(v uint64) bool {
-	var basis [64]uint64
-	for _, c := range m.cols {
-		x := c
-		for x != 0 {
-			lead := bits.TrailingZeros64(x)
-			if basis[lead] == 0 {
-				basis[lead] = x
-				break
-			}
-			x ^= basis[lead]
-		}
-	}
-	for v != 0 {
-		lead := bits.TrailingZeros64(v)
-		if basis[lead] == 0 {
-			return false
-		}
-		v ^= basis[lead]
-	}
-	return true
-}
+// Kernel returns a basis of the kernel {x ≠ 0 : m * x = 0}; it is empty
+// exactly when m has full column rank.
+func (e *Elimination) Kernel() []uint64 { return append([]uint64(nil), e.kernel...) }
 
-// SolveColumns finds x such that m * x = v, expressing v as a combination
-// of the columns of m. It returns the combination as a column-index bitmask
-// (bit j set means column j participates) and ok=false if v is not in the
-// column space. It panics if Cols > 64.
-func (m *Matrix) SolveColumns(v uint64) (x uint64, ok bool) {
-	if len(m.cols) > 64 {
-		panic("gf2: SolveColumns requires ≤64 columns")
-	}
-	// basis[lead] holds a reduced vector; comb[lead] records which original
-	// columns XOR together to form it.
-	var basis, comb [64]uint64
-	for j, c := range m.cols {
-		vec, cmb := c, uint64(1)<<uint(j)
-		for vec != 0 {
-			lead := bits.TrailingZeros64(vec)
-			if basis[lead] == 0 {
-				basis[lead] = vec
-				comb[lead] = cmb
-				break
-			}
-			vec ^= basis[lead]
-			cmb ^= comb[lead]
-		}
-	}
+// Solve finds x with m * x = v, or ok=false if v is outside the column
+// space. Of the solutions (one coset of the kernel) it returns the
+// numerically smallest: every pivot's combination is built from earlier
+// pivots' combinations, so x uses only columns that became pivots and
+// has no bit at a dependent column; any other solution differs from it
+// by a nonzero kernel vector, whose highest set bit is a dependent
+// column, so it has that bit set and is larger.
+func (e *Elimination) Solve(v uint64) (x uint64, ok bool) {
 	for v != 0 {
 		lead := bits.TrailingZeros64(v)
-		if basis[lead] == 0 {
+		if e.pivot[lead] == 0 {
 			return 0, false
 		}
-		v ^= basis[lead]
-		x ^= comb[lead]
+		v ^= e.pivot[lead]
+		x ^= e.comb[lead]
 	}
 	return x, true
 }

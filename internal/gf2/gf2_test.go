@@ -82,47 +82,13 @@ func TestRankProperties(t *testing.T) {
 	}
 }
 
-func TestColumnSpace(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		rows := 1 + rng.Intn(12)
-		cols := 1 + rng.Intn(10)
-		m := randomMatrix(rng, rows, cols)
-		space := m.ColumnSpace()
-		if len(space) != 1<<uint(m.Rank()) {
-			t.Fatalf("column space size %d, want 2^rank = %d", len(space), 1<<uint(m.Rank()))
-		}
-		seen := make(map[uint64]bool)
-		for _, v := range space {
-			if seen[v] {
-				t.Fatal("duplicate vector in column space")
-			}
-			seen[v] = true
-			if !m.ColumnSpaceContains(v) {
-				t.Fatalf("ColumnSpaceContains rejects member %x", v)
-			}
-		}
-		if !seen[0] {
-			t.Fatal("column space must contain the zero vector")
-		}
-		// Closure under XOR.
-		for i := 0; i < 20; i++ {
-			a := space[rng.Intn(len(space))]
-			b := space[rng.Intn(len(space))]
-			if !seen[a^b] {
-				t.Fatalf("column space not closed under XOR: %x ^ %x", a, b)
-			}
-		}
-	}
-}
-
 func TestSolveColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		rows := 1 + rng.Intn(16)
 		cols := 1 + rng.Intn(20)
 		m := randomMatrix(rng, rows, cols)
-		// Pick a random combination and verify SolveColumns inverts it.
+		// Pick a random combination and verify Solve inverts it.
 		var comb uint64
 		if cols >= 64 {
 			comb = rng.Uint64()
@@ -133,9 +99,9 @@ func TestSolveColumns(t *testing.T) {
 		for x := comb; x != 0; x &= x - 1 {
 			target ^= m.Col(bits.TrailingZeros64(x))
 		}
-		x, ok := m.SolveColumns(target)
+		x, ok := m.Eliminate().Solve(target)
 		if !ok {
-			t.Fatal("SolveColumns failed on a constructed member")
+			t.Fatal("Solve failed on a constructed member")
 		}
 		// The returned combination must reproduce the target (it need not
 		// equal comb when columns are dependent).
@@ -144,13 +110,53 @@ func TestSolveColumns(t *testing.T) {
 			got ^= m.Col(bits.TrailingZeros64(y))
 		}
 		if got != target {
-			t.Fatalf("SolveColumns solution does not satisfy m*x = v: %x vs %x", got, target)
+			t.Fatalf("Solve solution does not satisfy m*x = v: %x vs %x", got, target)
 		}
 	}
 	// A vector outside the column space must be rejected.
 	m := FromColumns(4, []uint64{0b0011, 0b0110}) // spans even-weight vectors in low 3 rows
-	if _, ok := m.SolveColumns(0b1000); ok {
-		t.Error("SolveColumns accepted a vector outside the column space")
+	if _, ok := m.Eliminate().Solve(0b1000); ok {
+		t.Error("Solve accepted a vector outside the column space")
+	}
+}
+
+// TestEliminateSmallestPreimage checks Eliminate against brute force on
+// small matrices of every rank: the kernel has Cols − Rank vectors, each
+// with zero product, and Solve returns exactly the smallest x with
+// m * x = v for every v (ok=false for v outside the column space).
+func TestEliminateSmallestPreimage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		rows := 1 + rng.Intn(8)
+		cols := 1 + rng.Intn(10)
+		m := randomMatrix(rng, rows, cols)
+		if trial%3 == 0 && cols > 2 { // force dependent columns
+			m.SetCol(cols-1, m.Col(0)^m.Col(1))
+		}
+		e := m.Eliminate()
+		kernel := e.Kernel()
+		if len(kernel) != cols-m.Rank() {
+			t.Fatalf("kernel has %d vectors, want Cols − Rank = %d", len(kernel), cols-m.Rank())
+		}
+		for _, k := range kernel {
+			if k == 0 || m.MulBits(k) != 0 {
+				t.Fatalf("kernel vector %#x: product %#x", k, m.MulBits(k))
+			}
+		}
+		smallest := map[uint64]uint64{}
+		for x := uint64(1<<uint(cols)) - 1; ; x-- {
+			smallest[m.MulBits(x)] = x
+			if x == 0 {
+				break
+			}
+		}
+		for v := uint64(0); v < 1<<uint(rows); v++ {
+			want, in := smallest[v]
+			got, ok := e.Solve(v)
+			if ok != in || got != want {
+				t.Fatalf("%dx%d: Solve(%#x) = (%#x, %v), want (%#x, %v)", rows, cols, v, got, ok, want, in)
+			}
+		}
 	}
 }
 

@@ -81,6 +81,16 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
+func TestRunCycleCap(t *testing.T) {
+	sim, err := New(DefaultConfig(), []Trace{streamTrace(200_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(1000); !errors.Is(err, ErrCycleCap) {
+		t.Fatalf("err = %v, want ErrCycleCap", err)
+	}
+}
+
 func TestRunMatchesRunContext(t *testing.T) {
 	cfg := DefaultConfig()
 	a, err := New(cfg, []Trace{streamTrace(5000)})

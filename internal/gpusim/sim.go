@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/metrics"
 	"time"
@@ -419,6 +420,11 @@ func (s *Sim) tagSectorOf(sector uint64) uint64 {
 	return tagRegionSector + s.tagSpan.div(sector)
 }
 
+// ErrCycleCap is wrapped by the error of a run that passes the caller's
+// own nonzero maxCycles: the caller's limit, not a fault of the
+// simulation. The default guard's runaway error does not wrap it.
+var ErrCycleCap = errors.New("gpusim: exceeded the requested cycle cap")
+
 // Run executes to completion and returns the statistics. maxCycles guards
 // against pathological configurations (0 means a generous default).
 func (s *Sim) Run(maxCycles uint64) (Stats, error) {
@@ -443,7 +449,8 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (st Stats, err e
 		st.HostNsPerOp = float64(time.Since(t0).Nanoseconds()) / float64(st.WarpOps)
 		st.HostAllocsPerOp = float64(heapAllocs()-m0) / float64(st.WarpOps)
 	}()
-	if maxCycles == 0 {
+	capped := maxCycles != 0
+	if !capped {
 		maxCycles = 2_000_000_000
 	}
 	const ctxCheckInterval = 1 << 13
@@ -471,6 +478,9 @@ func (s *Sim) RunContext(ctx context.Context, maxCycles uint64) (st Stats, err e
 			s.takeSample()
 		}
 		if s.now > maxCycles {
+			if capped {
+				return s.stats, fmt.Errorf("%w (%d cycles)", ErrCycleCap, maxCycles)
+			}
 			return s.stats, fmt.Errorf("gpusim: exceeded %d cycles (deadlock or runaway workload)", maxCycles)
 		}
 	}

@@ -6,7 +6,7 @@
 //   - a sectored (32B-codeword) tagged memory with AFT-ECC encode on write
 //     and decode+tag-check on read,
 //   - fault reporting with fatal-TMM semantics plus the §4.3 debug mode,
-//   - the driver-side diagnosis of §4.3: lock-tag extraction through the
-//     syndrome lookup table and the optional precise TMM/DUE/BOTH
+//   - the driver-side diagnosis of §4.3: lock-tag extraction from the
+//     syndrome's tag-error pattern and the optional precise TMM/DUE/BOTH
 //     classification against a reference-tag allocation map (Equation 7).
 package imt

@@ -95,8 +95,9 @@ func (d *Driver) TrackedAllocations() int { return d.allocs.Len() }
 
 // Diagnose implements the §4.3 flow. The hardware supplies the faulting
 // address, key tag and syndrome; the driver extracts the lock-tag estimate
-// through the syndrome lookup table and, when a reference tag is
-// registered, applies Equation 7:
+// from the syndrome's tag-error pattern (the paper's syndrome lookup,
+// which core.(*Code).IsTagSyndrome answers by elimination) and, when a
+// reference tag is registered, applies Equation 7:
 //
 //	TMM:  Ref ≠ Key ∧ Ref = Lock
 //	DUE:  Ref = Key ∧ Ref ≠ Lock

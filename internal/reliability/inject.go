@@ -152,7 +152,7 @@ func columnRange(c *core.Code, lo, hi int) []uint64 {
 // ClassOther; a Gray-code walk over the nonzero tag patterns (one XOR
 // per step) marks each nonzero tag syndrome ClassTag; then every
 // correctable column is marked corrClass. The columns go last because
-// core.(*Code).resolve tries them before the tag map, so the table
+// core.(*Code).resolve tries them before the tag solve, so the table
 // equals the decoder's verdict — also for aliasing tag matrices, whose
 // zero-syndrome patterns leave entry 0 alone. corrClass is
 // ClassCorrectable for injection targets and ClassZero for the tag

@@ -647,6 +647,7 @@ func TestGatewayRejections(t *testing.T) {
 		{name: "sim unknown workload", path: "/v1/sim", body: `{"workload":"nope","mode":"imt"}`, wantInErr: "unknown workload"},
 		{name: "sim unknown mode", path: "/v1/sim", body: `{"workload":"stream-copy-16MB","mode":"quantum"}`, wantInErr: "unknown tagging mode"},
 		{name: "malformed trace digest", path: "/v1/sim", body: `{"workload":"trace:abc123","mode":"imt"}`, wantInErr: "malformed trace workload"},
+		{name: "sim over its own max_cycles", path: "/v1/sim", body: `{"workload":"stream-copy-16MB","mode":"imt","max_cycles":1000}`, wantInErr: "requested cycle cap"},
 		{name: "sweep empty", path: "/v1/sweep", body: `{}`, wantInErr: "needs workloads"},
 		{name: "sweep unknown field", path: "/v1/sweep", body: `{"suit":"STREAM"}`, wantInErr: "unknown field"},
 		{name: "sweep over cap", path: "/v1/sweep", body: `{"workloads":["stream-copy-16MB","stream-add-16MB"],"modes":["none","imt"]}`, wantInErr: "server cap"},

@@ -642,7 +642,9 @@ func statusFor(err error) (int, string) {
 		return http.StatusRequestEntityTooLarge, apitypes.CodeTraceQuota
 	case errors.Is(err, tracestore.ErrInUse):
 		return http.StatusConflict, apitypes.CodeTraceInUse
-	case errors.Is(err, tracestore.ErrBadTrace):
+	case errors.Is(err, tracestore.ErrBadTrace), errors.Is(err, gpusim.ErrCycleCap):
+		// A malformed trace, or a cell that outran the request's own
+		// max_cycles: the request's fault, not the server's.
 		return http.StatusBadRequest, apitypes.CodeBadRequest
 	case errors.Is(err, syscall.ENOSPC), errors.Is(err, syscall.EDQUOT), errors.Is(err, syscall.EIO):
 		return http.StatusInsufficientStorage, apitypes.CodeStorage
@@ -717,7 +719,7 @@ func (f *Frontend) countError(err error) {
 		count(f.metrics.Rejected)
 	case errors.Is(err, context.DeadlineExceeded):
 		count(f.metrics.Timeouts)
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled), errors.Is(err, gpusim.ErrCycleCap):
 	default:
 		count(f.metrics.Errors)
 	}

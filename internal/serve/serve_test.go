@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -584,6 +585,25 @@ func TestSweepStreaming(t *testing.T) {
 		if c.Error != "" || c.Stats == nil {
 			t.Errorf("cell %s/%s: %+v", c.Workload, c.Mode, c)
 		}
+	}
+}
+
+// TestCycleCapIsClientError: a sweep cell that outruns the request's own
+// max_cycles fails without counting as a server error (the /v1/sim 400
+// is a TestGatewayRejections row); the simulator's default runaway guard
+// stays a 500.
+func TestCycleCapIsClientError(t *testing.T) {
+	s := mustNew(t, Options{Workers: 1})
+	rec := post(t, s.Handler(), "/v1/sweep", `{"workloads":["stream-copy-16MB"],"modes":["imt"],"max_cycles":1000}`)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "requested cycle cap") {
+		t.Fatalf("sweep over its cap: %d %s", rec.Code, rec.Body.String())
+	}
+	if n := s.Stats().Errors; n != 0 {
+		t.Errorf("serve_errors_total = %d after a capped cell, want 0", n)
+	}
+	runaway := errors.New("gpusim: exceeded 2000000000 cycles (deadlock or runaway workload)")
+	if status, code := statusFor(runaway); status != http.StatusInternalServerError || code != apitypes.CodeInternal {
+		t.Errorf("default guard: %d %s, want 500 internal", status, code)
 	}
 }
 

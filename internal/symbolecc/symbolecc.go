@@ -86,19 +86,17 @@ type Code struct {
 	// Precomputed inverse of the check-symbol system
 	// [1, 1; α^k, α^(k+1)].
 	inv [2][2]uint16
-
-	// tagCols[b] is the (S0,S1) contribution of tag bit b, packed as
-	// S0<<16 | S1. All nonzero combinations avoid the correctable set.
-	tagCols []uint32
-	tagSyn  map[uint32]uint64 // packed syndrome -> tag-error pattern
 }
 
 // New constructs an untagged SSC code.
 func New(f *gfp.Field, k int) (*Code, error) { return NewTagged(f, k, 0) }
 
 // NewTagged constructs an SSC code with a ts-bit alias-free tag (ts ≤ m)
-// using the S1-only tag columns (0, 2^b); the full tag column space is
-// verified against every correctable syndrome at construction.
+// using the S1-only tag columns (0, 2^b): tag bit b adds 2^b to S1 and
+// nothing to S0, so T·pattern is (0, pattern) — an injective map, and a
+// syndrome with S0 = 0 and S1 below 2^ts names its tag-error pattern
+// directly. Construction verifies that no correctable syndrome falls in
+// that tag range.
 func NewTagged(f *gfp.Field, k, ts int) (*Code, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("symbolecc: need ≥ 1 data symbol")
@@ -125,50 +123,23 @@ func NewTagged(f *gfp.Field, k, ts int) (*Code, error) {
 		{f.Mul(cc, di), f.Mul(a, di)},
 	}
 
-	if ts > 0 {
-		if err := c.buildTag(); err != nil {
-			return nil, err
+	// A single-symbol error e at position j has syndrome e·(1, α^j): every
+	// correctable syndrome is a nonzero multiple of its position's unit
+	// syndrome, so one lands in the tag range {(0, v)} exactly when that
+	// unit syndrome's S0 is 0. Checking the n positions covers all
+	// n·(2^m−1) correctable syndromes.
+	for j := 0; j < c.n; j++ {
+		if s0, s1 := c.errorSyndrome(j, 1); s0 == 0 && ts > 0 {
+			return nil, fmt.Errorf("symbolecc: correctable syndrome (%#x, %#x) of position %d falls in the tag range", s0, s1, j)
 		}
 	}
 	return c, nil
 }
 
-// buildTag installs the ts S1-only tag columns and exhaustively verifies
-// the alias-free property against every correctable syndrome.
-func (c *Code) buildTag() error {
-	bad := c.correctableSet()
-	for b := 0; b < c.ts; b++ {
-		c.tagCols = append(c.tagCols, uint32(1)<<uint(b))
-	}
-	c.tagSyn = make(map[uint32]uint64, 1<<uint(c.ts))
-	for pattern := uint64(1); pattern < 1<<uint(c.ts); pattern++ {
-		var syn uint32
-		for b := 0; b < c.ts; b++ {
-			if pattern>>uint(b)&1 == 1 {
-				syn ^= c.tagCols[b]
-			}
-		}
-		if syn == 0 || bad[syn] {
-			return fmt.Errorf("symbolecc: tag pattern %#x aliases (syndrome %#x)", pattern, syn)
-		}
-		if _, dup := c.tagSyn[syn]; dup {
-			return fmt.Errorf("symbolecc: tag syndrome %#x duplicated", syn)
-		}
-		c.tagSyn[syn] = pattern
-	}
-	return nil
-}
-
-// correctableSet enumerates every single-symbol-error syndrome, packed.
-func (c *Code) correctableSet() map[uint32]bool {
-	bad := make(map[uint32]bool, c.n*(c.f.Size()-1))
-	for j := 0; j < c.n; j++ {
-		aj := c.f.Pow(j)
-		for e := uint16(1); int(e) < c.f.Size(); e++ {
-			bad[uint32(e)<<16|uint32(c.f.Mul(aj, e))] = true
-		}
-	}
-	return bad
+// errorSyndrome is the (S0, S1) syndrome of error value e at symbol
+// position j: S0 sums every symbol, S1 weighs position j by α^j.
+func (c *Code) errorSyndrome(j int, e uint16) (s0, s1 uint16) {
+	return e, c.f.Mul(c.f.Pow(j), e)
 }
 
 // K returns the data symbol count; N the codeword symbol count; TS the
@@ -181,14 +152,9 @@ func (c *Code) M() int  { return c.f.M() }
 // TagMask returns the valid tag bits.
 func (c *Code) TagMask() uint64 { return uint64(1)<<uint(c.ts) - 1 }
 
+// tagContribution is T·tag: the S1-only tag columns add the tag to S1.
 func (c *Code) tagContribution(tag uint64) (uint16, uint16) {
-	var syn uint32
-	for b := 0; b < c.ts; b++ {
-		if tag>>uint(b)&1 == 1 {
-			syn ^= c.tagCols[b]
-		}
-	}
-	return uint16(syn >> 16), uint16(syn & 0xFFFF)
+	return 0, uint16(tag)
 }
 
 // Encode computes the two check symbols for data under lockTag.
@@ -204,8 +170,8 @@ func (c *Code) Encode(data []uint16, lockTag uint64) (c0, c1 uint16, err error) 
 		if int(d) >= c.f.Size() {
 			return 0, 0, fmt.Errorf("symbolecc: symbol %d value %#x exceeds GF(2^%d)", j, d, c.f.M())
 		}
-		p0 = c.f.Add(p0, d)
-		p1 = c.f.Add(p1, c.f.Mul(c.f.Pow(j), d))
+		e0, e1 := c.errorSyndrome(j, d)
+		p0, p1 = c.f.Add(p0, e0), c.f.Add(p1, e1)
 	}
 	t0, t1 := c.tagContribution(lockTag)
 	r0, r1 := c.f.Add(p0, t0), c.f.Add(p1, t1)
@@ -235,13 +201,13 @@ func (c *Code) Decode(data []uint16, c0, c1 uint16, keyTag uint64) (Result, erro
 	}
 	var s0, s1 uint16
 	for j, d := range data {
-		s0 = c.f.Add(s0, d)
-		s1 = c.f.Add(s1, c.f.Mul(c.f.Pow(j), d))
+		e0, e1 := c.errorSyndrome(j, d)
+		s0, s1 = c.f.Add(s0, e0), c.f.Add(s1, e1)
 	}
-	s0 = c.f.Add(s0, c0)
-	s1 = c.f.Add(s1, c.f.Mul(c.f.Pow(c.k), c0))
-	s0 = c.f.Add(s0, c1)
-	s1 = c.f.Add(s1, c.f.Mul(c.f.Pow(c.k+1), c1))
+	for j, d := range [2]uint16{c0, c1} {
+		e0, e1 := c.errorSyndrome(c.k+j, d)
+		s0, s1 = c.f.Add(s0, e0), c.f.Add(s1, e1)
+	}
 	t0, t1 := c.tagContribution(keyTag)
 	s0, s1 = c.f.Add(s0, t0), c.f.Add(s1, t1)
 
@@ -250,8 +216,9 @@ func (c *Code) Decode(data []uint16, c0, c1 uint16, keyTag uint64) (Result, erro
 		res.Status = StatusOK
 		return res, nil
 	}
-	packed := uint32(s0)<<16 | uint32(s1)
-	if pattern, ok := c.tagSyn[packed]; ok {
+	if pattern := uint64(s1); s0 == 0 && pattern&^c.TagMask() == 0 {
+		// (0, pattern) = T·pattern: a tag mismatch (pattern ≠ 0, as the
+		// syndrome is not zero).
 		res.Status = StatusTMM
 		res.LockTagEstimate = (keyTag ^ pattern) & c.TagMask()
 		return res, nil

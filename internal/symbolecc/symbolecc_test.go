@@ -167,6 +167,65 @@ func TestTagMismatchSampledGF256(t *testing.T) {
 	}
 }
 
+// TestDecodeMatchesTagTable plants every syndrome (S0, S1) on a zero
+// codeword and checks Decode against a decoder that tabulates the tag
+// column space the direct way: T·pattern for all 2^TS patterns of the
+// S1-only tag columns, each checked against the correctable set.
+func TestDecodeMatchesTagTable(t *testing.T) {
+	for _, cfg := range []struct{ m, k int }{{2, 1}, {4, 8}, {8, 32}} {
+		for ts := 0; ts <= cfg.m; ts++ {
+			c := newCode(t, cfg.m, cfg.k, ts)
+			bad := c.correctableSet()
+			table := map[uint32]uint64{}
+			for pattern := uint64(1); pattern < 1<<uint(ts); pattern++ {
+				var syn uint32
+				for b := 0; b < ts; b++ {
+					if pattern>>uint(b)&1 == 1 {
+						syn ^= 1 << uint(b) // tag bit b's column (0, 2^b)
+					}
+				}
+				if bad[syn] {
+					t.Fatalf("m=%d ts=%d: tag pattern %#x has correctable syndrome %#x", cfg.m, ts, pattern, syn)
+				}
+				table[syn] = pattern
+			}
+			data := make([]uint16, c.k)
+			size := uint16(c.f.Size())
+			for s0 := uint16(0); s0 < size; s0++ {
+				for s1 := uint16(0); s1 < size; s1++ {
+					// Check symbols whose syndrome is (s0, s1) on zero data.
+					c0 := c.f.Add(c.f.Mul(c.inv[0][0], s0), c.f.Mul(c.inv[0][1], s1))
+					c1 := c.f.Add(c.f.Mul(c.inv[1][0], s0), c.f.Mul(c.inv[1][1], s1))
+					for i := range data {
+						data[i] = 0
+					}
+					res, err := c.Decode(data, c0, c1, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.S0 != s0 || res.S1 != s1 {
+						t.Fatalf("m=%d: planted (%#x, %#x), decoded syndrome (%#x, %#x)", cfg.m, s0, s1, res.S0, res.S1)
+					}
+					want := StatusDUE
+					pattern, tagged := table[uint32(s0)<<16|uint32(s1)]
+					switch {
+					case s0 == 0 && s1 == 0:
+						want = StatusOK
+					case tagged:
+						want = StatusTMM
+					case s0 != 0 && s1 != 0 && c.f.Log(c.f.Div(s1, s0)) < c.n:
+						want = StatusCorrected
+					}
+					if res.Status != want || want == StatusTMM && res.LockTagEstimate != pattern {
+						t.Fatalf("m=%d ts=%d syndrome (%#x, %#x): got %v estimate %#x, want %v estimate %#x",
+							cfg.m, ts, s0, s1, res.Status, res.LockTagEstimate, want, pattern)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDoubleSymbolNeverSilent(t *testing.T) {
 	// Minimum distance 3: a double-symbol error can miscorrect (like
 	// 3-bit errors under SEC-DED) but can never produce a zero syndrome.
@@ -300,4 +359,17 @@ func TestAccessors(t *testing.T) {
 	if c.K() != 32 || c.N() != 34 || c.TS() != 8 || c.M() != 8 || c.TagMask() != 0xFF {
 		t.Error("accessors wrong")
 	}
+}
+
+// correctableSet enumerates every single-symbol-error syndrome, packed
+// as S0<<16 | S1.
+func (c *Code) correctableSet() map[uint32]bool {
+	bad := make(map[uint32]bool, c.n*(c.f.Size()-1))
+	for j := 0; j < c.n; j++ {
+		for e := uint16(1); int(e) < c.f.Size(); e++ {
+			s0, s1 := c.errorSyndrome(j, e)
+			bad[uint32(s0)<<16|uint32(s1)] = true
+		}
+	}
+	return bad
 }
