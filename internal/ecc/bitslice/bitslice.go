@@ -63,6 +63,7 @@ type Engine struct {
 	nphys int
 	r     int
 	cols  []uint64
+	// class is the Table's slice, shared: tables are immutable.
 	class []Class
 	// rowBits[rowOff[j]:rowOff[j+1]] lists the physical bits whose
 	// column has row bit j set — the XOR-fold recipe for syndrome plane j.
@@ -74,40 +75,39 @@ type Engine struct {
 	detectOnly bool
 }
 
-// MaxR bounds the class table at 2^16 entries and the syndrome pivot
-// at 16 rows (gf2.Transpose16). Every code the repo builds fits: the
-// Figure 9 curve runs R = 1..16, IMT-16 has R = 16. Wider codes have no
-// engine, and callers fall back to their scalar paths.
+// MaxR bounds an engine at 16 syndrome rows, the height of the
+// syndrome pivot (gf2.Transpose16). Every code the repo injects into
+// fits: the Figure 9 curve runs R = 1..16, IMT-16 has R = 16. Wider
+// codes have no engine, and callers fall back to their scalar paths.
 const MaxR = 16
 
-// New builds an engine from a code's row count, physical H columns and
-// syndrome class table (the same data reliability.Target carries). The
-// slices are copied.
-func New(r int, cols []uint64, class []Class) (*Engine, error) {
+// New builds an engine from a code's physical H columns and its class
+// table, whose row count it takes. The columns are copied; the table is
+// shared.
+func New(cols []uint64, table Table) (*Engine, error) {
+	r := table.r
 	if r < 1 || r > MaxR {
 		return nil, fmt.Errorf("bitslice: r=%d out of range [1,%d]", r, MaxR)
-	}
-	if len(class) != 1<<uint(r) {
-		return nil, fmt.Errorf("bitslice: class table has %d entries, want %d", len(class), 1<<uint(r))
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("bitslice: no columns")
 	}
-	if class[0] != ClassZero {
-		return nil, fmt.Errorf("bitslice: class[0] must be ClassZero")
-	}
 	mask := uint64(1)<<uint(r) - 1
-	e := &Engine{
-		nphys:  len(cols),
-		r:      r,
-		cols:   append([]uint64(nil), cols...),
-		class:  append([]Class(nil), class...),
-		rowOff: make([]int32, r+1),
-	}
+	ones := 0
 	for i, c := range cols {
 		if c&^mask != 0 {
 			return nil, fmt.Errorf("bitslice: column %d = %#x exceeds %d syndrome bits", i, c, r)
 		}
+		ones += bits.OnesCount64(c)
+	}
+	e := &Engine{
+		nphys:      len(cols),
+		r:          r,
+		cols:       append([]uint64(nil), cols...),
+		class:      table.class,
+		rowBits:    make([]int32, 0, ones),
+		rowOff:     make([]int32, r+1),
+		detectOnly: table.detectOnly,
 	}
 	for j := 0; j < r; j++ {
 		for i, c := range cols {
@@ -116,18 +116,6 @@ func New(r int, cols []uint64, class []Class) (*Engine, error) {
 			}
 		}
 		e.rowOff[j+1] = int32(len(e.rowBits))
-	}
-	e.detectOnly = true
-	for i, cl := range class {
-		if cl > ClassOther {
-			return nil, fmt.Errorf("bitslice: invalid class value %d", cl)
-		}
-		// A nonzero syndrome in the zero class (aliasing table) needs the
-		// table-lookup path: the fast path equates zero class with zero
-		// syndrome.
-		if cl == ClassCorrectable || cl == ClassTag || (cl == ClassZero && i != 0) {
-			e.detectOnly = false
-		}
 	}
 	return e, nil
 }

@@ -6,23 +6,24 @@ import (
 	"testing"
 )
 
+// mustTable writes the class table of spec or fails the test.
+func mustTable(t testing.TB, spec TableSpec) Table {
+	t.Helper()
+	table, err := NewTable(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
 // testEngine builds a small SECDED-shaped engine by hand: 12 physical
 // columns over r=5 rows with a class table marking each column
 // correctable, one extra syndrome as tag space, everything else other.
 func testEngine(t testing.TB) *Engine {
 	t.Helper()
 	cols := []uint64{0x03, 0x05, 0x06, 0x09, 0x0A, 0x0C, 0x11, 0x12, 0x14, 0x18, 0x07, 0x0B}
-	class := make([]Class, 1<<5)
-	for s := range class {
-		if s != 0 {
-			class[s] = ClassOther
-		}
-	}
-	for _, c := range cols {
-		class[c] = ClassCorrectable
-	}
-	class[0x1F] = ClassTag
-	eng, err := New(5, cols, class)
+	table := mustTable(t, TableSpec{R: 5, Tag: []uint64{0x1F}, Corr: cols, CorrClass: ClassCorrectable})
+	eng, err := New(cols, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,48 +32,131 @@ func testEngine(t testing.TB) *Engine {
 
 func TestNewValidation(t *testing.T) {
 	cols := []uint64{1, 2, 3}
-	okClass := make([]Class, 4)
+	okTable := mustTable(t, TableSpec{R: 2})
 	cases := []struct {
 		name  string
-		r     int
 		cols  []uint64
-		class []Class
+		table Table
 	}{
-		{"r too small", 0, cols, []Class{0}},
-		{"r too large", 30, cols, okClass},
-		{"r above the 16-row pivot", 17, cols, make([]Class, 1<<17)},
-		{"class size mismatch", 2, cols, make([]Class, 5)},
-		{"no columns", 2, nil, okClass},
-		{"class zero not ClassZero", 2, cols, []Class{ClassOther, 0, 0, 0}},
-		{"column out of range", 2, []uint64{1, 4}, okClass},
-		{"invalid class value", 2, cols, []Class{0, 7, 0, 0}},
+		{"r too small", cols, Table{}},
+		{"r above the 16-row pivot", cols, mustTable(t, TableSpec{R: 17})},
+		{"no columns", nil, okTable},
+		{"column out of range", []uint64{1, 4}, okTable},
 	}
 	for _, c := range cases {
-		if _, err := New(c.r, c.cols, c.class); err == nil {
+		if _, err := New(c.cols, c.table); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if _, err := New(2, cols, okClass); err != nil {
+	if _, err := New(cols, okTable); err != nil {
 		t.Errorf("valid engine rejected: %v", err)
 	}
 }
 
+func TestNewTableValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		spec TableSpec
+	}{
+		{"r too small", TableSpec{R: 0}},
+		{"r above the table bound", TableSpec{R: MaxTableR + 1}},
+		{"tag column out of range", TableSpec{R: 2, Tag: []uint64{4}}},
+		{"correctable column out of range", TableSpec{R: 2, Corr: []uint64{1, 8}}},
+		{"invalid class value", TableSpec{R: 2, Corr: []uint64{1}, CorrClass: 7}},
+	}
+	for _, c := range cases {
+		if _, err := NewTable(c.spec); err == nil {
+			t.Errorf("%s: expected error", c.name)
+		}
+	}
+}
+
+// TestNewTableMatchesEnumeration holds the block fill to the plain
+// definition — enumerate the tag span, then set zero and Corr — on
+// random specs for every r up to 12, so block sizes below, at and
+// above 256 entries and every residual count are covered, with tag
+// columns that repeat, vanish or depend on each other.
+func TestNewTableMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 400; trial++ {
+		r := 1 + trial%12
+		mask := uint64(1)<<uint(r) - 1
+		var tag, corr []uint64
+		for i := rng.Intn(r + 3); i > 0; i-- {
+			switch c := rng.Uint64() & mask; rng.Intn(4) {
+			case 0:
+				tag = append(tag, 0)
+			case 1:
+				if len(tag) > 1 {
+					c = tag[rng.Intn(len(tag))] ^ tag[rng.Intn(len(tag))]
+				}
+				tag = append(tag, c)
+			default:
+				tag = append(tag, c)
+			}
+		}
+		for i := rng.Intn(2 * r); i > 0; i-- {
+			corr = append(corr, rng.Uint64()&mask)
+		}
+		corrClass := []Class{ClassCorrectable, ClassZero}[trial%2]
+		got := mustTable(t, TableSpec{R: r, Tag: tag, Corr: corr, CorrClass: corrClass})
+
+		want := make([]Class, 1<<uint(r))
+		for s := range want {
+			want[s] = ClassOther
+		}
+		for p := uint64(0); p < 1<<uint(len(tag)); p++ {
+			var s uint64
+			for i, c := range tag {
+				if p>>uint(i)&1 == 1 {
+					s ^= c
+				}
+			}
+			want[s] = ClassTag
+		}
+		want[0] = ClassZero
+		for _, c := range corr {
+			if c != 0 {
+				want[c] = corrClass
+			}
+		}
+		for s, w := range want {
+			if c := got.Class(uint64(s)); c != w {
+				t.Fatalf("trial %d (r=%d tag=%#x corr=%#x): class[%#x] = %d, want %d", trial, r, tag, corr, s, c, w)
+			}
+		}
+		// Detect-only exactly when every nonzero syndrome is ClassOther.
+		detectOnly := true
+		for s, w := range want {
+			if s != 0 && w != ClassOther {
+				detectOnly = false
+			}
+		}
+		if got.detectOnly != detectOnly {
+			t.Fatalf("trial %d (r=%d tag=%#x corr=%#x): detectOnly = %v, want %v", trial, r, tag, corr, got.detectOnly, detectOnly)
+		}
+	}
+}
+
+// TestNewCopiesInputs: an engine copies its columns, and reads its
+// table's slice rather than a copy (tables are immutable).
 func TestNewCopiesInputs(t *testing.T) {
 	cols := []uint64{1, 2, 3}
-	class := make([]Class, 4)
-	eng, err := New(2, cols, class)
+	table := mustTable(t, TableSpec{R: 2, Corr: cols, CorrClass: ClassCorrectable})
+	eng, err := New(cols, table)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if &eng.class[0] != &table.class[0] {
+		t.Fatal("engine must share its table's slice")
 	}
 	b := eng.NewBatch()
 	b.Flip(0, 0)
 	b.SetLaneRange(0, 1)
 	before := eng.Classify(b)
 	cols[0] = 2
-	class[1] = ClassCorrectable
-	after := eng.Classify(b)
-	if before != after {
-		t.Fatal("engine must copy cols/class at construction")
+	if after := eng.Classify(b); before != after {
+		t.Fatal("engine must copy its columns at construction")
 	}
 }
 
@@ -141,12 +225,9 @@ func TestLanePermutationInvariance(t *testing.T) {
 // the sampled TagCorruptions path silently dropping aliased lanes.
 func TestAliasClassZeroTable(t *testing.T) {
 	cols := []uint64{1, 2, 4, 3, 5}
-	class := make([]Class, 8)
-	for s := 1; s < 8; s++ {
-		class[s] = ClassOther
-	}
-	class[3] = ClassZero // aliased: the decoder silently accepts it
-	eng, err := New(3, cols, class)
+	// Syndrome 3 is aliased: the decoder silently accepts it.
+	table := mustTable(t, TableSpec{R: 3, Corr: []uint64{3}, CorrClass: ClassZero})
+	eng, err := New(cols, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +275,7 @@ func TestAliasClassZeroTable(t *testing.T) {
 // general transpose+lookup path agree on detect-only class tables.
 func TestDetectOnlyFastPathMatchesGeneral(t *testing.T) {
 	cols := []uint64{0x3, 0x5, 0x6, 0x7, 0x1, 0x2, 0x4}
-	class := make([]Class, 8)
-	for s := 1; s < 8; s++ {
-		class[s] = ClassOther
-	}
-	eng, err := New(3, cols, class)
+	eng, err := New(cols, mustTable(t, TableSpec{R: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

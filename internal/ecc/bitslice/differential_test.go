@@ -251,13 +251,11 @@ func TestDifferentialSabotage(t *testing.T) {
 	f := eccFamily(t, c)
 	target := reliability.TargetECC(c)
 
-	class := make([]bitslice.Class, 1<<8)
-	for s := uint64(1); s < uint64(len(class)); s++ {
-		if _, ok := c.CorrectableSyndrome(s); ok {
-			class[s] = bitslice.ClassCorrectable
-		} else {
-			class[s] = bitslice.ClassOther
-		}
+	table, err := bitslice.NewTable(bitslice.TableSpec{
+		R: c.R(), Corr: target.Columns(), CorrClass: bitslice.ClassCorrectable,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	run := func(eng *bitslice.Engine) int {
@@ -281,7 +279,7 @@ func TestDifferentialSabotage(t *testing.T) {
 	t.Run("corrupted column mask", func(t *testing.T) {
 		cols := target.Columns()
 		cols[5] ^= 0x04
-		eng, err := bitslice.New(c.R(), cols, class)
+		eng, err := bitslice.New(cols, table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,15 +288,15 @@ func TestDifferentialSabotage(t *testing.T) {
 		}
 	})
 	t.Run("corrupted class table", func(t *testing.T) {
-		bad := append([]bitslice.Class(nil), class...)
+		bad := table.Clone()
 		// Demote the first correctable syndrome to ClassOther.
-		for s := range bad {
-			if bad[s] == bitslice.ClassCorrectable {
-				bad[s] = bitslice.ClassOther
+		for s := uint64(0); s < 1<<uint(bad.R()); s++ {
+			if bad.Class(s) == bitslice.ClassCorrectable {
+				bad.Set(s, bitslice.ClassOther)
 				break
 			}
 		}
-		eng, err := bitslice.New(c.R(), target.Columns(), bad)
+		eng, err := bitslice.New(target.Columns(), bad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +305,7 @@ func TestDifferentialSabotage(t *testing.T) {
 		}
 	})
 	t.Run("intact engine", func(t *testing.T) {
-		eng, err := bitslice.New(c.R(), target.Columns(), class)
+		eng, err := bitslice.New(target.Columns(), table)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,17 +16,30 @@
 // out of branch-free mask algebra over the class bits and two weight
 // planes (weight ≥ 1, weight ≥ 2 — all the classifier distinguishes).
 //
-// The pivot and the 2^R-entry class table bound an engine at R ≤ MaxR
-// = 16 syndrome rows, which every code the repo builds meets (the
-// Figure 9 curve's R = 1..16, IMT-10/16, the tag engines' TS ≤ 15). New
-// rejects a wider code, and callers run their scalar paths for it
-// instead; internal/reliability's random-corruption fallback replays
-// the engine's per-batch stream, so its tallies stay identical.
+// # Class tables
+//
+// NewTable is the only writer of class tables. It takes a code's
+// column sets — the tag span's generators, the correctable syndromes
+// and their class — and fills the 2^R entries by block copies: the tag
+// test is linear, so each 256-entry block is one of at most 257
+// patterns, picked by the residual of its high bits after reduction by
+// the tag span's pivots. A Table is immutable, so an engine shares its
+// slice and trusts its entries without a validation pass.
+//
+// Two bounds apply. A table has R ≤ MaxTableR = 24 rows (16 MiB, the
+// bound core.(*Code).TagSyndromeTable uses); the 16-row pivot bounds
+// an engine at R ≤ MaxR = 16, which every code the repo injects into
+// meets (the Figure 9 curve's R = 1..16, IMT-10/16, the tag engines'
+// TS ≤ 15). New rejects a table wider than MaxR, and callers run their
+// scalar paths on the table instead; internal/reliability's
+// random-corruption fallback replays the engine's per-batch stream, so
+// its tallies stay identical.
 //
 // Detect-only class tables (no correctable and no tag syndromes) skip
 // the transpose and table lookup entirely: "syndrome zero or not" is R
 // AND-NOT operations, which makes the R ≤ 8 points of the Figure 9
-// curve nearly free.
+// curve nearly free. NewTable knows a table is detect-only from its
+// column sets: no tag span and no nonzero correctable syndrome.
 //
 // # Determinism
 //

@@ -28,3 +28,15 @@ func (b *Batch) LaneBits(lane int) []int {
 	}
 	return out
 }
+
+// Test-only table editing: NewTable is the only writer of production
+// tables, so a test that needs a wrong one edits a clone.
+
+// Clone returns a copy of t that Set may edit without touching t.
+func (t Table) Clone() Table {
+	t.class = append([]Class(nil), t.class...)
+	return t
+}
+
+// Set overwrites syndrome s's class.
+func (t Table) Set(s uint64, c Class) { t.class[s] = c }

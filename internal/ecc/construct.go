@@ -42,8 +42,13 @@ func oddWeightColumns(k, r int, rng *rand.Rand) ([]uint64, error) {
 	if k > avail {
 		return nil, fmt.Errorf("ecc: only %d odd-weight(≥3) columns exist for R=%d, need %d", avail, r, k)
 	}
+	// A score is at most R·K² (no row holds more than K ones), and a
+	// picked one grows by at most that much past taken.
+	if int64(r)*int64(k)*int64(k) >= int64(taken) {
+		return nil, fmt.Errorf("ecc: K=%d at R=%d is past the greedy's int32 scores (R·K² < 2^30)", k, r)
+	}
 	cols := make([]uint64, 0, k)
-	rowWeight := make([]int, r)
+	rowWeight := make([]int32, r)
 	for w := 3; len(cols) < k; w += 2 {
 		cands := combinations(r, w)
 		if rng != nil {
@@ -56,7 +61,7 @@ func oddWeightColumns(k, r int, rng *rand.Rand) ([]uint64, error) {
 		perRow := binomial(r-1, w-1)
 		onRow := make([]int32, r*perRow)
 		fill := make([]int, r)
-		score := make([]int, len(cands))
+		score := make([]int32, len(cands))
 		for i, c := range cands {
 			for v := c; v != 0; v &= v - 1 {
 				row := bits.TrailingZeros64(v)
@@ -102,7 +107,7 @@ func oddWeightColumns(k, r int, rng *rand.Rand) ([]uint64, error) {
 
 // taken is the score of a picked candidate: above any real score, with
 // room for the increments later picks still add to it.
-const taken = math.MaxInt / 2
+const taken int32 = math.MaxInt32 / 2
 
 // NewSEC constructs a single-error-correcting code: the data columns are
 // distinct nonzero vectors of weight ≥ 2 (weight-1 vectors are the check-bit
@@ -170,10 +175,10 @@ func NewParity(k int) *Code {
 // combinations returns all r-bit vectors of exactly weight w, in
 // lexicographic order.
 func combinations(r, w int) []uint64 {
-	var out []uint64
 	if w > r || w < 0 {
-		return out
+		return nil
 	}
+	out := make([]uint64, 0, binomial(r, w))
 	// Gosper's hack over the w-weight vectors below 2^r.
 	v := uint64(1)<<uint(w) - 1
 	limit := uint64(1) << uint(r)

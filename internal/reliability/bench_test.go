@@ -1,10 +1,12 @@
 package reliability
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/ecc/bitslice"
 )
 
 // curveK64Codes are the R=1..12 codes of the K=64 Figure 9 curve, as
@@ -126,6 +128,7 @@ const benchTagTrials = 192_000
 var (
 	tallySink  Tally
 	targetSink Target
+	tableSink  bitslice.Table
 )
 
 // BenchmarkInjectTagIMT16 measures the sampled tag-corruption campaign
@@ -148,6 +151,25 @@ func BenchmarkTargetAFTIMT16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		targetSink = TargetAFT(code)
+	}
+}
+
+// BenchmarkClassTableIMT16 measures bitslice.NewTable alone on
+// TargetAFT's spec for the R = 16, K = 256 codes at TS = 15, 10 and 7,
+// whose tag spans pick among 2, 64 and 256 block patterns.
+func BenchmarkClassTableIMT16(b *testing.B) {
+	for _, ts := range []int{15, 10, 7} {
+		code, err := core.NewCode(256, 16, ts, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		phys := columnRange(code, ts, code.N())
+		spec := bitslice.TableSpec{R: 16, Tag: columnRange(code, 0, ts), Corr: phys, CorrClass: bitslice.ClassCorrectable}
+		b.Run(fmt.Sprintf("TS=%d", ts), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tableSink, _ = bitslice.NewTable(spec)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package reliability
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -53,15 +55,18 @@ func eccVerdict(c *ecc.Code, s uint64) bitslice.Class {
 func checkAFTTables(t *testing.T, c *core.Code) {
 	t.Helper()
 	target := TargetAFT(c)
-	tags := tagClassTable(c)
-	if len(target.class) != 1<<uint(c.R()) || len(tags) != len(target.class) {
-		t.Fatalf("%s: table sizes %d, %d; want %d", c, len(target.class), len(tags), 1<<uint(c.R()))
+	tags, err := bitslice.NewTable(tagSpec(c))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for s := range target.class {
-		if got, want := target.class[s], aftVerdict(c, uint64(s)); got != want {
+	if target.table.R() != c.R() || tags.R() != c.R() {
+		t.Fatalf("%s: table rows %d, %d; want %d", c, target.table.R(), tags.R(), c.R())
+	}
+	for s := uint64(0); s < 1<<uint(c.R()); s++ {
+		if got, want := target.table.Class(s), aftVerdict(c, s); got != want {
 			t.Fatalf("%s: TargetAFT class[%#x] = %d, decoder says %d", c, s, got, want)
 		}
-		if got, want := tags[s], tagVerdict(c, uint64(s)); got != want {
+		if got, want := tags.Class(s), tagVerdict(c, s); got != want {
 			t.Fatalf("%s: tag engine class[%#x] = %d, classifyTagOnly says %d", c, s, got, want)
 		}
 	}
@@ -91,6 +96,10 @@ func zeroSyndromeAFTCode(t *testing.T, k, r, ts int) *core.Code {
 func TestClassTablesMatchDecoders(t *testing.T) {
 	for _, c := range []*core.Code{
 		aftCode(t, 256, 16, 15),
+		// R = 16 at TS = 10 and 7 (extva57 builds the latter): 2^6 and
+		// 2^9 cosets of the tag span, so 64 and 256 block patterns.
+		aftCode(t, 256, 16, 10),
+		aftCode(t, 256, 16, 7),
 		aftCode(t, 64, 8, 7),
 		aftCode(t, 16, 6, 5),
 		aliasingAFTCode(t, 256, 10, 9),
@@ -100,8 +109,8 @@ func TestClassTablesMatchDecoders(t *testing.T) {
 	}
 	for _, c := range curveK64Codes(t) {
 		target := TargetECC(c)
-		for s := range target.class {
-			if got, want := target.class[s], eccVerdict(c, uint64(s)); got != want {
+		for s := uint64(0); s < 1<<uint(c.R()); s++ {
+			if got, want := target.table.Class(s), eccVerdict(c, s); got != want {
 				t.Fatalf("%s: TargetECC class[%#x] = %d, decoder says %d", c.Name(), s, got, want)
 			}
 		}
@@ -118,7 +127,7 @@ func FuzzClassTable(f *testing.F) {
 	f.Add(uint8(6), uint8(200), uint8(8), int64(7))
 	f.Add(uint8(0), uint8(3), uint8(2), int64(0))
 	f.Fuzz(func(t *testing.T, r8, k8, ts8 uint8, seed int64) {
-		r := 4 + int(r8)%7 // SEC-DED needs R ≥ 4; tables stay ≤ 2^10
+		r := 4 + int(r8)%9 // SEC-DED needs R ≥ 4; tables stay ≤ 2^12
 		k := 1 + int(k8)%(1<<uint(r))
 		maxTS, err := core.MaxTagSize(k, r)
 		if err != nil || maxTS < 1 {
@@ -147,4 +156,33 @@ func FuzzClassTable(f *testing.F) {
 		}
 		checkAFTTables(t, c)
 	})
+}
+
+// TestWideCodeTargets: a code wider than bitslice.MaxTableR gets no
+// class table, so TargetAFT and TargetECC refuse it with a panic naming
+// the bound instead of allocating 2^R entries, while TagCorruptions
+// still runs its table-free scalar path on it.
+func TestWideCodeTargets(t *testing.T) {
+	aft := aftCode(t, 256, 32, 31)
+	hsiao, err := ecc.NewHsiao(256, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(){
+		"TargetAFT": func() { TargetAFT(aft) },
+		"TargetECC": func() { TargetECC(hsiao) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("MaxTableR = %d", bitslice.MaxTableR)) {
+					t.Errorf("%s on R = 32: panic %q does not name the table bound", name, msg)
+				}
+			}()
+			build()
+		}()
+	}
+	if got := TagCorruptions(aft, 1000, 5); got.Total != 1000 || got.TMM != 1000 {
+		t.Fatalf("TagCorruptions on R = 32: %+v, want 1000 TMM", got)
+	}
 }

@@ -79,62 +79,77 @@ func fromCounts(c bitslice.Counts) Tally {
 }
 
 // Target is an injectable decoder: N physical bit positions, their H
-// columns, and a syndrome classification table. Construction also
-// builds the bitsliced engine the batched campaigns run on.
+// columns, and the syndrome class table bitslice.NewTable writes from
+// the code's tag span and correctable columns. Construction also builds
+// the bitsliced engine the batched campaigns run on, sharing that
+// table. A target exists for R ≤ bitslice.MaxTableR; TargetECC and
+// TargetAFT panic on a wider code.
 type Target struct {
 	Name  string
 	NPhys int
 	R     int
 	cols  []uint64
-	// class maps each of the 2^R syndromes to its decode class.
-	class []bitslice.Class
-	// eng is the bitsliced classifier over the same (cols, class) data;
-	// nil only when R exceeds the engine's table bound, in which case
-	// the campaigns fall back to their scalar reference paths.
+	// table maps each of the 2^R syndromes to its decode class.
+	table bitslice.Table
+	// eng is the bitsliced classifier over (cols, table); nil when R
+	// exceeds bitslice.MaxR, in which case the campaigns fall back to
+	// their scalar reference paths.
 	eng *bitslice.Engine
 }
 
 // Engine exposes the target's bitsliced classifier (nil when the code
-// is too wide for a class table; see bitslice.New).
+// is too wide for the engine; see bitslice.MaxR).
 func (t Target) Engine() *bitslice.Engine { return t.eng }
 
 // Columns returns the target's physical H columns (a copy).
 func (t Target) Columns() []uint64 { return append([]uint64(nil), t.cols...) }
 
-func (t *Target) attachEngine() {
-	if eng, err := bitslice.New(t.R, t.cols, t.class); err == nil {
-		t.eng = eng
+// newTarget writes the class table of spec and attaches an engine when
+// the code is narrow enough for one.
+func newTarget(name string, cols []uint64, spec bitslice.TableSpec) Target {
+	table, err := bitslice.NewTable(spec)
+	if err != nil {
+		panic(fmt.Sprintf("reliability: %s: %v", name, err))
 	}
+	t := Target{Name: name, NPhys: len(cols), R: spec.R, cols: cols, table: table}
+	if spec.R <= bitslice.MaxR {
+		t.eng, err = bitslice.New(cols, table)
+		if err != nil {
+			panic(fmt.Sprintf("reliability: %s: %v", name, err))
+		}
+	}
+	return t
 }
 
-// TargetECC wraps an untagged linear code for injection.
+// TargetECC wraps an untagged linear code for injection. It panics if
+// R > bitslice.MaxTableR.
 func TargetECC(c *ecc.Code) Target {
-	t := Target{Name: c.Name(), NPhys: c.N(), R: c.R()}
-	t.cols = make([]uint64, t.NPhys)
-	for i := range t.cols {
-		t.cols[i] = c.Column(i)
+	cols := make([]uint64, c.N())
+	for i := range cols {
+		cols[i] = c.Column(i)
 	}
-	var corr []uint64
+	spec := bitslice.TableSpec{R: c.R(), CorrClass: bitslice.ClassCorrectable}
 	if c.Kind() != ecc.DetectOnly {
-		corr = t.cols
+		spec.Corr = cols
 	}
-	t.class = classTable(t.R, nil, corr, bitslice.ClassCorrectable)
-	t.attachEngine()
-	return t
+	return newTarget(c.Name(), cols, spec)
 }
 
 // TargetAFT wraps an AFT-ECC code for physical (data+check) injection.
 // Injections model data errors under matching key/lock tags, so the tag
 // contributions cancel and only the physical columns matter; syndromes in
 // the tag column space classify as TMM. The class table is written from
-// the tag and physical column spaces by classTable, which reproduces
-// DecodeSyndrome's verdict on every syndrome without decoding any.
+// the tag and physical column spaces by bitslice.NewTable, which
+// reproduces DecodeSyndrome's verdict on every syndrome without decoding
+// any. It panics if R > bitslice.MaxTableR.
 func TargetAFT(c *core.Code) Target {
-	t := Target{Name: c.String(), NPhys: c.PhysicalBits(), R: c.R()}
-	t.cols = columnRange(c, c.TS(), c.N())
-	t.class = classTable(t.R, columnRange(c, 0, c.TS()), t.cols, bitslice.ClassCorrectable)
-	t.attachEngine()
-	return t
+	cols := columnRange(c, c.TS(), c.N())
+	return newTarget(c.String(), cols, bitslice.TableSpec{
+		R:         c.R(),
+		Tag:       columnRange(c, 0, c.TS()),
+		Corr:      cols,
+		CorrClass: bitslice.ClassCorrectable,
+	})
 }
 
 // columnRange returns the H columns of virtual codeword bits [lo, hi):
@@ -147,40 +162,9 @@ func columnRange(c *core.Code, lo, hi int) []uint64 {
 	return cols
 }
 
-// classTable writes the 2^r-entry syndrome class table of a code from
-// its column spaces, without decoding: every nonzero syndrome starts as
-// ClassOther; a Gray-code walk over the nonzero tag patterns (one XOR
-// per step) marks each nonzero tag syndrome ClassTag; then every
-// correctable column is marked corrClass. The columns go last because
-// core.(*Code).resolve tries them before the tag solve, so the table
-// equals the decoder's verdict — also for aliasing tag matrices, whose
-// zero-syndrome patterns leave entry 0 alone. corrClass is
-// ClassCorrectable for injection targets and ClassZero for the tag
-// engine, where a "corrected" mismatch is silent corruption. Untagged
-// codes pass no tag columns, detect-only codes no correctable ones.
-func classTable(r int, tagCols, corrCols []uint64, corrClass bitslice.Class) []bitslice.Class {
-	class := make([]bitslice.Class, 1<<uint(r))
-	for s := 1; s < len(class); s++ {
-		class[s] = bitslice.ClassOther
-	}
-	var s uint64
-	for g := uint64(1); g < 1<<uint(len(tagCols)); g++ {
-		s ^= tagCols[bits.TrailingZeros64(g)]
-		if s != 0 {
-			class[s] = bitslice.ClassTag
-		}
-	}
-	for _, col := range corrCols {
-		if col != 0 { // resolve tests for the zero syndrome first
-			class[col] = corrClass
-		}
-	}
-	return class
-}
-
 // classify maps (syndrome, error weight) to an outcome.
 func (t Target) classify(s uint64, weight int) Outcome {
-	switch t.class[s] {
+	switch t.table.Class(s) {
 	case bitslice.ClassZero:
 		if weight == 0 {
 			return OutcomeOK
@@ -285,7 +269,7 @@ func ExhaustiveKBitScalar(t Target, k int) (Tally, error) {
 				for l := j + 1; l < n; l++ {
 					s := sij ^ t.cols[l]
 					total++
-					switch t.class[s] {
+					switch t.table.Class(s) {
 					case bitslice.ClassZero:
 						zero++
 					case bitslice.ClassCorrectable:
@@ -309,7 +293,7 @@ func ExhaustiveKBitScalar(t Target, k int) (Tally, error) {
 					for m := l + 1; m < n; m++ {
 						s := sijl ^ t.cols[m]
 						total++
-						switch t.class[s] {
+						switch t.table.Class(s) {
 						case bitslice.ClassZero:
 							zero++
 						case bitslice.ClassCorrectable:
@@ -536,26 +520,36 @@ func TagCorruptionsScalar(c *core.Code, limit int, seed int64) Tally {
 	return tally
 }
 
-// tagEngine builds a bitsliced classifier over the TS tag columns with
-// the class table tagClassTable writes.
+// tagEngine builds a bitsliced classifier over the TS tag columns,
+// or returns nil when R exceeds bitslice.MaxR.
 func tagEngine(c *core.Code) *bitslice.Engine {
 	if c.R() > bitslice.MaxR {
 		return nil
 	}
-	eng, err := bitslice.New(c.R(), columnRange(c, 0, c.TS()), tagClassTable(c))
+	spec := tagSpec(c)
+	table, err := bitslice.NewTable(spec)
+	if err != nil {
+		return nil
+	}
+	eng, err := bitslice.New(spec.Tag, table)
 	if err != nil {
 		return nil
 	}
 	return eng
 }
 
-// tagClassTable is the tag engine's class table, matching
+// tagSpec describes the tag engine's class table, matching
 // classifyTagOnly: corrected tag aliases count as ClassZero — the
 // engine's table-derived zero class puts every nonzero-difference lane
 // of that class in SDC (the data-corrupting alias) — tag syndromes as
 // TMM, the rest as DUE.
-func tagClassTable(c *core.Code) []bitslice.Class {
-	return classTable(c.R(), columnRange(c, 0, c.TS()), columnRange(c, c.TS(), c.N()), bitslice.ClassZero)
+func tagSpec(c *core.Code) bitslice.TableSpec {
+	return bitslice.TableSpec{
+		R:         c.R(),
+		Tag:       columnRange(c, 0, c.TS()),
+		Corr:      columnRange(c, c.TS(), c.N()),
+		CorrClass: bitslice.ClassZero,
+	}
 }
 
 func classifyTagOnly(c *core.Code, s uint64) Outcome {
