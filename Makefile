@@ -103,6 +103,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz='^FuzzStreamDecode$$' -fuzztime=10s ./internal/serve/client
 	$(GO) test -run '^$$' -fuzz='^FuzzBitslicedDecode$$' -fuzztime=10s ./internal/ecc/bitslice
 	$(GO) test -run '^$$' -fuzz='^FuzzClassTable$$' -fuzztime=10s ./internal/reliability
+	$(GO) test -run '^$$' -fuzz='^FuzzExhaustiveKBit$$' -fuzztime=10s ./internal/reliability
 
 # The conformance gate: golden-result regression, differential ECC
 # oracles and metamorphic simulator invariants (see DESIGN.md

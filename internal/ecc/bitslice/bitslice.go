@@ -62,7 +62,6 @@ func (c *Counts) Add(o Counts) {
 type Engine struct {
 	nphys int
 	r     int
-	cols  []uint64
 	// class is the Table's slice, shared: tables are immutable.
 	class []Class
 	// rowBits[rowOff[j]:rowOff[j+1]] lists the physical bits whose
@@ -82,8 +81,7 @@ type Engine struct {
 const MaxR = 16
 
 // New builds an engine from a code's physical H columns and its class
-// table, whose row count it takes. The columns are copied; the table is
-// shared.
+// table, whose row count it takes. The table is shared.
 func New(cols []uint64, table Table) (*Engine, error) {
 	r := table.r
 	if r < 1 || r > MaxR {
@@ -103,7 +101,6 @@ func New(cols []uint64, table Table) (*Engine, error) {
 	e := &Engine{
 		nphys:      len(cols),
 		r:          r,
-		cols:       append([]uint64(nil), cols...),
 		class:      table.class,
 		rowBits:    make([]int32, 0, ones),
 		rowOff:     make([]int32, r+1),
@@ -304,38 +301,4 @@ func (e *Engine) Classify(b *Batch) Counts {
 		TMM:   uint64(bits.OnesCount64(m.TMM)),
 		SDC:   uint64(bits.OnesCount64(m.SDC)),
 	}
-}
-
-// ClassifyRun tallies the `count` error patterns prefix ∪ {base+i}
-// (i in [0, count)): a fixed prefix error with syndrome prefixSyn and
-// weight prefixWeight, extended by one distinct physical bit from a
-// consecutive run. This is the batched form of exhaustive k-bit
-// enumeration — the incremental prefix XOR already reduces the scalar
-// inner loop to one table lookup per pattern, so the run formulation is
-// tally-exact by construction and keeps that loop tight.
-func (e *Engine) ClassifyRun(prefixSyn uint64, prefixWeight, base, count int) Counts {
-	// Count the class bits instead of branching on the class, which
-	// mispredicts on the mixed classes of a multi-bit run: lo counts
-	// classes 1 and 3, hi classes 2 and 3, both class 3 (ClassOther).
-	var lo, hi, both uint64
-	class := e.class
-	for _, c := range e.cols[base : base+count] {
-		cl := uint64(class[prefixSyn^c])
-		lo += cl & 1
-		hi += cl >> 1
-		both += cl & (cl >> 1)
-	}
-	corr, tag := lo-both, hi-both
-	total := uint64(count)
-	zero := total - corr - tag - both
-	out := Counts{Total: total, TMM: tag, DUE: both}
-	if prefixWeight == 0 {
-		// Weight-1 patterns: correctable syndromes are true CEs; a zero
-		// syndrome from one flipped bit is silent corruption.
-		out.CE = corr
-		out.SDC = zero
-	} else {
-		out.SDC = zero + corr
-	}
-	return out
 }

@@ -298,50 +298,6 @@ func TestDetectOnlyFastPathMatchesGeneral(t *testing.T) {
 	}
 }
 
-// TestClassifyRunMatchesBatch: the exhaustive-run formulation equals
-// classifying the same single-extra-bit patterns through batches.
-func TestClassifyRunMatchesBatch(t *testing.T) {
-	eng := testEngine(t)
-	n := eng.NPhys()
-	prefixes := []struct {
-		bits []int
-	}{
-		{nil},
-		{[]int{0}},
-		{[]int{2, 5}},
-		{[]int{1, 3, 7}},
-	}
-	for _, pre := range prefixes {
-		var prefixSyn uint64
-		for _, b := range pre.bits {
-			prefixSyn ^= eng.cols[b]
-		}
-		base := 0
-		if len(pre.bits) > 0 {
-			base = pre.bits[len(pre.bits)-1] + 1
-		}
-		count := n - base
-		run := eng.ClassifyRun(prefixSyn, len(pre.bits), base, count)
-
-		batch := eng.NewBatch()
-		var want Counts
-		for lane := 0; lane < count; lane++ {
-			for _, b := range pre.bits {
-				batch.Flip(lane, b)
-			}
-			batch.Flip(lane, base+lane)
-		}
-		batch.SetLaneRange(0, count)
-		want.Add(eng.Classify(batch))
-		// ClassifyRun counts weight-(len+1) patterns; the batch holds the
-		// same patterns, so the tallies must agree exactly — including
-		// the OK field, which is always 0 for nonempty patterns.
-		if run != want {
-			t.Fatalf("prefix %v: run %+v != batch %+v", pre.bits, run, want)
-		}
-	}
-}
-
 func TestBatchResetSparseAndBulk(t *testing.T) {
 	eng := testEngine(t)
 	b := eng.NewBatch()

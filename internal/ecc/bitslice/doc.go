@@ -1,7 +1,9 @@
 // Package bitslice is a bitsliced fault-injection engine for the GF(2)
 // linear codes in internal/ecc and internal/core: it classifies 64
 // error patterns per uint64 lane-step instead of decoding one codeword
-// at a time.
+// at a time. It runs the sampled campaigns; exhaustive k-bit tallies
+// classify no pattern (internal/reliability counts them by transform
+// and reads only the class table).
 //
 // # Bit-plane layout
 //

@@ -1,8 +1,8 @@
 package bitslice
 
 // Test-only pattern editing: the campaigns fill batches in bulk
-// (Random, RandomNonzero, the k-bit enumeration), while the tests build
-// patterns bit by bit and read them back.
+// (Random, RandomNonzero), while the tests build patterns bit by bit
+// and read them back.
 
 // Flip toggles physical bit `bit` in lane `lane`.
 func (b *Batch) Flip(lane, bit int) { b.planes[bit] ^= 1 << uint(lane) }

@@ -2,11 +2,13 @@ package reliability
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/ecc/bitslice"
 )
 
 func testTargets(t *testing.T) []Target {
@@ -36,8 +38,8 @@ func testTargets(t *testing.T) []Target {
 	return out
 }
 
-// TestExhaustiveKBitMatchesScalar: the ClassifyRun-based enumeration is
-// tally-exact against the scalar reference for every family.
+// TestExhaustiveKBitMatchesScalar: the transform's tallies equal the
+// scalar enumeration's for every family.
 func TestExhaustiveKBitMatchesScalar(t *testing.T) {
 	for _, target := range testTargets(t) {
 		if target.Engine() == nil {
@@ -57,6 +59,68 @@ func TestExhaustiveKBitMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzExhaustiveKBit: on a random target the transform's tallies equal
+// the scalar enumeration's for k = 1..4. A target has R = 1..12 rows and
+// up to 40 columns, zeros and duplicates among them; shape bit 0 adds a
+// tag span, bits 1–2 make none, some or all of the columns correctable,
+// and bit 3 gives them ClassZero, as the tag engine does.
+func FuzzExhaustiveKBit(f *testing.F) {
+	f.Add(uint8(7), uint8(30), uint8(0b0101), int64(1))
+	f.Add(uint8(3), uint8(12), uint8(0b0010), int64(2))
+	f.Add(uint8(11), uint8(39), uint8(0b1101), int64(3))
+	f.Add(uint8(0), uint8(5), uint8(0), int64(4))
+	f.Fuzz(func(t *testing.T, r8, n8, shape uint8, seed int64) {
+		r := 1 + int(r8)%12
+		n := 1 + int(n8)%40
+		rng := rand.New(rand.NewSource(seed))
+		draw := func() uint64 { return rng.Uint64() & (1<<uint(r) - 1) }
+		cols := make([]uint64, n)
+		for i := range cols {
+			switch x := rng.Intn(8); {
+			case x == 0:
+				// a zero column
+			case x == 1 && i > 0:
+				cols[i] = cols[rng.Intn(i)]
+			default:
+				cols[i] = draw()
+			}
+		}
+		spec := bitslice.TableSpec{R: r, CorrClass: bitslice.ClassCorrectable}
+		if shape&1 != 0 {
+			for i := rng.Intn(r) + 1; i > 0; i-- {
+				spec.Tag = append(spec.Tag, draw())
+			}
+		}
+		switch shape >> 1 & 3 {
+		case 1:
+			for _, c := range cols {
+				if rng.Intn(2) == 0 {
+					spec.Corr = append(spec.Corr, c)
+				}
+			}
+		case 2, 3:
+			spec.Corr = cols
+		}
+		if shape&8 != 0 {
+			spec.CorrClass = bitslice.ClassZero
+		}
+		target := newTarget("fuzz", cols, spec)
+		for k := 1; k <= 4; k++ {
+			got, err := ExhaustiveKBit(target, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ExhaustiveKBitScalar(target, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("R=%d n=%d shape=%#x k=%d: transform %+v != scalar %+v", r, n, shape, k, got, want)
+			}
+		}
+	})
 }
 
 // TestRandomErrorsChunkSum: a 64k-injection campaign equals the sum of
@@ -184,19 +248,6 @@ func TestSDCCurveWorkersRegression(t *testing.T) {
 	for _, p := range one {
 		if p.RandomTrials != trials {
 			t.Errorf("R=%d ran %d trials, want %d", p.R, p.RandomTrials, trials)
-		}
-	}
-}
-
-// TestRunCampaignsExhaustiveError: a failing exhaustive item fails the
-// whole pool call instead of leaving a zero tally behind.
-func TestRunCampaignsExhaustiveError(t *testing.T) {
-	target := testTargets(t)[1]
-	for _, workers := range []int{1, 2} {
-		bad := &campaign{target: &target, k: 5}
-		ok := &campaign{target: &target, seed: 1, trials: 5000}
-		if err := runCampaigns(workers, ok, bad); err == nil {
-			t.Errorf("workers=%d: k=5 enumeration did not fail the pool", workers)
 		}
 	}
 }

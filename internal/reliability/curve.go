@@ -22,9 +22,10 @@ type CurvePoint struct {
 	RandomSDCLow  float64
 	RandomSDCHigh float64
 	RandomTrials  uint64
-	// ThreeBitSDC is the exhaustive 3-bit-error SDC probability; NaN-free:
-	// it is 0 for detect-only codes, which detect all odd-weight errors
-	// only when R=1 parity — so we simply don't report it (HasThreeBit).
+	// ThreeBitSDC is the SDC probability over every 3-bit error pattern,
+	// counted exactly by ExhaustiveKBit. Only the correcting codes have
+	// one, as in the paper's figure: HasThreeBit is false, and
+	// ThreeBitSDC 0, for the detect-only points.
 	ThreeBitSDC float64
 	HasThreeBit bool
 }
@@ -36,29 +37,29 @@ type CurvePoint struct {
 // redundancy). Random corruption uses `trials` samples; 3-bit errors are
 // exhaustive.
 //
-// The curve runs on one pool of GOMAXPROCS workers (runCampaigns):
-// every R point's Monte-Carlo batch ranges and every exhaustive 3-bit
-// enumeration are work items of a single call. Since the batched
-// injector derives every 64-lane batch's stream from (seed, batch
-// index) alone, the result is identical for every worker count —
-// SDCCurve(k, maxR, trials, seed) equals SDCCurveWorkers(..., w) for
-// all w. Callers that want explicit control of the pool size (or CPU
-// budget) should still use SDCCurveWorkers.
+// The random campaigns run on one pool of GOMAXPROCS workers
+// (runCampaigns): every R point's Monte-Carlo batch ranges are work
+// items of a single call, and each 3-bit count is one ExhaustiveKBit
+// transform. Since the batched injector derives every 64-lane batch's
+// stream from (seed, batch index) alone, the result is identical for
+// every worker count — SDCCurve(k, maxR, trials, seed) equals
+// SDCCurveWorkers(..., w) for all w. Callers that want explicit control
+// of the pool size (or CPU budget) should still use SDCCurveWorkers.
 func SDCCurve(k, maxR, trials int, seed int64) ([]CurvePoint, error) {
 	return SDCCurveWorkers(k, maxR, trials, seed, runtime.GOMAXPROCS(0))
 }
 
 // SDCCurveWorkers is SDCCurve with an explicit worker count. It builds
-// the maxR codes first, then runs all their campaigns on one pool with
-// one join. The tallies are a function of (k, maxR, trials, seed)
-// only: the deterministic per-batch seed splitting makes every worker
-// count produce bit-identical curves on every machine (a regression
-// test pins workers=1 against 2, 3 and 8).
+// the maxR codes and counts their 3-bit errors first, then runs all
+// their random campaigns on one pool with one join. The tallies are a
+// function of (k, maxR, trials, seed) only: the deterministic per-batch
+// seed splitting makes every worker count produce bit-identical curves
+// on every machine (a regression test pins workers=1 against 2, 3 and
+// 8).
 func SDCCurveWorkers(k, maxR, trials int, seed int64, workers int) ([]CurvePoint, error) {
 	var (
-		out              []CurvePoint
-		random, threeBit []*campaign // per point; threeBit nil for detect-only
-		exhaustive       []*campaign // the non-nil threeBit entries
+		out    []CurvePoint
+		random []*campaign // per point
 	)
 	for r := 1; r <= maxR; r++ {
 		var (
@@ -79,30 +80,23 @@ func SDCCurveWorkers(k, maxR, trials int, seed int64, workers int) ([]CurvePoint
 			return nil, fmt.Errorf("reliability: R=%d: %w", r, err)
 		}
 		t := TargetECC(code)
-		out = append(out, CurvePoint{R: r, Kind: code.Kind()})
-		random = append(random, &campaign{target: &t, seed: seed + int64(100+r), trials: trials})
-		var three *campaign
+		pt := CurvePoint{R: r, Kind: code.Kind()}
 		if code.Kind() != ecc.DetectOnly {
-			three = &campaign{target: &t, k: 3}
-			exhaustive = append(exhaustive, three)
+			three, err := ExhaustiveKBit(t, 3)
+			if err != nil {
+				return nil, fmt.Errorf("reliability: R=%d: %w", r, err)
+			}
+			pt.ThreeBitSDC, pt.HasThreeBit = three.SDCRate(), true
 		}
-		threeBit = append(threeBit, three)
+		out = append(out, pt)
+		random = append(random, &campaign{target: &t, seed: seed + int64(100+r), trials: trials})
 	}
-	// The exhaustive enumerations go first: each is one long item, so
-	// starting them early keeps the pool's tail short.
-	if err := runCampaigns(workers, append(exhaustive, random...)...); err != nil {
-		return nil, err
-	}
-	for i := range out {
+	runCampaigns(workers, random...)
+	for i, c := range random {
 		pt := &out[i]
-		tally := random[i].tally
-		pt.RandomSDC = tally.SDCRate()
-		pt.RandomSDCLow, pt.RandomSDCHigh = Wilson(tally.SDC, tally.Total, 1.96)
-		pt.RandomTrials = tally.Total
-		if three := threeBit[i]; three != nil {
-			pt.ThreeBitSDC = three.tally.SDCRate()
-			pt.HasThreeBit = true
-		}
+		pt.RandomSDC = c.tally.SDCRate()
+		pt.RandomSDCLow, pt.RandomSDCHigh = Wilson(c.tally.SDC, c.tally.Total, 1.96)
+		pt.RandomTrials = c.tally.Total
 	}
 	return out, nil
 }

@@ -198,47 +198,99 @@ func (t Tally) Add(o Outcome) Tally {
 	return t
 }
 
-// ExhaustiveKBit enumerates every k-bit error pattern (k in 1..4) over
-// the target's physical bits, classifying each. The paper evaluates
-// these patterns exhaustively; the enumeration factors every pattern as
-// (prefix of k−1 bits, run of final bits) and tallies each run through
-// the bitsliced engine's ClassifyRun — tally-exact with respect to
-// ExhaustiveKBitScalar (the differential suite asserts it).
+// ExhaustiveKBit tallies every k-bit error pattern (k in 1..4) over the
+// target's physical bits, as the paper's exhaustive rows do, without
+// enumerating them: how many weight-k patterns land on each syndrome is
+// fixed by the code's weight structure (the MacWilliams identity). A
+// Walsh–Hadamard transform of the column histogram gives n − 2·w(u) for
+// every u, where w(u) counts the columns c with u·c odd. Replacing each
+// entry with the Krawtchouk value K_k(w(u); n) and transforming again
+// leaves 2^R times the number of weight-k patterns on each syndrome,
+// which then count toward that syndrome's class. The tallies equal
+// ExhaustiveKBitScalar's (the test battery and FuzzExhaustiveKBit hold
+// them to it). A transform value can reach 2^R·C(n,k), so a target where
+// that is 2^63 or more is refused rather than counted in a wrapped
+// int64. Targets without an engine run the scalar enumeration.
 func ExhaustiveKBit(t Target, k int) (Tally, error) {
+	if k < 1 || k > 4 {
+		return Tally{}, fmt.Errorf("reliability: ExhaustiveKBit supports k in [1,4], got %d", k)
+	}
 	if t.eng == nil {
 		return ExhaustiveKBitScalar(t, k)
 	}
-	eng := t.eng
-	n := t.NPhys
-	var c bitslice.Counts
-	switch k {
-	case 1:
-		c = eng.ClassifyRun(0, 0, 0, n)
-	case 2:
-		for i := 0; i < n-1; i++ {
-			c.Add(eng.ClassifyRun(t.cols[i], 1, i+1, n-i-1))
-		}
-	case 3:
-		for i := 0; i < n-2; i++ {
-			si := t.cols[i]
-			for j := i + 1; j < n-1; j++ {
-				c.Add(eng.ClassifyRun(si^t.cols[j], 2, j+1, n-j-1))
-			}
-		}
-	case 4:
-		for i := 0; i < n-3; i++ {
-			si := t.cols[i]
-			for j := i + 1; j < n-2; j++ {
-				sij := si ^ t.cols[j]
-				for l := j + 1; l < n-1; l++ {
-					c.Add(eng.ClassifyRun(sij^t.cols[l], 3, l+1, n-l-1))
-				}
-			}
-		}
-	default:
-		return Tally{}, fmt.Errorf("reliability: ExhaustiveKBit supports k in [1,4], got %d", k)
+	n, r := t.NPhys, uint(t.R)
+	total, ok := binomial(uint64(n), k)
+	if !ok || total>>(63-r) != 0 {
+		return Tally{}, fmt.Errorf("reliability: %s: 2^%d·C(%d,%d) overflows the int64 transform", t.Name, r, n, k)
 	}
-	return fromCounts(c), nil
+	a := make([]int64, 1<<r)
+	for _, c := range t.cols {
+		a[c]++
+	}
+	walshHadamard(a)
+	// kraw[w] = K_k(w; n). Its binomials cannot overflow: each is at
+	// most C(n,k) < 2^63 when n ≥ 2k, and n < 8 otherwise.
+	kraw := make([]int64, n+1)
+	for w := range kraw {
+		for j := 0; j <= k; j++ {
+			x, _ := binomial(uint64(w), j)
+			y, _ := binomial(uint64(n-w), k-j)
+			kraw[w] += int64(1-2*(j&1)) * int64(x*y)
+		}
+	}
+	for u, v := range a {
+		a[u] = kraw[(int64(n)-v)/2]
+	}
+	walshHadamard(a)
+	tally := Tally{Total: total}
+	for s, v := range a {
+		count := uint64(v >> r)
+		switch t.table.Class(uint64(s)) {
+		case bitslice.ClassZero:
+			tally.SDC += count
+		case bitslice.ClassCorrectable:
+			if k == 1 {
+				tally.CE += count
+			} else {
+				tally.SDC += count // miscorrection of a multi-bit error
+			}
+		case bitslice.ClassTag:
+			tally.TMM += count
+		default:
+			tally.DUE += count
+		}
+	}
+	return tally, nil
+}
+
+// walshHadamard transforms a, whose length is a power of two, in place:
+// a[u] becomes the sum over x of (−1)^popcount(u&x)·a[x].
+func walshHadamard(a []int64) {
+	for h := 1; h < len(a); h <<= 1 {
+		for i := 0; i < len(a); i += 2 * h {
+			x, y := a[i:i+h], a[i+h:i+2*h]
+			y = y[:len(x)] // lets the compiler drop y's bounds checks
+			for j := range x {
+				x[j], y[j] = x[j]+y[j], x[j]-y[j]
+			}
+		}
+	}
+}
+
+// binomial returns C(n, k), and false if it does not fit in a uint64.
+func binomial(n uint64, k int) (uint64, bool) {
+	c := uint64(1)
+	for i := uint64(0); i < uint64(k); i++ {
+		if i >= n {
+			return 0, true
+		}
+		hi, lo := bits.Mul64(c, n-i)
+		if hi != 0 {
+			return 0, false
+		}
+		c = lo / (i + 1) // exact: c·(n−i) = C(n, i+1)·(i+1)
+	}
+	return c, true
 }
 
 // ExhaustiveKBitScalar is the scalar reference enumeration, kept as the
@@ -461,7 +513,7 @@ func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
 	}
 	if eng := tagEngine(c); eng != nil {
 		c := &campaign{tagEng: eng, seed: seed, trials: limit}
-		_ = runCampaigns(runtime.GOMAXPROCS(0), c) // sampled campaigns cannot fail
+		runCampaigns(runtime.GOMAXPROCS(0), c)
 		return c.tally
 	}
 	return TagCorruptionsScalar(c, limit, seed)
@@ -578,6 +630,6 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // parallelism. Use for paper-scale (1e8) trial counts.
 func RandomErrorsParallel(t Target, trials, workers int, seed int64) Tally {
 	c := &campaign{target: &t, seed: seed, trials: trials}
-	_ = runCampaigns(workers, c) // sampled campaigns cannot fail
+	runCampaigns(workers, c)
 	return c.tally
 }

@@ -7,25 +7,22 @@ import (
 	"repro/internal/ecc/bitslice"
 )
 
-// campaign is one fault campaign as the worker pool runs it. A
-// sampled campaign (k == 0) covers positions [0, trials): batch b of
-// it draws its 64 lanes from SeedForBatch(seed, b) alone, so any split
-// into batch ranges sums to the same tally. An exhaustive campaign
-// (k > 0) enumerates every k-bit pattern of its target as one item.
+// campaign is one sampled fault campaign as the worker pool runs it.
+// It covers positions [0, trials): batch b of it draws its 64 lanes
+// from SeedForBatch(seed, b) alone, so any split into batch ranges sums
+// to the same tally.
 type campaign struct {
-	// target is the injection target of a random-corruption or
-	// exhaustive campaign; nil for a tag campaign.
+	// target is the injection target of a random-corruption campaign;
+	// nil for a tag campaign.
 	target *Target
 	// tagEng classifies a tag campaign's uniform nonzero tag
 	// differences (see tagCorruptionsRange).
 	tagEng *bitslice.Engine
 	seed   int64
 	trials int
-	k      int
 
-	// tally and err are the campaign's result, left by runCampaigns.
+	// tally is the campaign's result, left by runCampaigns.
 	tally Tally
-	err   error
 }
 
 // itemTrials is the size of one sampled work item: 32 whole 64-lane
@@ -36,14 +33,10 @@ const itemTrials = 32 * 64
 
 // items returns how many work items c splits into.
 func (c *campaign) items() int {
-	switch {
-	case c.k > 0:
-		return 1
-	case c.trials <= 0:
+	if c.trials <= 0 {
 		return 0
-	default:
-		return (c.trials + itemTrials - 1) / itemTrials
 	}
+	return (c.trials + itemTrials - 1) / itemTrials
 }
 
 // poolWorker is one pool goroutine's state: a Batch per engine, reused
@@ -62,22 +55,19 @@ func (w *poolWorker) batch(eng *bitslice.Engine) *bitslice.Batch {
 	return b
 }
 
-// run runs item j of c: the whole exhaustive enumeration, or positions
-// [j·itemTrials, (j+1)·itemTrials) of a sampled campaign, of which
-// only the last item may end short, inside a batch.
-func (w *poolWorker) run(c *campaign, j int) (Tally, error) {
+// run runs item j of c: positions [j·itemTrials, (j+1)·itemTrials),
+// of which only the last item may end short, inside a batch.
+func (w *poolWorker) run(c *campaign, j int) Tally {
 	lo := j * itemTrials
 	hi := min(lo+itemTrials, c.trials)
 	switch {
-	case c.k > 0:
-		return ExhaustiveKBit(*c.target, c.k)
 	case c.tagEng != nil:
-		return tagCorruptionsRange(c.tagEng, w.batch(c.tagEng), lo, hi, c.seed), nil
+		return tagCorruptionsRange(c.tagEng, w.batch(c.tagEng), lo, hi, c.seed)
 	case c.target.eng == nil:
-		return randomErrorsScalarOffset(*c.target, hi-lo, c.seed, lo), nil
+		return randomErrorsScalarOffset(*c.target, hi-lo, c.seed, lo)
 	default:
 		eng := c.target.eng
-		return randomErrorsRange(eng, w.batch(eng), c.seed, lo, hi), nil
+		return randomErrorsRange(eng, w.batch(eng), c.seed, lo, hi)
 	}
 }
 
@@ -85,11 +75,9 @@ func (w *poolWorker) run(c *campaign, j int) (Tally, error) {
 // one pool of `workers` goroutines: each goroutine takes the next item
 // index from an atomic counter, so the pool joins once however many
 // campaigns it runs. Each campaign is left with its summed tally in
-// c.tally; since a sampled item's tally depends only on its positions,
-// the sums are the same for every worker count and every interleaving.
-// The error is the first failed exhaustive campaign's, in campaign
-// order.
-func runCampaigns(workers int, cs ...*campaign) error {
+// c.tally; since an item's tally depends only on its positions, the
+// sums are the same for every worker count and every interleaving.
+func runCampaigns(workers int, cs ...*campaign) {
 	// Campaign i owns item indices [first[i], first[i+1]).
 	first := make([]int, len(cs)+1)
 	for i, c := range cs {
@@ -105,12 +93,7 @@ func runCampaigns(workers int, cs ...*campaign) error {
 			for first[ci+1] <= i {
 				ci++
 			}
-			c := cs[ci]
-			tally, err := w.run(c, i-first[ci])
-			if err != nil {
-				c.err = err // an exhaustive campaign is one item: one writer
-			}
-			w.tallies[ci] = w.tallies[ci].sum(tally)
+			w.tallies[ci] = w.tallies[ci].sum(w.run(cs[ci], i-first[ci]))
 		}
 	}
 	ws := make([]poolWorker, max(1, min(workers, n)))
@@ -132,10 +115,4 @@ func runCampaigns(workers int, cs ...*campaign) error {
 			c.tally = c.tally.sum(w.tallies[i])
 		}
 	}
-	for _, c := range cs {
-		if c.err != nil {
-			return c.err
-		}
-	}
-	return nil
 }

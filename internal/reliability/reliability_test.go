@@ -81,6 +81,28 @@ func TestTable2TripleBitSDCRegime(t *testing.T) {
 	if tally16.TMM != 0 || tally10.TMM != 0 {
 		t.Error("odd-weight errors must not be misattributed as TMMs")
 	}
+
+	// Every field at paper scale, as the scalar enumeration counted it
+	// (too slow to rerun here; the conformance goldens pin k ≤ 3 on
+	// IMT-16 only).
+	for _, want := range []struct {
+		tgt   Target
+		k     int
+		tally Tally
+	}{
+		{tgt10, 3, Tally{Total: 3101560, DUE: 1436432, SDC: 1665128}},
+		{tgt10, 4, Tally{Total: 203927570, TMM: 203511288, SDC: 416282}},
+		{tgt16, 3, Tally{Total: 3317040, DUE: 3107420, SDC: 209620}},
+		{tgt16, 4, Tally{Total: 223070940, TMM: 223018535, SDC: 52405}},
+	} {
+		got, err := ExhaustiveKBit(want.tgt, want.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.tally {
+			t.Errorf("%s k=%d: %+v, want %+v", want.tgt.Name, want.k, got, want.tally)
+		}
+	}
 }
 
 func TestTable2RandomCorruption(t *testing.T) {
@@ -148,6 +170,17 @@ func TestExhaustiveKBitValidation(t *testing.T) {
 	}
 	if _, err := ExhaustiveKBit(tgt, 0); err == nil {
 		t.Error("k=0 must be rejected")
+	}
+	// 2^16·C(8016,4) ≈ 1.1e19 lies between 2^63 and 2^64: a transform
+	// value could wrap an int64, so the count must be refused.
+	wide, err := ecc.NewHsiao(8000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tgt := TargetECC(wide); tgt.Engine() == nil {
+		t.Fatal("Hsiao(8000,16) has no engine")
+	} else if tally, err := ExhaustiveKBit(tgt, 4); err == nil {
+		t.Errorf("n=8016, R=16, k=4: %+v, want an overflow error", tally)
 	}
 }
 
