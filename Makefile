@@ -51,8 +51,8 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchjson -out BENCH_results.json -gate BENCH_results.json \
 		-gate-tolerance 0.15 \
-		-bench 'BenchmarkSimSteady|BenchmarkSimGenerated|BenchmarkInject|BenchmarkTraceDecodeStream' -benchtime 5x -count 6 \
-		-pkg './internal/gpusim ./internal/reliability'
+		-bench 'BenchmarkSimSteady|BenchmarkSimGenerated|BenchmarkInject|BenchmarkTraceDecodeStream|BenchmarkExhaustiveKBitIMT16|BenchmarkBatchRandom|BenchmarkClassify' -benchtime 5x -count 6 \
+		-pkg './internal/gpusim ./internal/reliability ./internal/ecc/bitslice'
 
 # Regenerate every paper table/figure into results/ (paper scale, ~40 s on
 # a 2-vCPU Xeon VM).
@@ -102,6 +102,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz='^FuzzWatchFrameDecode$$' -fuzztime=10s ./internal/serve/apitypes
 	$(GO) test -run '^$$' -fuzz='^FuzzStreamDecode$$' -fuzztime=10s ./internal/serve/client
 	$(GO) test -run '^$$' -fuzz='^FuzzBitslicedDecode$$' -fuzztime=10s ./internal/ecc/bitslice
+	$(GO) test -run '^$$' -fuzz='^FuzzClassifyMasks$$' -fuzztime=10s ./internal/ecc/bitslice
 	$(GO) test -run '^$$' -fuzz='^FuzzClassTable$$' -fuzztime=10s ./internal/reliability
 	$(GO) test -run '^$$' -fuzz='^FuzzExhaustiveKBit$$' -fuzztime=10s ./internal/reliability
 

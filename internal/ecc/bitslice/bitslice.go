@@ -17,9 +17,9 @@ type Class uint8
 const (
 	// ClassZero: the zero syndrome — or, for derived tables, a nonzero
 	// syndrome the decoder silently accepts or miscorrects (an aliasing
-	// construction). ClassifyMasks derives the zero-class mask from the
-	// table, so any nonempty pattern landing in this class counts as
-	// silent corruption.
+	// construction). ClassifyMasks honours the table's zero class, so
+	// any nonempty pattern landing in this class counts as silent
+	// corruption.
 	ClassZero Class = iota
 	// ClassCorrectable: the syndrome matches a physical column.
 	ClassCorrectable
@@ -64,14 +64,14 @@ type Engine struct {
 	r     int
 	// class is the Table's slice, shared: tables are immutable.
 	class []Class
+	// weights and checks are the Table's: the popcounts whose lanes
+	// need a lookup, and the tag span's parity checks.
+	weights uint32
+	checks  []uint32
 	// rowBits[rowOff[j]:rowOff[j+1]] lists the physical bits whose
 	// column has row bit j set — the XOR-fold recipe for syndrome plane j.
 	rowBits []int32
 	rowOff  []int32
-	// detectOnly: every nonzero syndrome maps to ClassOther, so
-	// classification needs no transpose or lookup (the zero class is
-	// exactly the zero-syndrome lanes).
-	detectOnly bool
 }
 
 // MaxR bounds an engine at 16 syndrome rows, the height of the
@@ -99,12 +99,13 @@ func New(cols []uint64, table Table) (*Engine, error) {
 		ones += bits.OnesCount64(c)
 	}
 	e := &Engine{
-		nphys:      len(cols),
-		r:          r,
-		class:      table.class,
-		rowBits:    make([]int32, 0, ones),
-		rowOff:     make([]int32, r+1),
-		detectOnly: table.detectOnly,
+		nphys:   len(cols),
+		r:       r,
+		class:   table.class,
+		weights: table.weights,
+		checks:  table.checks,
+		rowBits: make([]int32, 0, ones),
+		rowOff:  make([]int32, r+1),
 	}
 	for j := 0; j < r; j++ {
 		for i, c := range cols {
@@ -146,11 +147,22 @@ func (b *Batch) Lanes() uint64 { return b.lanes }
 
 // Random fills every plane with one word from rng — each of the 64
 // lanes becomes an independent uniformly random error pattern (bit-flip
-// probability ½). The lane mask is untouched.
+// probability ½). Plane i gets the (i+1)-th word, as len(planes) calls
+// of rng.Uint64 would give it. The lane mask is untouched.
 func (b *Batch) Random(rng *Rand) {
-	for i := range b.planes {
-		b.planes[i] = rng.Uint64()
+	// Two words per step on a local state: their finalizers overlap.
+	s, planes := rng.s, b.planes
+	i := 0
+	for ; i+1 < len(planes); i += 2 {
+		s0 := s + splitMixGamma
+		s = s0 + splitMixGamma
+		planes[i], planes[i+1] = mix64(s0), mix64(s)
 	}
+	if i < len(planes) {
+		s += splitMixGamma
+		planes[i] = mix64(s)
+	}
+	rng.s = s
 }
 
 // RandomNonzero is Random followed by rerolling any all-zero lane until
@@ -202,8 +214,8 @@ func (m LaneMasks) Outcome(lane int) (Outcome, bool) {
 // ClassifyMasks classifies all live lanes of a batch.
 //
 // The mask algebra mirrors the scalar classifier exactly: with zero /
-// corr / tag / other the per-lane class masks — derived from the class
-// table, so a nonzero syndrome whose entry is ClassZero (an aliasing
+// corr / tag / other the per-lane class masks — the table's classes, so
+// a nonzero syndrome whose entry is ClassZero (an aliasing
 // construction) lands in the zero class — and w1 / w2 the weight-≥1 /
 // weight-≥2 planes,
 //
@@ -213,70 +225,54 @@ func (m LaneMasks) Outcome(lane int) (Outcome, bool) {
 //	TMM = tag, DUE = other
 //
 // The five outcome masks always partition Live.
+//
+// A lane's class is its syndrome's structural class — zero, tag (it
+// passes the span's checks) or other — unless the syndrome's popcount
+// is one of the table's weights; only those candidate lanes read the
+// table.
 func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 	live := b.lanes
 	m := LaneMasks{Live: live}
 	if live == 0 {
 		return m
 	}
-
-	// Weight planes: w2 |= w1 & p before w1 |= p per plane leaves w1 =
-	// "≥ 1 bit", w2 = "≥ 2 bits" — all the classifier needs. Two
-	// accumulator pairs over alternate planes halve the dependency
-	// chain; a lane has ≥ 2 bits if either half has, or both have one.
-	planes := b.planes
-	var w1, w2, v1, v2 uint64
-	i := 0
-	for ; i+1 < len(planes); i += 2 {
-		p, q := planes[i], planes[i+1]
-		w2 |= w1 & p
-		w1 |= p
-		v2 |= v1 & q
-		v1 |= q
-	}
-	if i < len(planes) {
-		w2 |= w1 & planes[i]
-		w1 |= planes[i]
-	}
-	w2 |= v2 | w1&v1
-	w1 |= v1
+	w1, w2 := weightPlanes(b.planes)
 
 	// Syndrome planes: row j is the XOR-fold of the planes listed in
-	// rowBits[rowOff[j]:rowOff[j+1]].
+	// rowBits[rowOff[j]:rowOff[j+1]]. Rows at and above r stay zero.
 	var syn [16]uint64
-	zero := live
+	var nz uint64
 	for j := 0; j < e.r; j++ {
-		var acc uint64
-		for _, i := range e.rowBits[e.rowOff[j]:e.rowOff[j+1]] {
-			acc ^= planes[i]
+		syn[j] = fold(b.planes, e.rowBits[e.rowOff[j]:e.rowOff[j+1]])
+		nz |= syn[j]
+	}
+	span := ^uint64(0)
+	for _, c := range e.checks {
+		var parity uint64
+		for ; c != 0; c &= c - 1 {
+			parity ^= syn[bits.TrailingZeros32(c)]
 		}
-		syn[j] = acc
-		zero &^= acc
+		span &^= parity
 	}
-
-	if e.detectOnly {
-		m.OK = zero &^ w1
-		m.SDC = zero & w1
-		m.DUE = live &^ zero
-		return m
-	}
-
-	// Pivot the R ≤ 16 row words into per-lane syndromes — lane 16q+i
-	// reads bits [16q, 16q+16) of syn[i] — look each up in the class
-	// table, and re-slice the two class bits into planes.
-	gf2.Transpose16(&syn)
-	class := e.class
-	var b0, b1 uint64
-	for i, w := range syn {
-		for q := uint(0); q < 64; q += 16 {
-			c := uint64(class[uint16(w>>q)])
-			b0 |= (c & 1) << (q + uint(i))
-			b1 |= (c >> 1) << (q + uint(i))
+	// Structural class bits (ClassZero 00, ClassTag 10, ClassOther 11):
+	// b1 = nonzero syndrome, b0 = outside the span.
+	b0, b1 := ^span, nz
+	if e.weights != 0 {
+		if cand := live & weightIn(&syn, e.weights); cand != 0 {
+			// Pivot the R ≤ 16 row words into per-lane syndromes — lane
+			// 16q+i reads bits [16q, 16q+16) of syn[i] — and take the
+			// candidates' class bits from the table.
+			gf2.Transpose16(&syn)
+			b0 &^= cand
+			b1 &^= cand
+			for ; cand != 0; cand &= cand - 1 {
+				l := uint(bits.TrailingZeros64(cand))
+				c := uint64(e.class[uint16(syn[l&15]>>(l&^15))])
+				b0 |= (c & 1) << l
+				b1 |= (c >> 1) << l
+			}
 		}
 	}
-	// The zero-class mask comes from the table bits, not the syndrome:
-	// class[0] is always ClassZero, so it covers the zero-syndrome lanes,
-	// plus any aliased nonzero syndromes the table assigns to ClassZero.
 	zeroC := live &^ (b0 | b1)
 	corr := b0 &^ b1 & live
 	tag := b1 &^ b0 & live
@@ -288,6 +284,75 @@ func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 	m.TMM = tag
 	m.DUE = other
 	return m
+}
+
+// weightPlanes returns w1 = "≥ 1 bit" and w2 = "≥ 2 bits" per lane. It
+// stops once w2 is all ones: w2 ⊆ w1, so no later plane changes either.
+func weightPlanes(planes []uint64) (w1, w2 uint64) {
+	for _, p := range planes {
+		w2 |= w1 & p
+		w1 |= p
+		if w2 == ^uint64(0) {
+			break
+		}
+	}
+	return w1, w2
+}
+
+// fold returns the XOR of the listed planes.
+func fold(planes []uint64, idx []int32) uint64 {
+	var acc uint64
+	for _, i := range idx {
+		acc ^= planes[i]
+	}
+	return acc
+}
+
+// weightIn returns the lanes whose syndrome popcount w has bit w set in
+// weights. A carry-save adder tree sums the 16 row planes into a 5-bit
+// count per lane (c0 the ones bit … c4 the sixteens).
+func weightIn(syn *[16]uint64, weights uint32) uint64 {
+	// Ones: five full adders over rows 0–14, two over their sums and
+	// row 15, and a half adder over the last two.
+	s0, k0 := csa(syn[0], syn[1], syn[2])
+	s1, k1 := csa(syn[3], syn[4], syn[5])
+	s2, k2 := csa(syn[6], syn[7], syn[8])
+	s3, k3 := csa(syn[9], syn[10], syn[11])
+	s4, k4 := csa(syn[12], syn[13], syn[14])
+	t0, k5 := csa(s0, s1, s2)
+	t1, k6 := csa(s3, s4, syn[15])
+	c0, k7 := t0^t1, t0&t1
+	// Twos: eight carries.
+	u0, f0 := csa(k0, k1, k2)
+	u1, f1 := csa(k3, k4, k5)
+	v0, f2 := csa(u0, u1, k6)
+	c1, f3 := v0^k7, v0&k7
+	// Fours, eights and sixteens.
+	x0, e0 := csa(f0, f1, f2)
+	c2, e1 := x0^f3, x0&f3
+	c3, c4 := e0^e1, e0&e1
+
+	count := [5]uint64{c0, c1, c2, c3, c4}
+	var in uint64
+	for ; weights != 0; weights &= weights - 1 {
+		w := bits.TrailingZeros32(weights)
+		eq := ^uint64(0)
+		for j, c := range count {
+			if w>>uint(j)&1 == 1 {
+				eq &= c
+			} else {
+				eq &^= c
+			}
+		}
+		in |= eq
+	}
+	return in
+}
+
+// csa is a bitsliced full adder: the sum and carry of a + b + c.
+func csa(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, a&b | u&c
 }
 
 // Classify tallies the live lanes of a batch.

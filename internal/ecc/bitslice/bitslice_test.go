@@ -72,7 +72,8 @@ func TestNewTableValidation(t *testing.T) {
 }
 
 // TestNewTableMatchesEnumeration holds the block fill to the plain
-// definition — enumerate the tag span, then set zero and Corr — on
+// definition — enumerate the tag span, then set zero and Corr — and
+// the weights and checks to the Corr popcounts and the span, on
 // random specs for every r up to 12, so block sizes below, at and
 // above 256 entries and every residual count are covered, with tag
 // columns that repeat, vanish or depend on each other.
@@ -101,10 +102,8 @@ func TestNewTableMatchesEnumeration(t *testing.T) {
 		corrClass := []Class{ClassCorrectable, ClassZero}[trial%2]
 		got := mustTable(t, TableSpec{R: r, Tag: tag, Corr: corr, CorrClass: corrClass})
 
-		want := make([]Class, 1<<uint(r))
-		for s := range want {
-			want[s] = ClassOther
-		}
+		inSpan := make([]bool, 1<<uint(r))
+		size := 0 // of the span
 		for p := uint64(0); p < 1<<uint(len(tag)); p++ {
 			var s uint64
 			for i, c := range tag {
@@ -112,7 +111,17 @@ func TestNewTableMatchesEnumeration(t *testing.T) {
 					s ^= c
 				}
 			}
-			want[s] = ClassTag
+			if !inSpan[s] {
+				inSpan[s] = true
+				size++
+			}
+		}
+		want := make([]Class, 1<<uint(r))
+		for s, in := range inSpan {
+			want[s] = ClassOther
+			if in {
+				want[s] = ClassTag
+			}
 		}
 		want[0] = ClassZero
 		for _, c := range corr {
@@ -125,15 +134,29 @@ func TestNewTableMatchesEnumeration(t *testing.T) {
 				t.Fatalf("trial %d (r=%d tag=%#x corr=%#x): class[%#x] = %d, want %d", trial, r, tag, corr, s, c, w)
 			}
 		}
-		// Detect-only exactly when every nonzero syndrome is ClassOther.
-		detectOnly := true
-		for s, w := range want {
-			if s != 0 && w != ClassOther {
-				detectOnly = false
+		// weights: the popcounts of the nonzero Corr syndromes.
+		var weights uint32
+		for _, c := range corr {
+			if c != 0 {
+				weights |= 1 << uint(bits.OnesCount64(c))
 			}
 		}
-		if got.detectOnly != detectOnly {
-			t.Fatalf("trial %d (r=%d tag=%#x corr=%#x): detectOnly = %v, want %v", trial, r, tag, corr, got.detectOnly, detectOnly)
+		if got.weights != weights {
+			t.Fatalf("trial %d (r=%d corr=%#x): weights = %#x, want %#x", trial, r, corr, got.weights, weights)
+		}
+		// checks: one per dimension the span lacks, all of even parity
+		// exactly on the span.
+		if rank := bits.TrailingZeros(uint(size)); len(got.checks) != r-rank {
+			t.Fatalf("trial %d (r=%d tag=%#x): %d checks, want r - rank = %d", trial, r, tag, len(got.checks), r-rank)
+		}
+		for s, want := range inSpan {
+			even := true
+			for _, c := range got.checks {
+				even = even && bits.OnesCount32(uint32(s)&c)%2 == 0
+			}
+			if even != want {
+				t.Fatalf("trial %d (r=%d tag=%#x checks=%#x): syndrome %#x passes checks = %v, in span = %v", trial, r, tag, got.checks, s, even, want)
+			}
 		}
 	}
 }
@@ -231,10 +254,6 @@ func TestAliasClassZeroTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.detectOnly {
-		t.Fatal("aliasing table must not take the detect-only fast path")
-	}
-
 	b := eng.NewBatch()
 	b.Flip(0, 3) // weight 1, syndrome 3 → aliased → SDC
 	b.Flip(1, 0) // weight 2, syndrome 1^2=3 → aliased → SDC
@@ -271,33 +290,6 @@ func TestAliasClassZeroTable(t *testing.T) {
 	}
 }
 
-// TestDetectOnlyFastPathMatchesGeneral: the detect-only shortcut and the
-// general transpose+lookup path agree on detect-only class tables.
-func TestDetectOnlyFastPathMatchesGeneral(t *testing.T) {
-	cols := []uint64{0x3, 0x5, 0x6, 0x7, 0x1, 0x2, 0x4}
-	eng, err := New(cols, mustTable(t, TableSpec{R: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.detectOnly {
-		t.Fatal("engine should take the detect-only fast path")
-	}
-	rng := rand.New(rand.NewSource(13))
-	batch := eng.NewBatch()
-	for trial := 0; trial < 300; trial++ {
-		batch.Reset()
-		batch.Random(NewRand(rng.Uint64()))
-		batch.SetLaneRange(0, 1+rng.Intn(64))
-		fast := eng.ClassifyMasks(batch)
-		eng.detectOnly = false
-		slow := eng.ClassifyMasks(batch)
-		eng.detectOnly = true
-		if fast != slow {
-			t.Fatalf("trial %d: fast path %+v != general path %+v", trial, fast, slow)
-		}
-	}
-}
-
 func TestBatchResetSparseAndBulk(t *testing.T) {
 	eng := testEngine(t)
 	b := eng.NewBatch()
@@ -328,6 +320,61 @@ func TestRandomNonzero(t *testing.T) {
 			if len(b.LaneBits(lane)) == 0 {
 				t.Fatalf("trial %d: lane %d is zero after RandomNonzero", trial, lane)
 			}
+		}
+	}
+}
+
+// TestBatchRandomStream pins the plane stream: Random gives plane i the
+// (i+1)-th word of its generator and leaves the generator where one
+// Uint64 call per plane would, and RandomNonzero matches a word-at-a-
+// time reference — for even and odd plane counts alike.
+func TestBatchRandomStream(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 15, 64, 65, 272} {
+		for seed := uint64(0); seed < 4; seed++ {
+			b := &Batch{planes: make([]uint64, n)}
+			rng, ref := NewRand(seed), NewRand(seed)
+			b.Random(rng)
+			for i, p := range b.planes {
+				if want := ref.Uint64(); p != want {
+					t.Fatalf("n=%d seed=%d: plane %d = %#x, want %#x", n, seed, i, p, want)
+				}
+			}
+			if got, want := rng.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("n=%d seed=%d: generator left at %#x, want %#x", n, seed, got, want)
+			}
+
+			rng, ref = NewRand(seed), NewRand(seed)
+			b.RandomNonzero(rng)
+			want := randomNonzeroRef(ref, n)
+			for i, p := range b.planes {
+				if p != want[i] {
+					t.Fatalf("n=%d seed=%d: RandomNonzero plane %d = %#x, want %#x", n, seed, i, p, want[i])
+				}
+			}
+			if got, want := rng.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("n=%d seed=%d: RandomNonzero left the generator at %#x, want %#x", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// randomNonzeroRef draws n planes one Uint64 at a time, then rerolls
+// the all-zero lanes until none is left.
+func randomNonzeroRef(rng *Rand, n int) []uint64 {
+	planes := make([]uint64, n)
+	for i := range planes {
+		planes[i] = rng.Uint64()
+	}
+	for {
+		var nz uint64
+		for _, p := range planes {
+			nz |= p
+		}
+		if nz == ^uint64(0) {
+			return planes
+		}
+		for i := range planes {
+			planes[i] = planes[i]&nz | rng.Uint64()&^nz
 		}
 	}
 }

@@ -11,12 +11,18 @@
 // plane i means "lane L flips physical bit i". With that layout a
 // syndrome row is the XOR-fold of the planes whose H column has the
 // row's bit set, yielding 64 syndromes simultaneously — one bit per
-// lane per row. The R row words are then pivoted with gf2.Transpose16
+// lane per row. Most lanes' classes follow from those row words alone:
+// a lane with no syndrome bit is zero, one whose syndrome passes the
+// tag span's parity checks is tag, any other is other. Only a lane
+// whose syndrome weight is one of the table's weights (the popcounts
+// of its correctable syndromes) is a candidate for a different class.
+// When some lane is, the R row words are pivoted with gf2.Transpose16
 // — four 16×16 bit transposes side by side, so lane l's syndrome lands
-// in bits [16·(l/16), 16·(l/16)+16) of word l%16 — for a class-table
-// lookup, and the per-lane outcomes (OK / CE / DUE / TMM / SDC) fall
-// out of branch-free mask algebra over the class bits and two weight
-// planes (weight ≥ 1, weight ≥ 2 — all the classifier distinguishes).
+// in bits [16·(l/16), 16·(l/16)+16) of word l%16 — and just the
+// candidates are looked up in the class table. The per-lane outcomes
+// (OK / CE / DUE / TMM / SDC) fall out of branch-free mask algebra over
+// the class bits and two weight planes (weight ≥ 1, weight ≥ 2 — all
+// the classifier distinguishes).
 //
 // # Class tables
 //
@@ -25,8 +31,12 @@
 // and their class — and fills the 2^R entries by block copies: the tag
 // test is linear, so each 256-entry block is one of at most 257
 // patterns, picked by the residual of its high bits after reduction by
-// the tag span's pivots. A Table is immutable, so an engine shares its
-// slice and trusts its entries without a validation pass.
+// the tag span's pivots. NewTable also records the table's weights and
+// the span's checks. It writes a class other than the structural one
+// (zero, tag, other) only at a nonzero correctable syndrome, so the
+// weights of those syndromes bound every lane an engine must look up.
+// A Table is immutable, so an engine shares its slice without a
+// validation pass.
 //
 // Two bounds apply. A table has R ≤ MaxTableR = 24 rows (16 MiB, the
 // bound core.(*Code).TagSyndromeTable uses); the 16-row pivot bounds
@@ -37,11 +47,10 @@
 // random-corruption fallback replays the engine's per-batch stream, so
 // its tallies stay identical.
 //
-// Detect-only class tables (no correctable and no tag syndromes) skip
-// the transpose and table lookup entirely: "syndrome zero or not" is R
-// AND-NOT operations, which makes the R ≤ 8 points of the Figure 9
-// curve nearly free. NewTable knows a table is detect-only from its
-// column sets: no tag span and no nonzero correctable syndrome.
+// A detect-only class table (no correctable and no tag syndromes) has
+// no weights, and its checks are the R single rows, so every nonzero
+// syndrome classifies as other without a transpose or a lookup; that
+// makes the R ≤ 8 points of the Figure 9 curve nearly free.
 //
 // # Determinism
 //
@@ -56,5 +65,6 @@
 // every lane's outcome against scalar ecc.Code.Decode / core.Code
 // decoding across all code families, exhaustively for small weights and
 // randomized for mixed weights (see bitslice_test, differential_test,
-// FuzzBitslicedDecode).
+// FuzzBitslicedDecode), and FuzzClassifyMasks holds the structural
+// classes and the candidate filter to a lookup of every lane.
 package bitslice

@@ -1,5 +1,7 @@
 package bitslice
 
+import "math/bits"
+
 // Test-only pattern editing: the campaigns fill batches in bulk
 // (Random, RandomNonzero), while the tests build patterns bit by bit
 // and read them back.
@@ -38,5 +40,10 @@ func (t Table) Clone() Table {
 	return t
 }
 
-// Set overwrites syndrome s's class.
-func (t Table) Set(s uint64, c Class) { t.class[s] = c }
+// Set overwrites syndrome s's class, and adds s's popcount to the
+// weights whose lanes an engine looks up, so engines built from t
+// afterwards honour the edit.
+func (t *Table) Set(s uint64, c Class) {
+	t.class[s] = c
+	t.weights |= 1 << uint(bits.OnesCount64(s))
+}

@@ -12,9 +12,13 @@ func NewRand(seed uint64) *Rand { return &Rand{s: seed} }
 
 // Uint64 returns the next pseudo-random word.
 func (r *Rand) Uint64() uint64 {
-	r.s += 0x9E3779B97F4A7C15
+	r.s += splitMixGamma
 	return mix64(r.s)
 }
+
+// splitMixGamma is SplitMix64's state increment, the odd integer
+// nearest 2^64/φ.
+const splitMixGamma = 0x9E3779B97F4A7C15
 
 // mix64 is the SplitMix64 finalizer (Vigna), a strong 64-bit mixer.
 func mix64(z uint64) uint64 {
@@ -30,5 +34,5 @@ func mix64(z uint64) uint64 {
 // batch index — never on which worker processes the batch — which is
 // what makes campaigns batch-splittable.
 func SeedForBatch(seed int64, batch uint64) uint64 {
-	return mix64(mix64(uint64(seed)) + 0x9E3779B97F4A7C15*(batch+1))
+	return mix64(mix64(uint64(seed)) + splitMixGamma*(batch+1))
 }

@@ -30,12 +30,21 @@ type TableSpec struct {
 
 // Table is an immutable 2^R-entry syndrome class table. Only NewTable
 // writes one, so an engine can share its slice without validating it.
+//
+// Every entry NewTable writes is the syndrome's structural class (zero
+// → ClassZero, a nonzero span syndrome → ClassTag, else ClassOther)
+// except at the nonzero Corr syndromes, whose popcounts weights
+// records. An engine derives the structural class from the syndrome
+// bits alone and reads the slice only for syndromes of those weights.
 type Table struct {
 	r     int
 	class []Class
-	// detectOnly: no tag span and no nonzero correctable syndrome, so
-	// every nonzero syndrome is ClassOther.
-	detectOnly bool
+	// weights has bit w set when some syndrome of popcount w may hold a
+	// class other than its structural one.
+	weights uint32
+	// checks annihilate the tag span: s is in the span exactly when
+	// popcount(s & c) is even for every c. One mask per non-pivot row.
+	checks []uint32
 }
 
 // R returns the number of syndrome rows (0 for the zero Table).
@@ -62,6 +71,10 @@ func (t Table) Class(s uint64) Class { return t.class[s] }
 // resolve tests them (zero, correctable columns, tag solve), which also
 // covers aliasing tag matrices: their zero-syndrome patterns leave
 // entry 0 alone.
+//
+// The residual of s has bits only at the non-pivot rows, and its bit b
+// is the parity of s over the rows k with unit[k] bit b set; those
+// row sets are the table's checks.
 func NewTable(spec TableSpec) (Table, error) {
 	r := spec.R
 	if r < 1 || r > MaxTableR {
@@ -102,10 +115,8 @@ func NewTable(spec TableSpec) (Table, error) {
 	// unit[b] is residual(1<<b): the bit itself, or the pivot with lead
 	// b less that lead.
 	var unit [MaxTableR]uint64
-	span := false
 	for b := 0; b < r; b++ {
 		unit[b] = uint64(1)<<uint(b) ^ pivot[b]
-		span = span || pivot[b] != 0
 	}
 
 	lowBits := min(r, 8)
@@ -145,12 +156,23 @@ func NewTable(spec TableSpec) (Table, error) {
 	}
 
 	class[0] = ClassZero
-	corr := false
+	var weights uint32
 	for _, c := range spec.Corr {
 		if c != 0 { // resolve tests for the zero syndrome first
 			class[c] = spec.CorrClass
-			corr = true
+			weights |= 1 << uint(bits.OnesCount64(c))
 		}
 	}
-	return Table{r: r, class: class, detectOnly: !span && !corr}, nil
+	var checks []uint32
+	for b := 0; b < r; b++ {
+		if pivot[b] != 0 {
+			continue
+		}
+		var check uint32
+		for k := 0; k < r; k++ {
+			check |= uint32(unit[k]>>uint(b)&1) << uint(k)
+		}
+		checks = append(checks, check)
+	}
+	return Table{r: r, class: class, weights: weights, checks: checks}, nil
 }

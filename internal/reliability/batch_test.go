@@ -162,43 +162,54 @@ func TestRandomErrorsChunkSum(t *testing.T) {
 // TestRandomErrorsChunkSumEngineless: the partition contract holds for
 // targets with no bitsliced engine — the scalar fallback replays the
 // same per-batch SplitMix64 plane stream instead of reseeding per
-// chunk, so it is also bit-identical to the engine path.
+// chunk, so it is also bit-identical to the engine path. The targets
+// have even and odd plane counts (72, 65, 73 and IMT-16's 272), so a
+// plane fill that mishandles an odd tail fails here.
 func TestRandomErrorsChunkSumEngineless(t *testing.T) {
 	h64, err := ecc.NewHsiao(64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engineBacked := TargetECC(h64)
-	target := TargetECC(h64)
-	target.eng = nil // simulate a code too wide for a class-table engine
-	const trials = 10_000
-	const seed = 99
-	whole := RandomErrors(target, trials, seed)
-	if whole.Total != trials {
-		t.Fatalf("total = %d, want %d", whole.Total, trials)
+	sec, err := ecc.NewSEC(64, 9, 1234)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if viaEngine := RandomErrors(engineBacked, trials, seed); whole != viaEngine {
-		t.Errorf("scalar fallback %+v != engine path %+v", whole, viaEngine)
+	imt16, err := core.NewCode(256, 16, 15, core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cuts := range [][]int{
-		{17, 4096, trials - 17 - 4096},
-		{1, 63, 64, 65, trials - 193},
-	} {
-		var sum Tally
-		off := 0
-		for _, n := range cuts {
-			sum = sum.sum(RandomErrorsOffset(target, n, seed, off))
-			off += n
+	for _, engineBacked := range []Target{TargetECC(h64), TargetECC(ecc.NewParity(64)), TargetECC(sec), TargetAFT(imt16)} {
+		target := engineBacked
+		target.eng = nil // simulate a code too wide for a class-table engine
+		const trials = 10_000
+		const seed = 99
+		whole := RandomErrors(target, trials, seed)
+		if whole.Total != trials {
+			t.Fatalf("%s: total = %d, want %d", target.Name, whole.Total, trials)
 		}
-		if sum != whole {
-			t.Errorf("partition %v: sum %+v != whole %+v", cuts, sum, whole)
+		if viaEngine := RandomErrors(engineBacked, trials, seed); whole != viaEngine {
+			t.Errorf("%s: scalar fallback %+v != engine path %+v", target.Name, whole, viaEngine)
 		}
-	}
-	// Worker independence rides on the same contract.
-	base := RandomErrorsParallel(target, trials, 1, seed)
-	for _, workers := range []int{3, 8} {
-		if got := RandomErrorsParallel(target, trials, workers, seed); got != base {
-			t.Errorf("workers=%d: %+v != workers=1 %+v", workers, got, base)
+		for _, cuts := range [][]int{
+			{17, 4096, trials - 17 - 4096},
+			{1, 63, 64, 65, trials - 193},
+		} {
+			var sum Tally
+			off := 0
+			for _, n := range cuts {
+				sum = sum.sum(RandomErrorsOffset(target, n, seed, off))
+				off += n
+			}
+			if sum != whole {
+				t.Errorf("%s: partition %v: sum %+v != whole %+v", target.Name, cuts, sum, whole)
+			}
+		}
+		// Worker independence rides on the same contract.
+		base := RandomErrorsParallel(target, trials, 1, seed)
+		for _, workers := range []int{3, 8} {
+			if got := RandomErrorsParallel(target, trials, workers, seed); got != base {
+				t.Errorf("%s: workers=%d: %+v != workers=1 %+v", target.Name, workers, got, base)
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func curveK64Codes(tb testing.TB) []*ecc.Code {
 // curveK64Targets wraps the curve codes: their random corruption
 // campaigns are the Monte-Carlo half of the K=64 Figure 9 campaign, the
 // part the bitsliced engine accelerates. The 3-bit half is counted by
-// ExhaustiveKBit's transform, which no benchmark here times on its own.
+// ExhaustiveKBit's transform (BenchmarkExhaustiveKBitIMT16 times it).
 func curveK64Targets(b *testing.B) []Target {
 	b.Helper()
 	var out []Target
@@ -151,6 +151,21 @@ func BenchmarkTargetAFTIMT16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		targetSink = TargetAFT(code)
+	}
+}
+
+// BenchmarkExhaustiveKBitIMT16 measures ExhaustiveKBit alone on the
+// IMT-16 target at k = 3: two Walsh–Hadamard transforms over 2^16
+// entries and a tally by class, whatever k is.
+func BenchmarkExhaustiveKBitIMT16(b *testing.B) {
+	target := imt16Target(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := ExhaustiveKBit(target, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tallySink = t
 	}
 }
 
