@@ -57,35 +57,30 @@ func (c *Counts) Add(o Counts) {
 }
 
 // Engine classifies batches of error patterns against one code: nphys
-// physical bit positions with their H columns and a 2^r-entry syndrome
-// class table.
+// physical bit positions with their H columns and a syndrome class
+// table.
 type Engine struct {
 	nphys int
-	r     int
-	// class is the Table's slice, shared: tables are immutable.
-	class []Class
-	// weights and checks are the Table's: the popcounts whose lanes
-	// need a lookup, and the tag span's parity checks.
-	weights uint32
-	checks  []uint32
+	// table is shared: tables are immutable.
+	table Table
 	// rowBits[rowOff[j]:rowOff[j+1]] lists the physical bits whose
 	// column has row bit j set — the XOR-fold recipe for syndrome plane j.
 	rowBits []int32
 	rowOff  []int32
 }
 
-// MaxR bounds an engine at 16 syndrome rows, the height of the
-// syndrome pivot (gf2.Transpose16). Every code the repo injects into
-// fits: the Figure 9 curve runs R = 1..16, IMT-16 has R = 16. Wider
-// codes have no engine, and callers fall back to their scalar paths.
+// MaxR bounds a class table, and so an engine, at 16 syndrome rows,
+// the height of the syndrome pivot (gf2.Transpose16). Every code the
+// repo injects into fits: the Figure 9 curve runs R = 1..16, IMT-16 has
+// R = 16.
 const MaxR = 16
 
 // New builds an engine from a code's physical H columns and its class
 // table, whose row count it takes. The table is shared.
 func New(cols []uint64, table Table) (*Engine, error) {
 	r := table.r
-	if r < 1 || r > MaxR {
-		return nil, fmt.Errorf("bitslice: r=%d out of range [1,%d]", r, MaxR)
+	if r == 0 {
+		return nil, fmt.Errorf("bitslice: the zero Table has no rows")
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("bitslice: no columns")
@@ -100,10 +95,7 @@ func New(cols []uint64, table Table) (*Engine, error) {
 	}
 	e := &Engine{
 		nphys:   len(cols),
-		r:       r,
-		class:   table.class,
-		weights: table.weights,
-		checks:  table.checks,
+		table:   table,
 		rowBits: make([]int32, 0, ones),
 		rowOff:  make([]int32, r+1),
 	}
@@ -122,7 +114,7 @@ func New(cols []uint64, table Table) (*Engine, error) {
 func (e *Engine) NPhys() int { return e.nphys }
 
 // R returns the number of syndrome rows.
-func (e *Engine) R() int { return e.r }
+func (e *Engine) R() int { return e.table.r }
 
 // Batch holds 64 error patterns in bit-plane form: bit L of plane i
 // means lane L flips physical bit i. The lane mask selects which of the
@@ -215,9 +207,9 @@ func (m LaneMasks) Outcome(lane int) (Outcome, bool) {
 //
 // The mask algebra mirrors the scalar classifier exactly: with zero /
 // corr / tag / other the per-lane class masks — the table's classes, so
-// a nonzero syndrome whose entry is ClassZero (an aliasing
-// construction) lands in the zero class — and w1 / w2 the weight-≥1 /
-// weight-≥2 planes,
+// a correctable syndrome of class ClassZero (the tag engine's aliases)
+// lands in the zero class — and w1 / w2 the weight-≥1 / weight-≥2
+// planes,
 //
 //	OK  = zero ∧ ¬w1        (empty pattern)
 //	SDC = (zero ∧ w1) ∨ (corr ∧ w2)   (alias or miscorrection)
@@ -227,9 +219,10 @@ func (m LaneMasks) Outcome(lane int) (Outcome, bool) {
 // The five outcome masks always partition Live.
 //
 // A lane's class is its syndrome's structural class — zero, tag (it
-// passes the span's checks) or other — unless the syndrome's popcount
-// is one of the table's weights; only those candidate lanes read the
-// table.
+// passes the span's checks) or other — unless the syndrome is in the
+// table's correctable set. Only lanes whose syndrome popcount is one of
+// the table's weights can be, and only those candidate lanes test the
+// set.
 func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 	live := b.lanes
 	m := LaneMasks{Live: live}
@@ -237,17 +230,18 @@ func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 		return m
 	}
 	w1, w2 := weightPlanes(b.planes)
+	t := &e.table
 
 	// Syndrome planes: row j is the XOR-fold of the planes listed in
 	// rowBits[rowOff[j]:rowOff[j+1]]. Rows at and above r stay zero.
 	var syn [16]uint64
 	var nz uint64
-	for j := 0; j < e.r; j++ {
+	for j := 0; j < t.r; j++ {
 		syn[j] = fold(b.planes, e.rowBits[e.rowOff[j]:e.rowOff[j+1]])
 		nz |= syn[j]
 	}
 	span := ^uint64(0)
-	for _, c := range e.checks {
+	for _, c := range t.checks {
 		var parity uint64
 		for ; c != 0; c &= c - 1 {
 			parity ^= syn[bits.TrailingZeros32(c)]
@@ -257,20 +251,21 @@ func (e *Engine) ClassifyMasks(b *Batch) LaneMasks {
 	// Structural class bits (ClassZero 00, ClassTag 10, ClassOther 11):
 	// b1 = nonzero syndrome, b0 = outside the span.
 	b0, b1 := ^span, nz
-	if e.weights != 0 {
-		if cand := live & weightIn(&syn, e.weights); cand != 0 {
+	if t.weights != 0 {
+		if cand := live & weightIn(&syn, t.weights); cand != 0 {
 			// Pivot the R ≤ 16 row words into per-lane syndromes — lane
-			// 16q+i reads bits [16q, 16q+16) of syn[i] — and take the
-			// candidates' class bits from the table.
+			// 16q+i reads bits [16q, 16q+16) of syn[i] — and give the
+			// candidates in the correctable set its class bits.
 			gf2.Transpose16(&syn)
-			b0 &^= cand
-			b1 &^= cand
+			var in uint64
 			for ; cand != 0; cand &= cand - 1 {
 				l := uint(bits.TrailingZeros64(cand))
-				c := uint64(e.class[uint16(syn[l&15]>>(l&^15))])
-				b0 |= (c & 1) << l
-				b1 |= (c >> 1) << l
+				s := uint16(syn[l&15] >> (l &^ 15))
+				in |= (t.corr[s>>6] >> (s & 63) & 1) << l
 			}
+			c := uint64(t.corrClass)
+			b0 = b0&^in | in&-(c&1)
+			b1 = b1&^in | in&-(c>>1)
 		}
 	}
 	zeroC := live &^ (b0 | b1)

@@ -39,7 +39,6 @@ func TestNewValidation(t *testing.T) {
 		table Table
 	}{
 		{"r too small", cols, Table{}},
-		{"r above the 16-row pivot", cols, mustTable(t, TableSpec{R: 17})},
 		{"no columns", nil, okTable},
 		{"column out of range", []uint64{1, 4}, okTable},
 	}
@@ -59,7 +58,7 @@ func TestNewTableValidation(t *testing.T) {
 		spec TableSpec
 	}{
 		{"r too small", TableSpec{R: 0}},
-		{"r above the table bound", TableSpec{R: MaxTableR + 1}},
+		{"r above the table bound", TableSpec{R: MaxR + 1}},
 		{"tag column out of range", TableSpec{R: 2, Tag: []uint64{4}}},
 		{"correctable column out of range", TableSpec{R: 2, Corr: []uint64{1, 8}}},
 		{"invalid class value", TableSpec{R: 2, Corr: []uint64{1}, CorrClass: 7}},
@@ -71,16 +70,15 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
-// TestNewTableMatchesEnumeration holds the block fill to the plain
-// definition — enumerate the tag span, then set zero and Corr — and
-// the weights and checks to the Corr popcounts and the span, on
-// random specs for every r up to 12, so block sizes below, at and
-// above 256 entries and every residual count are covered, with tag
-// columns that repeat, vanish or depend on each other.
+// TestNewTableMatchesEnumeration holds Class to the plain definition —
+// enumerate the tag span, then set zero and Corr — and the weights and
+// checks to the Corr popcounts and the span, on random specs for every
+// r up to MaxR, with tag columns that repeat, vanish or depend on each
+// other.
 func TestNewTableMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 400; trial++ {
-		r := 1 + trial%12
+		r := 1 + trial%MaxR
 		mask := uint64(1)<<uint(r) - 1
 		var tag, corr []uint64
 		for i := rng.Intn(r + 3); i > 0; i-- {
@@ -103,17 +101,15 @@ func TestNewTableMatchesEnumeration(t *testing.T) {
 		got := mustTable(t, TableSpec{R: r, Tag: tag, Corr: corr, CorrClass: corrClass})
 
 		inSpan := make([]bool, 1<<uint(r))
-		size := 0 // of the span
-		for p := uint64(0); p < 1<<uint(len(tag)); p++ {
-			var s uint64
-			for i, c := range tag {
-				if p>>uint(i)&1 == 1 {
-					s ^= c
-				}
+		inSpan[0] = true
+		span := []uint64{0}
+		for _, g := range tag {
+			if inSpan[g] {
+				continue
 			}
-			if !inSpan[s] {
-				inSpan[s] = true
-				size++
+			for _, v := range span {
+				inSpan[v^g] = true
+				span = append(span, v^g)
 			}
 		}
 		want := make([]Class, 1<<uint(r))
@@ -146,7 +142,7 @@ func TestNewTableMatchesEnumeration(t *testing.T) {
 		}
 		// checks: one per dimension the span lacks, all of even parity
 		// exactly on the span.
-		if rank := bits.TrailingZeros(uint(size)); len(got.checks) != r-rank {
+		if rank := bits.TrailingZeros(uint(len(span))); len(got.checks) != r-rank {
 			t.Fatalf("trial %d (r=%d tag=%#x): %d checks, want r - rank = %d", trial, r, tag, len(got.checks), r-rank)
 		}
 		for s, want := range inSpan {
@@ -162,7 +158,7 @@ func TestNewTableMatchesEnumeration(t *testing.T) {
 }
 
 // TestNewCopiesInputs: an engine copies its columns, and reads its
-// table's slice rather than a copy (tables are immutable).
+// table's bitmap rather than a copy (tables are immutable).
 func TestNewCopiesInputs(t *testing.T) {
 	cols := []uint64{1, 2, 3}
 	table := mustTable(t, TableSpec{R: 2, Corr: cols, CorrClass: ClassCorrectable})
@@ -170,8 +166,8 @@ func TestNewCopiesInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &eng.class[0] != &table.class[0] {
-		t.Fatal("engine must share its table's slice")
+	if &eng.table.corr[0] != &table.corr[0] {
+		t.Fatal("engine must share its table's bitmap")
 	}
 	b := eng.NewBatch()
 	b.Flip(0, 0)

@@ -19,33 +19,28 @@
 // When some lane is, the R row words are pivoted with gf2.Transpose16
 // — four 16×16 bit transposes side by side, so lane l's syndrome lands
 // in bits [16·(l/16), 16·(l/16)+16) of word l%16 — and just the
-// candidates are looked up in the class table. The per-lane outcomes
-// (OK / CE / DUE / TMM / SDC) fall out of branch-free mask algebra over
-// the class bits and two weight planes (weight ≥ 1, weight ≥ 2 — all
-// the classifier distinguishes).
+// candidates are looked up in the table's correctable set. The per-lane
+// outcomes (OK / CE / DUE / TMM / SDC) fall out of branch-free mask
+// algebra over the class bits and two weight planes (weight ≥ 1,
+// weight ≥ 2 — all the classifier distinguishes).
 //
 // # Class tables
 //
 // NewTable is the only writer of class tables. It takes a code's
 // column sets — the tag span's generators, the correctable syndromes
-// and their class — and fills the 2^R entries by block copies: the tag
-// test is linear, so each 256-entry block is one of at most 257
-// patterns, picked by the residual of its high bits after reduction by
-// the tag span's pivots. NewTable also records the table's weights and
-// the span's checks. It writes a class other than the structural one
-// (zero, tag, other) only at a nonzero correctable syndrome, so the
-// weights of those syndromes bound every lane an engine must look up.
-// A Table is immutable, so an engine shares its slice without a
-// validation pass.
+// and their class — and keeps what the structure cannot compute: the
+// correctable set, as a 2^R-bit bitmap, and its class and weights. The
+// rest is the tag span's checks, the parity masks that annihilate the
+// span, read off its reduced echelon form. A syndrome's class is
+// ClassZero when it is zero, the correctable class when it is in the
+// set, ClassTag when it passes every check and ClassOther otherwise —
+// the order core.(*Code).resolve tests. A Table is immutable, so an
+// engine shares its bitmap without a validation pass.
 //
-// Two bounds apply. A table has R ≤ MaxTableR = 24 rows (16 MiB, the
-// bound core.(*Code).TagSyndromeTable uses); the 16-row pivot bounds
-// an engine at R ≤ MaxR = 16, which every code the repo injects into
-// meets (the Figure 9 curve's R = 1..16, IMT-10/16, the tag engines'
-// TS ≤ 15). New rejects a table wider than MaxR, and callers run their
-// scalar paths on the table instead; internal/reliability's
-// random-corruption fallback replays the engine's per-batch stream, so
-// its tallies stay identical.
+// One bound applies: a table, and so an engine, has R ≤ MaxR = 16
+// rows, the height of the 16-row pivot. Every code the repo injects
+// into meets it (the Figure 9 curve's R = 1..16, IMT-10/16, the tag
+// engines' TS ≤ 15); NewTable refuses a wider code.
 //
 // A detect-only class table (no correctable and no tag syndromes) has
 // no weights, and its checks are the R single rows, so every nonzero
@@ -66,5 +61,6 @@
 // decoding across all code families, exhaustively for small weights and
 // randomized for mixed weights (see bitslice_test, differential_test,
 // FuzzBitslicedDecode), and FuzzClassifyMasks holds the structural
-// classes and the candidate filter to a lookup of every lane.
+// classes and the candidate filter to a class enumerated from the spec
+// for every lane.
 package bitslice

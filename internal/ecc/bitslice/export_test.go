@@ -1,7 +1,5 @@
 package bitslice
 
-import "math/bits"
-
 // Test-only pattern editing: the campaigns fill batches in bulk
 // (Random, RandomNonzero), while the tests build patterns bit by bit
 // and read them back.
@@ -32,18 +30,12 @@ func (b *Batch) LaneBits(lane int) []int {
 }
 
 // Test-only table editing: NewTable is the only writer of production
-// tables, so a test that needs a wrong one edits a clone.
+// tables, so a test that needs a wrong one edits a copy.
 
-// Clone returns a copy of t that Set may edit without touching t.
-func (t Table) Clone() Table {
-	t.class = append([]Class(nil), t.class...)
-	return t
-}
-
-// Set overwrites syndrome s's class, and adds s's popcount to the
-// weights whose lanes an engine looks up, so engines built from t
-// afterwards honour the edit.
-func (t *Table) Set(s uint64, c Class) {
-	t.class[s] = c
-	t.weights |= 1 << uint(bits.OnesCount64(s))
+// Drop removes syndrome s from t's correctable set, which leaves s its
+// structural class. The bitmap is copied first, so tables and engines
+// that share t's are untouched.
+func (t *Table) Drop(s uint64) {
+	t.corr = append([]uint64(nil), t.corr...)
+	t.corr[s>>6] &^= 1 << (s & 63)
 }

@@ -68,10 +68,11 @@ func FuzzBitslicedDecode(f *testing.F) {
 	})
 }
 
-// FuzzClassifyMasks holds ClassifyMasks to a per-lane oracle that reads
-// the class table directly: each lane's syndrome and weight come from
-// its extracted pattern, its class from Table.Class, and its outcome
-// from the documented mask algebra. The spec is random: R in [1, 16],
+// FuzzClassifyMasks holds ClassifyMasks to a per-lane oracle that
+// shares nothing with the engine's table: each lane's syndrome and
+// weight come from its extracted pattern, its class from the spec by
+// enumeration (specClasses), and its outcome from the documented mask
+// algebra. The spec is random: R in [1, 16],
 // a tag span that is empty, drawn from random (zero, repeated or
 // dependent) generators, drawn from the engine's own columns, or made
 // of all of them as in the tag engine; Corr none, a subset or all of
@@ -144,6 +145,7 @@ func FuzzClassifyMasks(f *testing.F) {
 			t.Fatal(err)
 		}
 
+		class := specClasses(spec)
 		a, b := int(lo%64), int(hi%64)
 		if a > b {
 			a, b = b, a
@@ -179,13 +181,40 @@ func FuzzClassifyMasks(f *testing.F) {
 				for _, i := range pattern {
 					s ^= cols[i]
 				}
-				if want := maskAlgebra(table.Class(s), len(pattern)); got != want {
+				if want := maskAlgebra(class[s], len(pattern)); got != want {
 					t.Fatalf("%s batch (R=%d tag=%#x corr=%#x class %d): lane %d pattern %v syndrome %#x: got %v, want %v",
 						name, spec.R, spec.Tag, spec.Corr, spec.CorrClass, lane, pattern, s, got, want)
 				}
 			}
 		}
 	})
+}
+
+// specClasses classifies every syndrome below 2^R from the definition:
+// the tag span by enumeration is ClassTag and the rest ClassOther, then
+// the nonzero Corr syndromes take CorrClass and the zero syndrome
+// ClassZero, as core.(*Code).resolve decides.
+func specClasses(spec bitslice.TableSpec) []bitslice.Class {
+	class := make([]bitslice.Class, 1<<uint(spec.R))
+	for s := range class {
+		class[s] = bitslice.ClassOther
+	}
+	class[0] = bitslice.ClassTag
+	span := []uint64{0}
+	for _, g := range spec.Tag {
+		if class[g] == bitslice.ClassTag {
+			continue
+		}
+		for _, v := range span {
+			class[v^g] = bitslice.ClassTag
+			span = append(span, v^g)
+		}
+	}
+	for _, c := range spec.Corr {
+		class[c] = spec.CorrClass
+	}
+	class[0] = bitslice.ClassZero
+	return class
 }
 
 // maskAlgebra is ClassifyMasks's outcome for one lane of class c and

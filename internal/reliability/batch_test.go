@@ -125,47 +125,11 @@ func FuzzExhaustiveKBit(f *testing.F) {
 
 // TestRandomErrorsChunkSum: a 64k-injection campaign equals the sum of
 // its chunks under any contiguous partition (including ragged,
-// non-batch-aligned boundaries).
+// non-batch-aligned boundaries) and its run on any number of workers,
+// and a scalar replay of the same per-batch SplitMix64 plane stream.
+// The targets have even and odd plane counts (72, 65, 73 and IMT-16's
+// 272), so a plane fill that mishandles an odd tail fails here.
 func TestRandomErrorsChunkSum(t *testing.T) {
-	h64, err := ecc.NewHsiao(64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := TargetECC(h64)
-	const trials = 65536
-	const seed = 777
-	whole := RandomErrors(target, trials, seed)
-	if whole.Total != trials {
-		t.Fatalf("total = %d, want %d", whole.Total, trials)
-	}
-	for _, cuts := range [][]int{
-		{trials},
-		{1, 63, 64, 65, 1000, trials - 1193},
-		{32768, 32768},
-		{17, 4096, 61423},
-	} {
-		var sum Tally
-		off := 0
-		for _, n := range cuts {
-			sum = sum.sum(RandomErrorsOffset(target, n, seed, off))
-			off += n
-		}
-		if off != trials {
-			t.Fatalf("bad partition %v", cuts)
-		}
-		if sum != whole {
-			t.Errorf("partition %v: sum %+v != whole %+v", cuts, sum, whole)
-		}
-	}
-}
-
-// TestRandomErrorsChunkSumEngineless: the partition contract holds for
-// targets with no bitsliced engine — the scalar fallback replays the
-// same per-batch SplitMix64 plane stream instead of reseeding per
-// chunk, so it is also bit-identical to the engine path. The targets
-// have even and odd plane counts (72, 65, 73 and IMT-16's 272), so a
-// plane fill that mishandles an odd tail fails here.
-func TestRandomErrorsChunkSumEngineless(t *testing.T) {
 	h64, err := ecc.NewHsiao(64, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -178,21 +142,21 @@ func TestRandomErrorsChunkSumEngineless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engineBacked := range []Target{TargetECC(h64), TargetECC(ecc.NewParity(64)), TargetECC(sec), TargetAFT(imt16)} {
-		target := engineBacked
-		target.eng = nil // simulate a code too wide for a class-table engine
-		const trials = 10_000
-		const seed = 99
+	const trials = 65536
+	const seed = 777
+	for _, target := range []Target{TargetECC(h64), TargetECC(ecc.NewParity(64)), TargetECC(sec), TargetAFT(imt16)} {
 		whole := RandomErrors(target, trials, seed)
 		if whole.Total != trials {
 			t.Fatalf("%s: total = %d, want %d", target.Name, whole.Total, trials)
 		}
-		if viaEngine := RandomErrors(engineBacked, trials, seed); whole != viaEngine {
-			t.Errorf("%s: scalar fallback %+v != engine path %+v", target.Name, whole, viaEngine)
+		if replay := replayRandomErrors(target, trials, seed); replay != whole {
+			t.Errorf("%s: scalar replay %+v != engine %+v", target.Name, replay, whole)
 		}
 		for _, cuts := range [][]int{
-			{17, 4096, trials - 17 - 4096},
-			{1, 63, 64, 65, trials - 193},
+			{trials},
+			{1, 63, 64, 65, 1000, trials - 1193},
+			{32768, 32768},
+			{17, 4096, 61423},
 		} {
 			var sum Tally
 			off := 0
@@ -200,18 +164,46 @@ func TestRandomErrorsChunkSumEngineless(t *testing.T) {
 				sum = sum.sum(RandomErrorsOffset(target, n, seed, off))
 				off += n
 			}
+			if off != trials {
+				t.Fatalf("bad partition %v", cuts)
+			}
 			if sum != whole {
 				t.Errorf("%s: partition %v: sum %+v != whole %+v", target.Name, cuts, sum, whole)
 			}
 		}
-		// Worker independence rides on the same contract.
-		base := RandomErrorsParallel(target, trials, 1, seed)
-		for _, workers := range []int{3, 8} {
-			if got := RandomErrorsParallel(target, trials, workers, seed); got != base {
-				t.Errorf("%s: workers=%d: %+v != workers=1 %+v", target.Name, workers, got, base)
+		for _, workers := range []int{1, 3, 8} {
+			if got := RandomErrorsParallel(target, trials, workers, seed); got != whole {
+				t.Errorf("%s: workers=%d: %+v != whole %+v", target.Name, workers, got, whole)
 			}
 		}
 	}
+}
+
+// replayRandomErrors is RandomErrors without the engine: batch b draws
+// one plane word per physical bit from SeedForBatch(seed, b), as
+// Batch.Random does, and lane L's pattern is bit L of each plane, whose
+// syndrome is the XOR of its columns and whose class is Table.Class.
+func replayRandomErrors(t Target, trials int, seed int64) Tally {
+	planes := make([]uint64, t.NPhys)
+	var tally Tally
+	for bi := 0; bi*64 < trials; bi++ {
+		rng := bitslice.NewRand(bitslice.SeedForBatch(seed, uint64(bi)))
+		for i := range planes {
+			planes[i] = rng.Uint64()
+		}
+		for lane := 0; lane < min(64, trials-bi*64); lane++ {
+			var s uint64
+			weight := 0
+			for i, p := range planes {
+				if p>>uint(lane)&1 == 1 {
+					s ^= t.cols[i]
+					weight++
+				}
+			}
+			tally = tally.Add(outcome(t.table.Class(s), weight))
+		}
+	}
+	return tally
 }
 
 // TestRandomErrorsParallelWorkerIndependent: identical tallies for any

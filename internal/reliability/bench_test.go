@@ -145,7 +145,8 @@ func BenchmarkInjectTagIMT16(b *testing.B) {
 }
 
 // BenchmarkTargetAFTIMT16 measures building the IMT-16 injection
-// target: its 2^16-entry class table and bitsliced engine.
+// target: its class table (a 2^16-bit correctable-set bitmap and the
+// tag span's checks) and bitsliced engine.
 func BenchmarkTargetAFTIMT16(b *testing.B) {
 	code := imt16Code(b)
 	b.ResetTimer()
@@ -171,7 +172,7 @@ func BenchmarkExhaustiveKBitIMT16(b *testing.B) {
 
 // BenchmarkClassTableIMT16 measures bitslice.NewTable alone on
 // TargetAFT's spec for the R = 16, K = 256 codes at TS = 15, 10 and 7,
-// whose tag spans pick among 2, 64 and 256 block patterns.
+// whose tag spans leave 1, 6 and 9 checks.
 func BenchmarkClassTableIMT16(b *testing.B) {
 	for _, ts := range []int{15, 10, 7} {
 		code, err := core.NewCode(256, 16, ts, core.Options{})

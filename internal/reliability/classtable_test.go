@@ -97,7 +97,7 @@ func TestClassTablesMatchDecoders(t *testing.T) {
 	for _, c := range []*core.Code{
 		aftCode(t, 256, 16, 15),
 		// R = 16 at TS = 10 and 7 (extva57 builds the latter): 2^6 and
-		// 2^9 cosets of the tag span, so 64 and 256 block patterns.
+		// 2^9 cosets of the tag span, so 6 and 9 checks.
 		aftCode(t, 256, 16, 10),
 		aftCode(t, 256, 16, 7),
 		aftCode(t, 64, 8, 7),
@@ -158,31 +158,33 @@ func FuzzClassTable(f *testing.F) {
 	})
 }
 
-// TestWideCodeTargets: a code wider than bitslice.MaxTableR gets no
-// class table, so TargetAFT and TargetECC refuse it with a panic naming
-// the bound instead of allocating 2^R entries, while TagCorruptions
-// still runs its table-free scalar path on it.
+// TestWideCodeTargets: a code wider than bitslice.MaxR gets no class
+// table, so TargetAFT and TargetECC refuse it with a panic naming the
+// bound, from R = MaxR + 1 up, while TagCorruptions still runs its
+// table-free scalar path on it.
 func TestWideCodeTargets(t *testing.T) {
-	aft := aftCode(t, 256, 32, 31)
-	hsiao, err := ecc.NewHsiao(256, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, build := range map[string]func(){
-		"TargetAFT": func() { TargetAFT(aft) },
-		"TargetECC": func() { TargetECC(hsiao) },
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, fmt.Sprintf("MaxTableR = %d", bitslice.MaxTableR)) {
-					t.Errorf("%s on R = 32: panic %q does not name the table bound", name, msg)
-				}
+	for _, r := range []int{bitslice.MaxR + 1, 32} {
+		aft := aftCode(t, 256, r, r-1)
+		hsiao, err := ecc.NewHsiao(256, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, build := range map[string]func(){
+			"TargetAFT": func() { TargetAFT(aft) },
+			"TargetECC": func() { TargetECC(hsiao) },
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, fmt.Sprintf("MaxR = %d", bitslice.MaxR)) {
+						t.Errorf("%s on R = %d: panic %q does not name the table bound", name, r, msg)
+					}
+				}()
+				build()
 			}()
-			build()
-		}()
-	}
-	if got := TagCorruptions(aft, 1000, 5); got.Total != 1000 || got.TMM != 1000 {
-		t.Fatalf("TagCorruptions on R = 32: %+v, want 1000 TMM", got)
+		}
+		if got := TagCorruptions(aft, 1000, 5); got.Total != 1000 || got.TMM != 1000 {
+			t.Fatalf("TagCorruptions on R = %d: %+v, want 1000 TMM", r, got)
+		}
 	}
 }

@@ -82,47 +82,41 @@ func fromCounts(c bitslice.Counts) Tally {
 // columns, and the syndrome class table bitslice.NewTable writes from
 // the code's tag span and correctable columns. Construction also builds
 // the bitsliced engine the batched campaigns run on, sharing that
-// table. A target exists for R ≤ bitslice.MaxTableR; TargetECC and
+// table. A target exists for R ≤ bitslice.MaxR; TargetECC and
 // TargetAFT panic on a wider code.
 type Target struct {
 	Name  string
 	NPhys int
 	R     int
 	cols  []uint64
-	// table maps each of the 2^R syndromes to its decode class.
+	// table gives each of the 2^R syndromes its decode class.
 	table bitslice.Table
-	// eng is the bitsliced classifier over (cols, table); nil when R
-	// exceeds bitslice.MaxR, in which case the campaigns fall back to
-	// their scalar reference paths.
+	// eng is the bitsliced classifier over (cols, table).
 	eng *bitslice.Engine
 }
 
-// Engine exposes the target's bitsliced classifier (nil when the code
-// is too wide for the engine; see bitslice.MaxR).
+// Engine exposes the target's bitsliced classifier.
 func (t Target) Engine() *bitslice.Engine { return t.eng }
 
 // Columns returns the target's physical H columns (a copy).
 func (t Target) Columns() []uint64 { return append([]uint64(nil), t.cols...) }
 
-// newTarget writes the class table of spec and attaches an engine when
-// the code is narrow enough for one.
+// newTarget writes the class table of spec and builds its engine. It
+// panics on an error: only a code wider than bitslice.MaxR has one.
 func newTarget(name string, cols []uint64, spec bitslice.TableSpec) Target {
 	table, err := bitslice.NewTable(spec)
 	if err != nil {
 		panic(fmt.Sprintf("reliability: %s: %v", name, err))
 	}
-	t := Target{Name: name, NPhys: len(cols), R: spec.R, cols: cols, table: table}
-	if spec.R <= bitslice.MaxR {
-		t.eng, err = bitslice.New(cols, table)
-		if err != nil {
-			panic(fmt.Sprintf("reliability: %s: %v", name, err))
-		}
+	eng, err := bitslice.New(cols, table)
+	if err != nil {
+		panic(fmt.Sprintf("reliability: %s: %v", name, err))
 	}
-	return t
+	return Target{Name: name, NPhys: len(cols), R: spec.R, cols: cols, table: table, eng: eng}
 }
 
 // TargetECC wraps an untagged linear code for injection. It panics if
-// R > bitslice.MaxTableR.
+// R > bitslice.MaxR.
 func TargetECC(c *ecc.Code) Target {
 	cols := make([]uint64, c.N())
 	for i := range cols {
@@ -141,7 +135,7 @@ func TargetECC(c *ecc.Code) Target {
 // the tag column space classify as TMM. The class table is written from
 // the tag and physical column spaces by bitslice.NewTable, which
 // reproduces DecodeSyndrome's verdict on every syndrome without decoding
-// any. It panics if R > bitslice.MaxTableR.
+// any. It panics if R > bitslice.MaxR.
 func TargetAFT(c *core.Code) Target {
 	cols := columnRange(c, c.TS(), c.N())
 	return newTarget(c.String(), cols, bitslice.TableSpec{
@@ -164,7 +158,13 @@ func columnRange(c *core.Code, lo, hi int) []uint64 {
 
 // classify maps (syndrome, error weight) to an outcome.
 func (t Target) classify(s uint64, weight int) Outcome {
-	switch t.table.Class(s) {
+	return outcome(t.table.Class(s), weight)
+}
+
+// outcome maps a syndrome's class and the error's weight to an outcome,
+// as the engine's mask algebra does.
+func outcome(c bitslice.Class, weight int) Outcome {
+	switch c {
 	case bitslice.ClassZero:
 		if weight == 0 {
 			return OutcomeOK
@@ -183,17 +183,20 @@ func (t Target) classify(s uint64, weight int) Outcome {
 }
 
 // Add returns the tally with one outcome accumulated.
-func (t Tally) Add(o Outcome) Tally {
-	t.Total++
+func (t Tally) Add(o Outcome) Tally { return t.addN(o, 1) }
+
+// addN returns the tally with n outcomes o accumulated.
+func (t Tally) addN(o Outcome, n uint64) Tally {
+	t.Total += n
 	switch o {
 	case OutcomeCE:
-		t.CE++
+		t.CE += n
 	case OutcomeDUE:
-		t.DUE++
+		t.DUE += n
 	case OutcomeTMM:
-		t.TMM++
+		t.TMM += n
 	case OutcomeSDC:
-		t.SDC++
+		t.SDC += n
 	}
 	return t
 }
@@ -210,13 +213,10 @@ func (t Tally) Add(o Outcome) Tally {
 // ExhaustiveKBitScalar's (the test battery and FuzzExhaustiveKBit hold
 // them to it). A transform value can reach 2^R·C(n,k), so a target where
 // that is 2^63 or more is refused rather than counted in a wrapped
-// int64. Targets without an engine run the scalar enumeration.
+// int64.
 func ExhaustiveKBit(t Target, k int) (Tally, error) {
-	if k < 1 || k > 4 {
-		return Tally{}, fmt.Errorf("reliability: ExhaustiveKBit supports k in [1,4], got %d", k)
-	}
-	if t.eng == nil {
-		return ExhaustiveKBitScalar(t, k)
+	if err := checkK(k); err != nil {
+		return Tally{}, err
 	}
 	n, r := t.NPhys, uint(t.R)
 	total, ok := binomial(uint64(n), k)
@@ -242,25 +242,23 @@ func ExhaustiveKBit(t Target, k int) (Tally, error) {
 		a[u] = kraw[(int64(n)-v)/2]
 	}
 	walshHadamard(a)
-	tally := Tally{Total: total}
+	var byClass [4]uint64
 	for s, v := range a {
-		count := uint64(v >> r)
-		switch t.table.Class(uint64(s)) {
-		case bitslice.ClassZero:
-			tally.SDC += count
-		case bitslice.ClassCorrectable:
-			if k == 1 {
-				tally.CE += count
-			} else {
-				tally.SDC += count // miscorrection of a multi-bit error
-			}
-		case bitslice.ClassTag:
-			tally.TMM += count
-		default:
-			tally.DUE += count
-		}
+		byClass[t.table.Class(uint64(s))] += uint64(v >> r)
+	}
+	var tally Tally
+	for c, count := range byClass {
+		tally = tally.addN(outcome(bitslice.Class(c), k), count)
 	}
 	return tally, nil
+}
+
+// checkK refuses a pattern weight the exhaustive tallies do not count.
+func checkK(k int) error {
+	if k < 1 || k > 4 {
+		return fmt.Errorf("reliability: ExhaustiveKBit supports k in [1,4], got %d", k)
+	}
+	return nil
 }
 
 // walshHadamard transforms a, whose length is a power of two, in place:
@@ -294,73 +292,24 @@ func binomial(n uint64, k int) (uint64, bool) {
 }
 
 // ExhaustiveKBitScalar is the scalar reference enumeration, kept as the
-// oracle the differential test battery holds ExhaustiveKBit to.
+// oracle the differential test battery holds ExhaustiveKBit to. It
+// walks the k-subsets of the physical bits in lexicographic order.
 func ExhaustiveKBitScalar(t Target, k int) (Tally, error) {
-	var tally Tally
-	n := t.NPhys
-	switch k {
-	case 1:
-		for i := 0; i < n; i++ {
-			tally = tally.Add(t.classify(t.cols[i], 1))
-		}
-	case 2:
-		for i := 0; i < n; i++ {
-			si := t.cols[i]
-			for j := i + 1; j < n; j++ {
-				tally = tally.Add(t.classify(si^t.cols[j], 2))
-			}
-		}
-	case 3:
-		// Hot loop: count outcomes via the class array directly.
-		var zero, corr, tag uint64
-		var total uint64
-		for i := 0; i < n; i++ {
-			si := t.cols[i]
-			for j := i + 1; j < n; j++ {
-				sij := si ^ t.cols[j]
-				for l := j + 1; l < n; l++ {
-					s := sij ^ t.cols[l]
-					total++
-					switch t.table.Class(s) {
-					case bitslice.ClassZero:
-						zero++
-					case bitslice.ClassCorrectable:
-						corr++
-					case bitslice.ClassTag:
-						tag++
-					}
-				}
-			}
-		}
-		tally = Tally{Total: total, SDC: zero + corr, TMM: tag, DUE: total - zero - corr - tag}
-	case 4:
-		var zero, corr, tag uint64
-		var total uint64
-		for i := 0; i < n; i++ {
-			si := t.cols[i]
-			for j := i + 1; j < n; j++ {
-				sij := si ^ t.cols[j]
-				for l := j + 1; l < n; l++ {
-					sijl := sij ^ t.cols[l]
-					for m := l + 1; m < n; m++ {
-						s := sijl ^ t.cols[m]
-						total++
-						switch t.table.Class(s) {
-						case bitslice.ClassZero:
-							zero++
-						case bitslice.ClassCorrectable:
-							corr++
-						case bitslice.ClassTag:
-							tag++
-						}
-					}
-				}
-			}
-		}
-		tally = Tally{Total: total, SDC: zero + corr, TMM: tag, DUE: total - zero - corr - tag}
-	default:
-		return Tally{}, fmt.Errorf("reliability: ExhaustiveKBit supports k in [1,4], got %d", k)
+	if err := checkK(k); err != nil {
+		return Tally{}, err
 	}
+	var tally Tally
+	var walk func(from, left int, s uint64)
+	walk = func(from, left int, s uint64) {
+		if left == 0 {
+			tally = tally.Add(t.classify(s, k))
+			return
+		}
+		for i := from; i <= t.NPhys-left; i++ {
+			walk(i+1, left-1, s^t.cols[i])
+		}
+	}
+	walk(0, k, 0)
 	return tally, nil
 }
 
@@ -380,16 +329,11 @@ func RandomErrors(t Target, trials int, seed int64) Tally {
 // of batch p/64, and batch b's patterns come from the SplitMix64 stream
 // SeedForBatch(seed, b) regardless of which positions are live — so for
 // any partition of [0, n) into contiguous chunks, the chunk tallies sum
-// exactly to RandomErrors(t, n, seed). The contract holds for every
-// target: engineless (wide-code) targets run a scalar loop over the
-// same per-batch plane stream. RandomErrorsParallel and the
+// exactly to RandomErrors(t, n, seed). RandomErrorsParallel and the
 // batch-splitting metamorphic tests are built on this contract.
 func RandomErrorsOffset(t Target, trials int, seed int64, offset int) Tally {
 	if trials <= 0 {
 		return Tally{}
-	}
-	if t.eng == nil {
-		return randomErrorsScalarOffset(t, trials, seed, offset)
 	}
 	return randomErrorsRange(t.eng, t.eng.NewBatch(), seed, offset, offset+trials)
 }
@@ -412,44 +356,6 @@ func randomErrorsRange(eng *bitslice.Engine, batch *bitslice.Batch, seed int64, 
 		pos = bi*64 + hi
 	}
 	return fromCounts(counts)
-}
-
-// randomErrorsScalarOffset is the engineless fallback behind
-// RandomErrorsOffset. It reproduces the engine path's batch layout
-// exactly — batch b draws one plane word per physical bit from
-// SeedForBatch(seed, b), just as Batch.Random does, and lane L's error
-// pattern is bit L of each plane — so the chunk-sum/partition contract
-// (and therefore RandomErrorsParallel's worker independence) holds even
-// for targets too wide for a class-table engine.
-func randomErrorsScalarOffset(t Target, trials int, seed int64, offset int) Tally {
-	planes := make([]uint64, t.NPhys)
-	var tally Tally
-	pos, end := offset, offset+trials
-	for pos < end {
-		bi := pos / 64
-		lo := pos - bi*64
-		hi := 64
-		if batchEnd := (bi + 1) * 64; batchEnd > end {
-			hi = end - bi*64
-		}
-		rng := bitslice.NewRand(bitslice.SeedForBatch(seed, uint64(bi)))
-		for i := range planes {
-			planes[i] = rng.Uint64()
-		}
-		for lane := lo; lane < hi; lane++ {
-			var s uint64
-			weight := 0
-			for i, p := range planes {
-				if p>>uint(lane)&1 == 1 {
-					s ^= t.cols[i]
-					weight++
-				}
-			}
-			tally = tally.Add(t.classify(s, weight))
-		}
-		pos = bi*64 + hi
-	}
-	return tally
 }
 
 // RandomErrorsScalar is the scalar reference implementation, kept as
@@ -500,23 +406,16 @@ func TagCorruptions(c *core.Code, limit int, seed int64) Tally {
 	if total := space * (space - 1); limit <= 0 || uint64(limit) >= total {
 		var tally Tally
 		for d := uint64(1); d < space; d++ {
-			var one Tally
-			one = one.Add(classifyTagOnly(c, c.TagSyndrome(d)))
-			one.Total *= space
-			one.CE *= space
-			one.DUE *= space
-			one.TMM *= space
-			one.SDC *= space
-			tally = tally.sum(one)
+			tally = tally.addN(classifyTagOnly(c, c.TagSyndrome(d)), space)
 		}
 		return tally
 	}
-	if eng := tagEngine(c); eng != nil {
-		c := &campaign{tagEng: eng, seed: seed, trials: limit}
-		runCampaigns(runtime.GOMAXPROCS(0), c)
-		return c.tally
+	if c.R() > bitslice.MaxR {
+		return TagCorruptionsScalar(c, limit, seed)
 	}
-	return TagCorruptionsScalar(c, limit, seed)
+	camp := &campaign{tagEng: tagEngine(c), seed: seed, trials: limit}
+	runCampaigns(runtime.GOMAXPROCS(0), camp)
+	return camp.tally
 }
 
 // tagCorruptionsRange classifies the sampled tag differences at
@@ -572,20 +471,18 @@ func TagCorruptionsScalar(c *core.Code, limit int, seed int64) Tally {
 	return tally
 }
 
-// tagEngine builds a bitsliced classifier over the TS tag columns,
-// or returns nil when R exceeds bitslice.MaxR.
+// tagEngine builds a bitsliced classifier over the TS tag columns. It
+// panics on an error, as newTarget does; TagCorruptions calls it only
+// for R ≤ bitslice.MaxR.
 func tagEngine(c *core.Code) *bitslice.Engine {
-	if c.R() > bitslice.MaxR {
-		return nil
-	}
 	spec := tagSpec(c)
 	table, err := bitslice.NewTable(spec)
 	if err != nil {
-		return nil
+		panic(fmt.Sprintf("reliability: %s: tag engine: %v", c, err))
 	}
 	eng, err := bitslice.New(spec.Tag, table)
 	if err != nil {
-		return nil
+		panic(fmt.Sprintf("reliability: %s: tag engine: %v", c, err))
 	}
 	return eng
 }
@@ -617,10 +514,6 @@ func classifyTagOnly(c *core.Code, s uint64) Outcome {
 		return OutcomeSDC // undetected mismatch: the alias the construction forbids
 	}
 }
-
-// newRand builds the package's deterministic RNG (wrapped for reuse by
-// the pattern injectors).
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // RandomErrorsParallel runs a random-corruption campaign on a pool of
 // `workers` goroutines (runCampaigns). Because RandomErrorsOffset

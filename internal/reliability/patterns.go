@@ -1,6 +1,9 @@
 package reliability
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // ExhaustiveByteErrors injects every nonzero pattern within every aligned
 // 8-bit window of the physical bits — the "byte error" class that §7.1
@@ -66,7 +69,7 @@ func SampledKBitBytes(t Target, trials int, seed int64) (Tally, error) {
 	if t.NPhys < 16 {
 		return Tally{}, fmt.Errorf("reliability: need ≥ 2 bytes of physical bits")
 	}
-	rng := newRand(seed)
+	rng := rand.New(rand.NewSource(seed))
 	nBytes := t.NPhys / 8
 	var tally Tally
 	for trial := 0; trial < trials; trial++ {

@@ -60,15 +60,11 @@ func (w *poolWorker) batch(eng *bitslice.Engine) *bitslice.Batch {
 func (w *poolWorker) run(c *campaign, j int) Tally {
 	lo := j * itemTrials
 	hi := min(lo+itemTrials, c.trials)
-	switch {
-	case c.tagEng != nil:
+	if c.tagEng != nil {
 		return tagCorruptionsRange(c.tagEng, w.batch(c.tagEng), lo, hi, c.seed)
-	case c.target.eng == nil:
-		return randomErrorsScalarOffset(*c.target, hi-lo, c.seed, lo)
-	default:
-		eng := c.target.eng
-		return randomErrorsRange(eng, w.batch(eng), c.seed, lo, hi)
 	}
+	eng := c.target.eng
+	return randomErrorsRange(eng, w.batch(eng), c.seed, lo, hi)
 }
 
 // runCampaigns runs the items of every campaign, in campaign order, on
