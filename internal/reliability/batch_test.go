@@ -125,11 +125,47 @@ func FuzzExhaustiveKBit(f *testing.F) {
 
 // TestRandomErrorsChunkSum: a 64k-injection campaign equals the sum of
 // its chunks under any contiguous partition (including ragged,
-// non-batch-aligned boundaries) and its run on any number of workers,
-// and a scalar replay of the same per-batch SplitMix64 plane stream.
-// The targets have even and odd plane counts (72, 65, 73 and IMT-16's
-// 272), so a plane fill that mishandles an odd tail fails here.
+// non-batch-aligned boundaries).
 func TestRandomErrorsChunkSum(t *testing.T) {
+	h64, err := ecc.NewHsiao(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := TargetECC(h64)
+	const trials = 65536
+	const seed = 777
+	whole := RandomErrors(target, trials, seed)
+	if whole.Total != trials {
+		t.Fatalf("total = %d, want %d", whole.Total, trials)
+	}
+	for _, cuts := range [][]int{
+		{trials},
+		{1, 63, 64, 65, 1000, trials - 1193},
+		{32768, 32768},
+		{17, 4096, 61423},
+	} {
+		var sum Tally
+		off := 0
+		for _, n := range cuts {
+			sum = sum.sum(RandomErrorsOffset(target, n, seed, off))
+			off += n
+		}
+		if off != trials {
+			t.Fatalf("bad partition %v", cuts)
+		}
+		if sum != whole {
+			t.Errorf("partition %v: sum %+v != whole %+v", cuts, sum, whole)
+		}
+	}
+}
+
+// TestRandomErrorsChunkSumEngineless: the engine's campaign equals an
+// engine-free scalar replay of the same per-batch SplitMix64 plane
+// stream (replayRandomErrors), and its partitions and worker splits sum
+// to the whole. The targets have even and odd plane counts (72, 65, 73
+// and IMT-16's 272), so a plane fill that mishandles an odd tail fails
+// here.
+func TestRandomErrorsChunkSumEngineless(t *testing.T) {
 	h64, err := ecc.NewHsiao(64, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +178,8 @@ func TestRandomErrorsChunkSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const trials = 65536
-	const seed = 777
+	const trials = 10_000
+	const seed = 99
 	for _, target := range []Target{TargetECC(h64), TargetECC(ecc.NewParity(64)), TargetECC(sec), TargetAFT(imt16)} {
 		whole := RandomErrors(target, trials, seed)
 		if whole.Total != trials {
@@ -153,19 +189,14 @@ func TestRandomErrorsChunkSum(t *testing.T) {
 			t.Errorf("%s: scalar replay %+v != engine %+v", target.Name, replay, whole)
 		}
 		for _, cuts := range [][]int{
-			{trials},
-			{1, 63, 64, 65, 1000, trials - 1193},
-			{32768, 32768},
-			{17, 4096, 61423},
+			{17, 4096, trials - 17 - 4096},
+			{1, 63, 64, 65, trials - 193},
 		} {
 			var sum Tally
 			off := 0
 			for _, n := range cuts {
 				sum = sum.sum(RandomErrorsOffset(target, n, seed, off))
 				off += n
-			}
-			if off != trials {
-				t.Fatalf("bad partition %v", cuts)
 			}
 			if sum != whole {
 				t.Errorf("%s: partition %v: sum %+v != whole %+v", target.Name, cuts, sum, whole)
