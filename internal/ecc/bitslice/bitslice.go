@@ -294,13 +294,23 @@ func weightPlanes(planes []uint64) (w1, w2 uint64) {
 	return w1, w2
 }
 
-// fold returns the XOR of the listed planes.
+// fold returns the XOR of the listed planes. It takes four gathers a
+// step, XORs them in pairs and each pair into an accumulator of its
+// own, so a step's loads and XORs do not wait on the step before it
+// and one length test covers four indices; a tail of up to three goes
+// to the first accumulator. (Four accumulators, one per gather, leave
+// too few registers once fold is inlined into ClassifyMasks, and one
+// of them goes to the stack.)
 func fold(planes []uint64, idx []int32) uint64 {
-	var acc uint64
-	for _, i := range idx {
-		acc ^= planes[i]
+	var a0, a1 uint64
+	for ; len(idx) >= 4; idx = idx[4:] {
+		a0 ^= planes[idx[0]] ^ planes[idx[1]]
+		a1 ^= planes[idx[2]] ^ planes[idx[3]]
 	}
-	return acc
+	for _, i := range idx {
+		a0 ^= planes[i]
+	}
+	return a0 ^ a1
 }
 
 // weightIn returns the lanes whose syndrome popcount w has bit w set in

@@ -354,6 +354,36 @@ func TestBatchRandomStream(t *testing.T) {
 	}
 }
 
+// TestFoldMatchesOneAccumulator holds the unrolled fold to a plain
+// one-accumulator XOR over index lists of every length up to two
+// unrolled steps and a tail, a K=64 R=12 Hsiao row (19 indices) and an
+// IMT-16 row (49), drawn from all 272 planes, from 5 (so indices
+// repeat and cancel) or from 1 (one index repeated).
+func TestFoldMatchesOneAccumulator(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	planes := make([]uint64, 272)
+	for i := range planes {
+		planes[i] = rng.Uint64()
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 19, 49} {
+		for _, span := range []int{len(planes), 5, 1} {
+			for trial := 0; trial < 20; trial++ {
+				idx := make([]int32, n)
+				for i := range idx {
+					idx[i] = int32(rng.Intn(span))
+				}
+				var want uint64
+				for _, i := range idx {
+					want ^= planes[i]
+				}
+				if got := fold(planes, idx); got != want {
+					t.Fatalf("n=%d span=%d idx=%v: fold = %#x, want %#x", n, span, idx, got, want)
+				}
+			}
+		}
+	}
+}
+
 // randomNonzeroRef draws n planes one Uint64 at a time, then rerolls
 // the all-zero lanes until none is left.
 func randomNonzeroRef(rng *Rand, n int) []uint64 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -282,6 +283,47 @@ func TestSDCCurveWorkersRegression(t *testing.T) {
 	for _, p := range one {
 		if p.RandomTrials != trials {
 			t.Errorf("R=%d ran %d trials, want %d", p.R, p.RandomTrials, trials)
+		}
+	}
+}
+
+// TestSDCCurveWorkersMaxRBounds: a maxR outside [1, bitslice.MaxR]
+// is an error naming the bound, returned before any code is built
+// (R = 17 would otherwise panic in TargetECC, on a pool goroutine).
+func TestSDCCurveWorkersMaxRBounds(t *testing.T) {
+	for _, maxR := range []int{0, -1, bitslice.MaxR + 1} {
+		for _, workers := range []int{1, 2} {
+			pts, err := SDCCurveWorkers(64, maxR, 1000, 1234, workers)
+			if err == nil || !strings.Contains(err.Error(), "bitslice.MaxR") {
+				t.Errorf("maxR=%d workers=%d: got %d points, err %v; want an error naming bitslice.MaxR", maxR, workers, len(pts), err)
+			}
+		}
+	}
+	pts, err := SDCCurveWorkers(64, bitslice.MaxR, 64, 1234, 2)
+	if err != nil || len(pts) != bitslice.MaxR {
+		t.Errorf("maxR=MaxR: %d points, err %v", len(pts), err)
+	}
+}
+
+// TestSDCCurveWorkersFirstBuildError: when several curve codes fail
+// to build, the error returned is the smallest R's on every worker
+// count, although the pool builds the largest R first. At K = 600 the
+// R = 9 SEC code and the R = 10 Hsiao code fail (R = 11 has 1013
+// odd-weight columns of weight ≥ 3, enough for 600); at K = 2100 every
+// correcting code up to R = 12 fails.
+func TestSDCCurveWorkersFirstBuildError(t *testing.T) {
+	for _, tc := range []struct{ k, lastBad int }{{600, 10}, {2100, 12}} {
+		for r := 1; r <= 12; r++ {
+			_, _, err := curvePoint(tc.k, r, 1234)
+			if bad := r >= 9 && r <= tc.lastBad; (err != nil) != bad {
+				t.Fatalf("K=%d R=%d: build error %v, want one: %v", tc.k, r, err, bad)
+			}
+		}
+		for _, workers := range []int{1, 2, 8} {
+			pts, err := SDCCurveWorkers(tc.k, 12, 1000, 1234, workers)
+			if err == nil || !strings.Contains(err.Error(), "R=9:") {
+				t.Errorf("K=%d workers=%d: got %d points, err %v; want R=9's build error", tc.k, workers, len(pts), err)
+			}
 		}
 	}
 }

@@ -129,6 +129,7 @@ var (
 	tallySink  Tally
 	targetSink Target
 	tableSink  bitslice.Table
+	curveSink  []CurvePoint
 )
 
 // BenchmarkInjectTagIMT16 measures the sampled tag-corruption campaign
@@ -224,4 +225,22 @@ func BenchmarkInjectFaultRound(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(inj/b.Elapsed().Seconds(), "inj/s")
+}
+
+// BenchmarkInjectCurveBuild times the set-up half of the fault-campaign
+// round's curve alone: SDCCurveWorkers with no random trials builds the
+// K=64 R = 1..12 codes and targets and counts the 3-bit errors of the
+// correcting ones, on 1 and 2 workers.
+func BenchmarkInjectCurveBuild(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pts, err := SDCCurveWorkers(64, 12, 0, 1234, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				curveSink = pts
+			}
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"repro/internal/ecc"
+	"repro/internal/ecc/bitslice"
 )
 
 // CurvePoint is one point of the Figure 9 sweep: the SDC probability of a
@@ -37,59 +38,47 @@ type CurvePoint struct {
 // redundancy). Random corruption uses `trials` samples; 3-bit errors are
 // exhaustive.
 //
-// The random campaigns run on one pool of GOMAXPROCS workers
-// (runCampaigns): every R point's Monte-Carlo batch ranges are work
-// items of a single call, and each 3-bit count is one ExhaustiveKBit
-// transform. Since the batched injector derives every 64-lane batch's
-// stream from (seed, batch index) alone, the result is identical for
-// every worker count — SDCCurve(k, maxR, trials, seed) equals
-// SDCCurveWorkers(..., w) for all w. Callers that want explicit control
-// of the pool size (or CPU budget) should still use SDCCurveWorkers.
+// It runs on GOMAXPROCS workers (see SDCCurveWorkers). Since the
+// batched injector derives every 64-lane batch's stream from (seed,
+// batch index) alone, the result is identical for every worker count —
+// SDCCurve(k, maxR, trials, seed) equals SDCCurveWorkers(..., w) for
+// all w. Callers that want explicit control of the pool size (or CPU
+// budget) should still use SDCCurveWorkers.
 func SDCCurve(k, maxR, trials int, seed int64) ([]CurvePoint, error) {
 	return SDCCurveWorkers(k, maxR, trials, seed, runtime.GOMAXPROCS(0))
 }
 
-// SDCCurveWorkers is SDCCurve with an explicit worker count. It builds
-// the maxR codes and counts their 3-bit errors first, then runs all
-// their random campaigns on one pool with one join. The tallies are a
-// function of (k, maxR, trials, seed) only: the deterministic per-batch
-// seed splitting makes every worker count produce bit-identical curves
-// on every machine (a regression test pins workers=1 against 2, 3 and
-// 8).
+// SDCCurveWorkers is SDCCurve with an explicit worker count. maxR must
+// lie in [1, bitslice.MaxR]. It runs in two pool passes of up to
+// `workers` goroutines each: the first builds every R point's code and
+// injection target and counts its 3-bit errors by transform, largest R
+// (the costliest) first; the second runs all the points' random
+// campaigns on one runCampaigns pool with one join. If a code fails to
+// build, the error of the smallest such R is returned, whichever
+// goroutine met it first. The tallies are a function of (k, maxR,
+// trials, seed) only: the deterministic per-batch seed splitting makes
+// every worker count produce bit-identical curves on every machine (a
+// regression test pins workers=1 against 2, 3 and 8).
 func SDCCurveWorkers(k, maxR, trials int, seed int64, workers int) ([]CurvePoint, error) {
-	var (
-		out    []CurvePoint
-		random []*campaign // per point
-	)
-	for r := 1; r <= maxR; r++ {
-		var (
-			code *ecc.Code
-			err  error
-		)
-		switch {
-		case r >= 10:
-			code, err = ecc.NewHsiao(k, r)
-		case r == 9:
-			code, err = ecc.NewSEC(k, r, seed)
-		case r == 1:
-			code = ecc.NewParity(k)
-		default:
-			code, err = ecc.NewDetectOnly(k, r, seed+int64(r))
-		}
+	if maxR < 1 || maxR > bitslice.MaxR {
+		return nil, fmt.Errorf("reliability: maxR = %d outside [1, bitslice.MaxR = %d]", maxR, bitslice.MaxR)
+	}
+	out := make([]CurvePoint, maxR)
+	targets := make([]Target, maxR)
+	errs := make([]error, maxR)
+	forEach(workers, maxR, func(_, i int) {
+		r := maxR - i
+		out[r-1], targets[r-1], errs[r-1] = curvePoint(k, r, seed)
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("reliability: R=%d: %w", r, err)
+			return nil, err
 		}
-		t := TargetECC(code)
-		pt := CurvePoint{R: r, Kind: code.Kind()}
-		if code.Kind() != ecc.DetectOnly {
-			three, err := ExhaustiveKBit(t, 3)
-			if err != nil {
-				return nil, fmt.Errorf("reliability: R=%d: %w", r, err)
-			}
-			pt.ThreeBitSDC, pt.HasThreeBit = three.SDCRate(), true
-		}
-		out = append(out, pt)
-		random = append(random, &campaign{target: &t, seed: seed + int64(100+r), trials: trials})
+	}
+	random := make([]*campaign, maxR)
+	for i := range random {
+		r := i + 1
+		random[i] = &campaign{target: &targets[i], seed: seed + int64(100+r), trials: trials}
 	}
 	runCampaigns(workers, random...)
 	for i, c := range random {
@@ -99,6 +88,38 @@ func SDCCurveWorkers(k, maxR, trials int, seed int64, workers int) ([]CurvePoint
 		pt.RandomTrials = c.tally.Total
 	}
 	return out, nil
+}
+
+// curvePoint builds the curve's R = r code and its injection target,
+// and fills in the point's exhaustive 3-bit rate if the code corrects.
+func curvePoint(k, r int, seed int64) (CurvePoint, Target, error) {
+	var (
+		code *ecc.Code
+		err  error
+	)
+	switch {
+	case r >= 10:
+		code, err = ecc.NewHsiao(k, r)
+	case r == 9:
+		code, err = ecc.NewSEC(k, r, seed)
+	case r == 1:
+		code = ecc.NewParity(k)
+	default:
+		code, err = ecc.NewDetectOnly(k, r, seed+int64(r))
+	}
+	if err != nil {
+		return CurvePoint{}, Target{}, fmt.Errorf("reliability: R=%d: %w", r, err)
+	}
+	t := TargetECC(code)
+	pt := CurvePoint{R: r, Kind: code.Kind()}
+	if code.Kind() != ecc.DetectOnly {
+		three, err := ExhaustiveKBit(t, 3)
+		if err != nil {
+			return CurvePoint{}, Target{}, fmt.Errorf("reliability: R=%d: %w", r, err)
+		}
+		pt.ThreeBitSDC, pt.HasThreeBit = three.SDCRate(), true
+	}
+	return pt, t, nil
 }
 
 // Wilson returns the Wilson score interval for a binomial proportion:

@@ -40,10 +40,12 @@ func (c *campaign) items() int {
 }
 
 // poolWorker is one pool goroutine's state: a Batch per engine, reused
-// across every item it runs, and its share of each campaign's tally.
+// across every item it runs, its share of each campaign's tally, and
+// the campaign its last item belonged to.
 type poolWorker struct {
 	batches map[*bitslice.Engine]*bitslice.Batch
 	tallies []Tally
+	ci      int
 }
 
 func (w *poolWorker) batch(eng *bitslice.Engine) *bitslice.Batch {
@@ -67,12 +69,46 @@ func (w *poolWorker) run(c *campaign, j int) Tally {
 	return randomErrorsRange(eng, w.batch(eng), c.seed, lo, hi)
 }
 
+// poolSize is the number of goroutines forEach starts for n items on
+// `workers`: at least one, at most one per item.
+func poolSize(workers, n int) int {
+	return max(1, min(workers, n))
+}
+
+// forEach calls f(g, i) once for every item i in [0, n) on
+// poolSize(workers, n) goroutines — the calling one alone when that is
+// one — and returns when every call has. g is the index of the
+// goroutine making the call; each goroutine takes the next i from an
+// atomic counter, so the items one goroutine sees only increase.
+func forEach(workers, n int, f func(g, i int)) {
+	var next atomic.Int64
+	work := func(g int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(g, i)
+		}
+	}
+	size := poolSize(workers, n)
+	if size == 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < size; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(g)
+		}()
+	}
+	wg.Wait()
+}
+
 // runCampaigns runs the items of every campaign, in campaign order, on
-// one pool of `workers` goroutines: each goroutine takes the next item
-// index from an atomic counter, so the pool joins once however many
-// campaigns it runs. Each campaign is left with its summed tally in
-// c.tally; since an item's tally depends only on its positions, the
-// sums are the same for every worker count and every interleaving.
+// one forEach pool of `workers` goroutines, so the pool joins once
+// however many campaigns it runs. Each campaign is left with its summed
+// tally in c.tally; since an item's tally depends only on its
+// positions, the sums are the same for every worker count and every
+// interleaving.
 func runCampaigns(workers int, cs ...*campaign) {
 	// Campaign i owns item indices [first[i], first[i+1]).
 	first := make([]int, len(cs)+1)
@@ -80,32 +116,19 @@ func runCampaigns(workers int, cs ...*campaign) {
 		first[i+1] = first[i] + c.items()
 	}
 	n := first[len(cs)]
-	var next atomic.Int64
-	work := func(w *poolWorker) {
-		w.batches = make(map[*bitslice.Engine]*bitslice.Batch)
-		w.tallies = make([]Tally, len(cs))
-		// A worker's indices only increase, so ci only moves forward.
-		for i, ci := int(next.Add(1)-1), 0; i < n; i = int(next.Add(1) - 1) {
-			for first[ci+1] <= i {
-				ci++
-			}
-			w.tallies[ci] = w.tallies[ci].sum(w.run(cs[ci], i-first[ci]))
-		}
+	ws := make([]poolWorker, poolSize(workers, n))
+	for i := range ws {
+		ws[i] = poolWorker{batches: make(map[*bitslice.Engine]*bitslice.Batch), tallies: make([]Tally, len(cs))}
 	}
-	ws := make([]poolWorker, max(1, min(workers, n)))
-	if len(ws) == 1 {
-		work(&ws[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range ws {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(&ws[i])
-			}()
+	forEach(len(ws), n, func(g, i int) {
+		w := &ws[g]
+		// A goroutine's items only increase, so its campaign only moves
+		// forward.
+		for first[w.ci+1] <= i {
+			w.ci++
 		}
-		wg.Wait()
-	}
+		w.tallies[w.ci] = w.tallies[w.ci].sum(w.run(cs[w.ci], i-first[w.ci]))
+	})
 	for _, w := range ws {
 		for i, c := range cs {
 			c.tally = c.tally.sum(w.tallies[i])
